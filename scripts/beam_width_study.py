@@ -13,6 +13,7 @@ import time
 
 from ratchet_lab.config import parse_config
 from ratchet_lab.experiments import optical_kick_ladders, quantum_kick_ladders
+from ratchet_lab.observables import distribution_linf
 
 PERIOD = 600e-6
 
@@ -20,12 +21,8 @@ PERIOD = 600e-6
 def worst_linf(cfg, n_kicks: int) -> float:
     quantum = quantum_kick_ladders(cfg, cfg.hbar, n_kicks)
     optical = optical_kick_ladders(cfg, cfg.hbar, n_kicks)
-    worst = 0.0
-    for q, o in zip(quantum, optical):
-        qp = dict(zip(q.orders.tolist(), q.probabilities.tolist()))
-        op = dict(zip(o.orders.tolist(), o.probabilities.tolist()))
-        worst = max(worst, max(abs(qp.get(n, 0.0) - op.get(n, 0.0)) for n in set(qp) | set(op)))
-    return worst
+    return max(distribution_linf(q.orders, q.probabilities, o.orders, o.probabilities)
+               for q, o in zip(quantum, optical))
 
 
 def main() -> None:

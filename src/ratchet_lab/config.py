@@ -1,15 +1,17 @@
 """Flat key=value run configuration with CLI overrides.
 
-Exactly one of `hbar` / `distance` is supplied; the other is derived through
-the geometry relation hbar_eff = 2*pi*lambda*L/l^2. Values of hbar-like keys
-accept `0.5pi`-style literals so resonant settings carry no transcription
-rounding. Unknown keys are errors.
+Every key is declared once, as a `RunConfig` field whose metadata holds its
+parser (which also validates) and, where it differs from the attribute, its
+file name. Exactly one of `hbar` / `distance` is supplied; the other is
+derived through the geometry relation hbar_eff = 2*pi*lambda*L/l^2. Values of
+hbar-like keys accept `0.5pi`-style literals so resonant settings carry no
+transcription rounding. Unknown keys and non-finite numbers are errors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .model import EffectivePlanck, RatchetPotential
@@ -22,68 +24,109 @@ ENGINES = ("quantum", "optical", "both")
 NORMALIZATIONS = ("per_row", "loss")
 SCAN_MODES = ("fixed-k", "fixed-kick-phase", "both")
 
-# keys whose values may be written as multiples of pi, e.g. `0.5pi`
-_PI_KEYS = {"hbar", "phi", "scan_hbar_min", "scan_hbar_max", "scan_hbar_step"}
+# Largest hbar_eff scan accepted; the default scan has 100 points.
+MAX_SCAN_POINTS = 10_000
 
 
 class ConfigError(ValueError):
     """Invalid, missing, or unknown configuration key."""
 
 
-def _parse_pi_literal(key: str, raw: str) -> float:
-    text = raw.strip()
+def _number(rule: str = "", ok=None, pi: bool = False):
+    """Parser for a finite float satisfying `ok`; `pi` also accepts `0.5pi` literals."""
+    def parse(text: str) -> float:
+        try:
+            if pi and text.endswith("pi"):
+                value = (float(text[:-2]) if text[:-2] else 1.0) * math.pi
+            else:
+                value = float(text)
+        except ValueError:
+            suffix = " (or pi-multiple)" if pi else ""
+            raise ValueError(f"cannot parse {text!r} as a number{suffix}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value!r}")
+        if ok is not None and not ok(value):
+            raise ValueError(f"must {rule}, got {value!r}")
+        return value
+    return parse
+
+
+def _integer(rule: str, ok):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"cannot parse {text!r} as an integer") from None
+        if not ok(value):
+            raise ValueError(f"must {rule}, got {value}")
+        return value
+    return parse
+
+
+def _choice(options: tuple[str, ...]):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"must be one of {options}, got {text!r}")
+        return text
+    return parse
+
+
+def _levels(text: str) -> int | str:
+    if text == "continuous":
+        return text
+    return _integer("be >= 2 or 'continuous'", lambda n: n >= 2)(text)
+
+
+def _kick_counts(text: str) -> tuple[int, ...]:
     try:
-        if text.endswith("pi"):
-            prefix = text[:-2]
-            return (float(prefix) if prefix else 1.0) * math.pi
-        return float(text)
+        kicks = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as a number (or pi-multiple)") from None
+        raise ValueError(f"cannot parse {text!r} as comma-separated integers") from None
+    if not kicks or any(k < 1 for k in kicks):
+        raise ValueError(f"need kick counts >= 1, got {text!r}")
+    return kicks
 
 
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as a number") from None
+def _key(default, parse, name: str | None = None):
+    """A configuration key: its default, its parser, and its file name if not the attribute's."""
+    metadata = {"parse": parse} if name is None else {"parse": parse, "name": name}
+    return field(default=default, metadata=metadata)
 
 
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as an integer") from None
+_POSITIVE = _number("be positive", lambda v: v > 0)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    engine: str = "both"
-    K: float = 1.0
-    alpha: float = 0.3
-    phi: float = 0.0
-    hbar: float = 0.5 * math.pi        # resolved value, always present
-    distance: float = 0.169172         # resolved value, always present
-    hbar_given: bool = True            # which of the pair was supplied
-    wavelength: float = 532e-9
-    period: float = 600e-6
-    focal: float = 0.3
-    reflectivity: float = 0.95
-    periods: int = 1
-    points_per_period: int = 256
-    beam_periods: int = 64
-    beam_points_per_period: int = 128
-    beam_width: float = 3e-3
-    beta: float = 0.0
-    n_kicks: int = 22
-    n_levels: int | str = "continuous"
-    normalization: str = "per_row"
-    gamma: float = 1.0
-    max_order: int = 32
-    scan_hbar_min: float = 0.02 * math.pi
-    scan_hbar_max: float = 2.0 * math.pi
-    scan_hbar_step: float = 0.02 * math.pi
-    scan_kicks_at: tuple[int, ...] = (21, 5)
-    scan_mode: str = "fixed-k"
+    engine: str = _key("both", _choice(ENGINES))
+    K: float = _key(1.0, _number("be >= 0", lambda v: v >= 0))
+    alpha: float = _key(0.3, _number())
+    phi: float = _key(0.0, _number(pi=True))
+    # resolved values, always present; `hbar_given` records which was supplied
+    hbar: float = _key(0.5 * math.pi, _number("be positive", lambda v: v > 0, pi=True))
+    distance: float = _key(0.169172, _POSITIVE)
+    hbar_given: bool = True
+    wavelength: float = _key(532e-9, _POSITIVE, name="lambda")
+    period: float = _key(600e-6, _POSITIVE)
+    focal: float = _key(0.3, _POSITIVE)
+    reflectivity: float = _key(0.95, _number("lie in (0, 1]", lambda v: 0.0 < v <= 1.0))
+    periods: int = _key(1, _integer("be >= 1", lambda n: n >= 1))
+    points_per_period: int = _key(256, _integer("be an even integer >= 32",
+                                                lambda n: n >= 32 and n % 2 == 0))
+    beam_periods: int = _key(64, _integer("be >= 8", lambda n: n >= 8))
+    beam_points_per_period: int = _key(128, _integer("be >= 64", lambda n: n >= 64))
+    beam_width: float = _key(3e-3, _POSITIVE)
+    beta: float = _key(0.0, _number("lie in [0, 1)", lambda v: 0.0 <= v < 1.0))
+    n_kicks: int = _key(22, _integer("be >= 1", lambda n: n >= 1))
+    n_levels: int | str = _key("continuous", _levels)
+    normalization: str = _key("per_row", _choice(NORMALIZATIONS))
+    gamma: float = _key(1.0, _POSITIVE)
+    max_order: int = _key(32, _integer("be >= 8", lambda n: n >= 8))
+    scan_hbar_min: float = _key(0.02 * math.pi, _number(pi=True))
+    scan_hbar_max: float = _key(2.0 * math.pi, _number(pi=True))
+    scan_hbar_step: float = _key(0.02 * math.pi, _number("be positive", lambda v: v > 0, pi=True))
+    scan_kicks_at: tuple[int, ...] = _key((21, 5), _kick_counts)
+    scan_mode: str = _key("fixed-k", _choice(SCAN_MODES))
 
     # Construction helpers for the engines.
     def potential(self) -> RatchetPotential:
@@ -105,17 +148,8 @@ class RunConfig:
         )
 
 
-_CONFIG_KEYS = {
-    "engine", "K", "alpha", "phi", "hbar", "distance", "lambda", "period", "focal",
-    "reflectivity", "periods", "points_per_period", "beam_periods",
-    "beam_points_per_period", "beam_width", "beta", "n_kicks", "n_levels",
-    "normalization", "gamma", "max_order", "scan_hbar_min", "scan_hbar_max",
-    "scan_hbar_step", "scan_kicks_at", "scan_mode",
-}
-
-
-def _fail(key: str, message: str) -> None:
-    raise ConfigError(f"{key}: {message}")
+# file name -> field, in declaration order
+_KEYS = {f.metadata.get("name", f.name): f for f in fields(RunConfig) if "parse" in f.metadata}
 
 
 def parse_config(text: str = "", overrides: dict[str, str] | None = None) -> RunConfig:
@@ -132,173 +166,51 @@ def parse_config(text: str = "", overrides: dict[str, str] | None = None) -> Run
     for key, value in (overrides or {}).items():
         raw[key.strip()] = str(value).strip()
 
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    unknown = sorted(set(raw) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown key{'s' if len(unknown) > 1 else ''}: {', '.join(unknown)}")
 
-    if "hbar" in raw and "distance" in raw:
-        raise ConfigError("exactly one of hbar / distance must be supplied, got both")
-    if "hbar" not in raw and "distance" not in raw:
-        raise ConfigError("exactly one of hbar / distance must be supplied, got neither")
+    values = {}
+    for key, f in _KEYS.items():
+        if key in raw:
+            try:
+                values[f.name] = f.metadata["parse"](raw[key])
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
 
-    defaults = RunConfig()
-
-    def get_float(key: str, default: float) -> float:
-        if key not in raw:
-            return default
-        if key in _PI_KEYS:
-            return _parse_pi_literal(key, raw[key])
-        return _parse_float(key, raw[key])
-
-    def get_int(key: str, default: int) -> int:
-        return _parse_int(key, raw[key]) if key in raw else default
-
-    engine = raw.get("engine", defaults.engine)
-    if engine not in ENGINES:
-        _fail("engine", f"must be one of {ENGINES}, got {engine!r}")
-
-    K = get_float("K", defaults.K)
-    if not (math.isfinite(K) and K >= 0):
-        _fail("K", f"must be >= 0, got {K!r}")
-    alpha = get_float("alpha", defaults.alpha)
-    if not math.isfinite(alpha):
-        _fail("alpha", f"must be finite, got {alpha!r}")
-    phi = get_float("phi", defaults.phi)
-    if not math.isfinite(phi):
-        _fail("phi", f"must be finite, got {phi!r}")
-
-    wavelength = get_float("lambda", defaults.wavelength)
-    period = get_float("period", defaults.period)
-    focal = get_float("focal", defaults.focal)
-    reflectivity = get_float("reflectivity", defaults.reflectivity)
-    for key, value in (("lambda", wavelength), ("period", period), ("focal", focal)):
-        if not (math.isfinite(value) and value > 0):
-            _fail(key, f"must be positive, got {value!r}")
-    if not 0.0 < reflectivity <= 1.0:
-        _fail("reflectivity", f"must lie in (0, 1], got {reflectivity!r}")
-
-    hbar_given = "hbar" in raw
-    if hbar_given:
-        hbar = _parse_pi_literal("hbar", raw["hbar"])
-        if not (math.isfinite(hbar) and hbar > 0):
-            _fail("hbar", f"must be positive, got {hbar!r}")
-        distance = distance_for_hbar(EffectivePlanck(hbar), wavelength, period)
+    if ("hbar" in raw) == ("distance" in raw):
+        got = "both" if "hbar" in raw else "neither"
+        raise ConfigError(f"exactly one of hbar / distance must be supplied, got {got}")
+    cfg = RunConfig(hbar_given="hbar" in raw, **values)
+    if cfg.hbar_given:
+        cfg = replace(cfg, distance=distance_for_hbar(cfg.effective_planck(), cfg.wavelength, cfg.period))
     else:
-        distance = _parse_float("distance", raw["distance"])
-        if not (math.isfinite(distance) and distance > 0):
-            _fail("distance", f"must be positive, got {distance!r}")
-        geom = OpticalGeometry(wavelength_m=wavelength, period_m=period,
-                               distance_m=distance, focal_m=focal, reflectivity=reflectivity)
-        hbar = hbar_from_geometry(geom).hbar_eff
+        cfg = replace(cfg, hbar=hbar_from_geometry(cfg.geometry()).hbar_eff)
 
-    periods = get_int("periods", defaults.periods)
-    if periods < 1:
-        _fail("periods", f"must be >= 1, got {periods}")
-    ppp = get_int("points_per_period", defaults.points_per_period)
-    if ppp < 32 or ppp % 2:
-        _fail("points_per_period", f"must be an even integer >= 32, got {ppp}")
-    beam_periods = get_int("beam_periods", defaults.beam_periods)
-    if beam_periods < 8:
-        _fail("beam_periods", f"must be >= 8, got {beam_periods}")
-    beam_ppp = get_int("beam_points_per_period", defaults.beam_points_per_period)
-    if beam_ppp < 64:
-        _fail("beam_points_per_period", f"must be >= 64, got {beam_ppp}")
-    beam_width = get_float("beam_width", defaults.beam_width)
-    if not (math.isfinite(beam_width) and beam_width > 0):
-        _fail("beam_width", f"must be positive, got {beam_width!r}")
-
-    beta = get_float("beta", defaults.beta)
-    if not 0.0 <= beta < 1.0:
-        _fail("beta", f"must lie in [0, 1), got {beta!r}")
-    n_kicks = get_int("n_kicks", defaults.n_kicks)
-    if n_kicks < 1:
-        _fail("n_kicks", f"must be >= 1, got {n_kicks}")
-
-    n_levels_raw = raw.get("n_levels", "continuous")
-    n_levels: int | str
-    if n_levels_raw == "continuous":
-        n_levels = "continuous"
-    else:
-        n_levels = _parse_int("n_levels", n_levels_raw)
-        if n_levels < 2:
-            _fail("n_levels", f"must be >= 2 or 'continuous', got {n_levels}")
-
-    normalization = raw.get("normalization", defaults.normalization)
-    if normalization not in NORMALIZATIONS:
-        _fail("normalization", f"must be one of {NORMALIZATIONS}, got {normalization!r}")
-    gamma = get_float("gamma", defaults.gamma)
-    if not (math.isfinite(gamma) and gamma > 0):
-        _fail("gamma", f"must be positive, got {gamma!r}")
-    max_order = get_int("max_order", defaults.max_order)
-    if max_order < 8:
-        _fail("max_order", f"must be >= 8, got {max_order}")
-
-    scan_min = get_float("scan_hbar_min", defaults.scan_hbar_min)
-    scan_max = get_float("scan_hbar_max", defaults.scan_hbar_max)
-    scan_step = get_float("scan_hbar_step", defaults.scan_hbar_step)
-    if not (0 < scan_min <= scan_max):
-        _fail("scan_hbar_min", f"need 0 < scan_hbar_min <= scan_hbar_max, got {scan_min!r}, {scan_max!r}")
-    if scan_step <= 0:
-        _fail("scan_hbar_step", f"must be positive, got {scan_step!r}")
-    kicks_raw = raw.get("scan_kicks_at", None)
-    if kicks_raw is None:
-        scan_kicks_at = defaults.scan_kicks_at
-    else:
-        try:
-            scan_kicks_at = tuple(int(tok) for tok in kicks_raw.split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(f"scan_kicks_at: cannot parse {kicks_raw!r} as comma-separated integers") from None
-        if not scan_kicks_at or any(k < 1 for k in scan_kicks_at):
-            _fail("scan_kicks_at", f"need kick counts >= 1, got {kicks_raw!r}")
-    scan_mode = raw.get("scan_mode", defaults.scan_mode)
-    if scan_mode not in SCAN_MODES:
-        _fail("scan_mode", f"must be one of {SCAN_MODES}, got {scan_mode!r}")
-
-    return RunConfig(
-        engine=engine, K=K, alpha=alpha, phi=phi, hbar=hbar, distance=distance,
-        hbar_given=hbar_given, wavelength=wavelength, period=period, focal=focal,
-        reflectivity=reflectivity, periods=periods, points_per_period=ppp,
-        beam_periods=beam_periods, beam_points_per_period=beam_ppp,
-        beam_width=beam_width, beta=beta, n_kicks=n_kicks, n_levels=n_levels,
-        normalization=normalization, gamma=gamma, max_order=max_order,
-        scan_hbar_min=scan_min, scan_hbar_max=scan_max, scan_hbar_step=scan_step,
-        scan_kicks_at=scan_kicks_at, scan_mode=scan_mode,
-    )
+    scan_min, scan_max = cfg.scan_hbar_min, cfg.scan_hbar_max
+    if not 0 < scan_min <= scan_max:
+        raise ConfigError(f"scan_hbar_min: need 0 < scan_hbar_min <= scan_hbar_max, "
+                          f"got {scan_min!r}, {scan_max!r}")
+    # capped before rounding, so a span too large for an int still fails cleanly
+    span = (scan_max - scan_min) / cfg.scan_hbar_step
+    if round(min(span, MAX_SCAN_POINTS)) + 1 > MAX_SCAN_POINTS:
+        raise ConfigError(f"scan_hbar_step: must give at most {MAX_SCAN_POINTS} scan points, "
+                          f"got {span + 1:.6g}")
+    return cfg
 
 
 def parse_config_file(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"), overrides)
 
 
+def _format(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 def serialize_config(cfg: RunConfig) -> str:
     """Manifest form: every parameter as key=value, reparsing yields an equal config."""
-    lines = [
-        f"engine={cfg.engine}",
-        f"K={cfg.K!r}",
-        f"alpha={cfg.alpha!r}",
-        f"phi={cfg.phi!r}",
-        (f"hbar={cfg.hbar!r}" if cfg.hbar_given else f"distance={cfg.distance!r}"),
-        f"lambda={cfg.wavelength!r}",
-        f"period={cfg.period!r}",
-        f"focal={cfg.focal!r}",
-        f"reflectivity={cfg.reflectivity!r}",
-        f"periods={cfg.periods}",
-        f"points_per_period={cfg.points_per_period}",
-        f"beam_periods={cfg.beam_periods}",
-        f"beam_points_per_period={cfg.beam_points_per_period}",
-        f"beam_width={cfg.beam_width!r}",
-        f"beta={cfg.beta!r}",
-        f"n_kicks={cfg.n_kicks}",
-        f"n_levels={cfg.n_levels}",
-        f"normalization={cfg.normalization}",
-        f"gamma={cfg.gamma!r}",
-        f"max_order={cfg.max_order}",
-        f"scan_hbar_min={cfg.scan_hbar_min!r}",
-        f"scan_hbar_max={cfg.scan_hbar_max!r}",
-        f"scan_hbar_step={cfg.scan_hbar_step!r}",
-        "scan_kicks_at=" + ",".join(str(k) for k in cfg.scan_kicks_at),
-        f"scan_mode={cfg.scan_mode}",
-        f"# derived hbar={cfg.hbar!r}" if not cfg.hbar_given else f"# derived distance={cfg.distance!r}",
-        f"# derived hbar_over_pi={cfg.hbar / math.pi!r}",
-    ]
+    derived = "distance" if cfg.hbar_given else "hbar"
+    lines = [f"{key}={_format(getattr(cfg, f.name))}" for key, f in _KEYS.items() if key != derived]
+    lines += [f"# derived {derived}={getattr(cfg, derived)!r}",
+              f"# derived hbar_over_pi={cfg.hbar / math.pi!r}"]
     return "\n".join(lines) + "\n"

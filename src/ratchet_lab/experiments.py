@@ -1,17 +1,12 @@
 """Scenario drivers wiring the engines and observables into figure-style runs.
 
 Every driver writes deterministic CSV/PGM artifacts into an output directory
-and returns its in-memory results for programmatic use. Scan points are
-independent and evaluated on a small thread pool capped by the
-RATCHET_LAB_THREADS environment variable (0 or unset: one worker per CPU);
-records are sorted before writing so concurrency never changes bytes.
+and returns its in-memory results for programmatic use.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,15 +51,6 @@ __all__ = [
 ]
 
 FIG2_HBARS = ((0.5, "a"), (0.35, "b"))  # hbar_eff in units of pi, panel label
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("RATCHET_LAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -274,10 +260,8 @@ def run_fig4(cfg: RunConfig, out_dir: str | Path) -> list[ScanPoint]:
     out.mkdir(parents=True, exist_ok=True)
     spec = ScanSpec.from_config(cfg)
     modes = ("fixed-k", "fixed-kick-phase") if spec.mode == "both" else (spec.mode,)
-    jobs = [(mode, h) for mode in modes for h in spec.hbar_values]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        rows_nested = list(pool.map(lambda mh: _scan_one(spec, cfg, mh[1], mh[0]), jobs))
-    rows = sorted(row for batch in rows_nested for row in batch)
+    rows = sorted(row for mode in modes for h in spec.hbar_values
+                  for row in _scan_one(spec, cfg, h, mode))
     # flag local maxima (plateau-tolerant) within each (mode, kicks) series
     points: list[ScanPoint] = []
     for mode in modes:
@@ -319,10 +303,7 @@ def compare_engines(cfg: RunConfig, out_dir: str | Path) -> dict:
     per_kick_tv = []
     for k in range(1, n_kicks + 1):
         q, o = quantum[k - 1], optical[k - 1]
-        qp = dict(zip(q.orders.tolist(), q.probabilities.tolist()))
-        op = dict(zip(o.orders.tolist(), o.probabilities.tolist()))
-        support = set(qp) | set(op)
-        linf = max(abs(qp.get(n, 0.0) - op.get(n, 0.0)) for n in support)
+        linf = obs.distribution_linf(q.orders, q.probabilities, o.orders, o.probabilities)
         tv = obs.distribution_distance(q.orders, q.probabilities, o.orders, o.probabilities)
         per_kick_linf.append(linf)
         per_kick_tv.append(tv)

@@ -16,7 +16,7 @@ from scipy.linalg import toeplitz
 from .evolution import MomentumLadder, NumericalFailure
 from .model import EffectivePlanck, RatchetPotential, eval_potential
 
-__all__ = ["FloquetMatrix", "build_kick_matrix", "build_floquet", "propagate", "dump_matrix"]
+__all__ = ["FloquetMatrix", "build_kick_matrix", "build_floquet", "propagate"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,12 +101,3 @@ def propagate(u: FloquetMatrix, initial: np.ndarray, n_kicks: int) -> MomentumLa
     probs /= probs.sum()
     return MomentumLadder(beta=u.beta, orders=orders, probabilities=probs, hbar=u.hbar, grid_periods=1)
 
-
-def dump_matrix(u: FloquetMatrix, path) -> None:
-    """Debug dump as `n m re im` rows."""
-    orders = u.orders
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, n in enumerate(orders):
-            for j, m in enumerate(orders):
-                z = u.entries[i, j]
-                fh.write(f"{n} {m} {float(z.real)!r} {float(z.imag)!r}\n")

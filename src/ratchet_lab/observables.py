@@ -18,6 +18,7 @@ __all__ = [
     "stats_from_ladder",
     "polynomial_fit",
     "distribution_distance",
+    "distribution_linf",
 ]
 
 
@@ -130,3 +131,18 @@ def distribution_distance(p_orders, p_probs, q_orders, q_probs) -> float:
     for n, q in zip(np.asarray(q_orders, dtype=int), np.asarray(q_probs, dtype=float)):
         acc[int(n)] = acc.get(int(n), 0.0) - q
     return 0.5 * sum(abs(v) for v in acc.values())
+
+
+def distribution_linf(p_orders, p_probs, q_orders, q_probs) -> float:
+    """Largest per-order probability difference between two order distributions.
+
+    Both distributions are aligned on the union of their orders, an order
+    missing from one side counting as probability zero.
+    """
+    p_orders = np.asarray(p_orders, dtype=int)
+    q_orders = np.asarray(q_orders, dtype=int)
+    support = np.union1d(p_orders, q_orders)
+    diff = np.zeros(support.size)
+    diff[np.searchsorted(support, p_orders)] = np.asarray(p_probs, dtype=float)
+    diff[np.searchsorted(support, q_orders)] -= np.asarray(q_probs, dtype=float)
+    return float(np.max(np.abs(diff)))

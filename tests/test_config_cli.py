@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +64,29 @@ def test_invalid_values_name_the_key():
         parse_config("hbar=1\nn_levels=1\n")
     with pytest.raises(ConfigError, match="beta"):
         parse_config("hbar=1\nbeta=1.5\n")
+    with pytest.raises(ConfigError, match="scan_hbar_step: must be finite"):
+        parse_config("hbar=1\nscan_hbar_step=nan\n")
+    with pytest.raises(ConfigError, match="scan_hbar_step: must be finite"):
+        parse_config("hbar=1\nscan_hbar_step=inf\n")
+
+
+@pytest.mark.parametrize("key", ["K", "alpha", "phi", "hbar", "lambda", "period", "focal",
+                                 "reflectivity", "beam_width", "beta", "gamma",
+                                 "scan_hbar_min", "scan_hbar_max", "scan_hbar_step"])
+def test_non_finite_values_rejected(key):
+    base = "" if key == "hbar" else "hbar=1\n"
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
+            parse_config(f"{base}{key}={value}\n")
+
+
+def test_oversized_scan_rejected():
+    with pytest.raises(ConfigError, match="^scan_hbar_step: must give at most"):
+        parse_config("hbar=1\nscan_hbar_step=1e-9pi\n")
+    with pytest.raises(ConfigError, match="^scan_hbar_step: must give at most"):
+        parse_config("hbar=1\nscan_hbar_step=5e-324\n")
+    cfg = parse_config("hbar=1\nscan_hbar_min=1\nscan_hbar_max=10000\nscan_hbar_step=1\n")
+    assert cfg.scan_hbar_max == 10000.0
 
 
 def test_overrides_take_precedence():
@@ -82,6 +107,49 @@ def test_manifest_round_trip_targeted():
         cfg = parse_config(text)
         again = parse_config(serialize_config(cfg))
         assert again == cfg
+
+
+GOLDEN_MANIFEST = """\
+engine=both
+K=1.0
+alpha=0.3
+phi=0.0
+hbar=1.5707963267948966
+lambda=5.32e-07
+period=0.0006
+focal=0.3
+reflectivity=0.95
+periods=1
+points_per_period=256
+beam_periods=64
+beam_points_per_period=128
+beam_width=0.003
+beta=0.0
+n_kicks=22
+n_levels=continuous
+normalization=per_row
+gamma=1.0
+max_order=32
+scan_hbar_min=0.06283185307179587
+scan_hbar_max=6.283185307179586
+scan_hbar_step=0.06283185307179587
+scan_kicks_at=21,5
+scan_mode=fixed-k
+# derived distance=0.16917293233082703
+# derived hbar_over_pi=0.5
+"""
+
+
+def test_manifest_golden_text():
+    assert serialize_config(parse_config("hbar=0.5pi\n")) == GOLDEN_MANIFEST
+
+
+def test_readme_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    keys = re.findall(r"^(\w+)=", serialize_config(parse_config("hbar=0.5pi\n")), re.M)
+    assert len(keys) == 25
+    missing = [key for key in keys + ["distance"] if f"`{key}`" not in readme]
+    assert not missing
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,6 +201,20 @@ def test_cli_conflicting_hbar_distance_exits_2(tmp_path, capsys):
 def test_cli_absurd_grid_rejected_at_parse(tmp_path):
     assert main(["evolve", "--hbar=0.5pi", "--points_per_period=2", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "spectra.ndjson").exists()
+
+
+@pytest.mark.parametrize("step", ["nan", "1e-9pi"])
+def test_cli_bad_scan_step_exits_2_before_output(tmp_path, monkeypatch, capsys, step):
+    import ratchet_lab.experiments as experiments
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("scan grid built for a rejected config")
+
+    monkeypatch.setattr(experiments.ScanSpec, "from_config", no_grid)
+    out = tmp_path / "scan"
+    assert main(["scan", "--hbar=0.5pi", f"--scan_hbar_step={step}", "--out", str(out)]) == 2
+    assert "scan_hbar_step" in capsys.readouterr().err
+    assert not (out / "run_manifest").exists()
 
 
 def test_cli_missing_subcommand_exits_2():

@@ -191,8 +191,7 @@ def test_engines_agree_kick_by_kick(tmp_path):
 
 # --- determinism ----------------------------------------------------------------
 
-def test_figs_determinism_with_threads(tmp_path, monkeypatch):
-    monkeypatch.setenv("RATCHET_LAB_THREADS", "2")
+def test_figs_determinism(tmp_path):
     cfg = cfg_with(engine="quantum", n_kicks=5, scan_hbar_min="0.2pi", scan_hbar_max="1.0pi",
                    scan_hbar_step="0.2pi", scan_kicks_at="2,5")
     a, b = tmp_path / "a", tmp_path / "b"

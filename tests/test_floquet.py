@@ -11,7 +11,7 @@ from ratchet_lab.evolution import (
     evolve,
     plane_wave,
 )
-from ratchet_lab.floquet import build_floquet, build_kick_matrix, dump_matrix, propagate
+from ratchet_lab.floquet import build_floquet, build_kick_matrix, propagate
 from ratchet_lab.model import EffectivePlanck, RatchetPotential
 
 
@@ -125,14 +125,3 @@ def test_cross_oracle_random_draws():
         floq = dict(zip(ladder.orders.tolist(), ladder.probabilities.tolist()))
         worst = max(abs(floq[n] - rows[22][n]) for n in range(-32, 33))
         assert worst < 1e-8
-
-
-def test_dump_matrix(tmp_path, pot, hbar_res):
-    u = build_floquet(pot, hbar_res, 0.0, 8)
-    path = tmp_path / "floquet.txt"
-    dump_matrix(u, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 17 * 17
-    n, m, re, im = lines[0].split()
-    assert int(n) == -8 and int(m) == -8
-    assert complex(float(re), float(im)) == pytest.approx(u.entries[0, 0])

@@ -10,6 +10,7 @@ from ratchet_lab.observables import (
     FitResult,
     StepStats,
     distribution_distance,
+    distribution_linf,
     mean_momentum,
     mean_square_momentum,
     participation_ratio,
@@ -129,11 +130,29 @@ def test_fit_shift_and_scale_invariance(shift, scale):
         assert a == pytest.approx(b * scale, rel=1e-9, abs=1e-12 * scale)
 
 
-# --- total variation distance ---------------------------------------------------
+# --- distribution distances -----------------------------------------------------
 
 def test_tv_identity_and_disjoint():
     assert distribution_distance([0, 1], [0.5, 0.5], [0, 1], [0.5, 0.5]) == 0.0
     assert distribution_distance([0], [1.0], [5], [1.0]) == pytest.approx(1.0)
+
+
+def test_linf_identity_and_disjoint():
+    assert distribution_linf([0, 1], [0.5, 0.5], [0, 1], [0.5, 0.5]) == 0.0
+    assert distribution_linf([0], [1.0], [5], [1.0]) == 1.0
+    assert distribution_linf([0, 1], [0.7, 0.3], [1, 2], [0.4, 0.6]) == 0.7
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_linf_matches_per_order_dict_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    p_orders = np.sort(rng.choice(np.arange(-20, 21), size=rng.integers(1, 20), replace=False))
+    q_orders = np.sort(rng.choice(np.arange(-20, 21), size=rng.integers(1, 20), replace=False))
+    p, q = rng.uniform(0, 1, p_orders.size), rng.uniform(0, 1, q_orders.size)
+    pd, qd = dict(zip(p_orders.tolist(), p.tolist())), dict(zip(q_orders.tolist(), q.tolist()))
+    expected = max(abs(pd.get(n, 0.0) - qd.get(n, 0.0)) for n in set(pd) | set(qd))
+    assert distribution_linf(p_orders, p, q_orders, q) == expected
 
 
 @settings(max_examples=100, deadline=None)
