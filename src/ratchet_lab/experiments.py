@@ -308,14 +308,15 @@ def compare_engines(cfg: RunConfig, out_dir: str | Path) -> dict:
         per_kick_linf.append(linf)
         per_kick_tv.append(tv)
         rows.append(("quantum_vs_optical", k, "continuous", linf, tv))
-    sixteen = optical_kick_ladders(cfg, cfg.hbar, n_kicks, n_levels=16)
+    sweep = {n_levels: optical_kick_ladders(cfg, cfg.hbar, n_kicks, n_levels=n_levels)
+             for n_levels in QUANTIZATION_SWEEP}
+    sixteen = sweep[16]
     for k in range(1, n_kicks + 1):
         tv = obs.distribution_distance(sixteen[k - 1].orders, sixteen[k - 1].probabilities,
                                        optical[k - 1].orders, optical[k - 1].probabilities)
         rows.append(("quantized_vs_continuous", k, 16, "", tv))
     sweep_tv: dict[int, float] = {}
-    for n_levels in QUANTIZATION_SWEEP:
-        quant = optical_kick_ladders(cfg, cfg.hbar, n_kicks, n_levels=n_levels)
+    for n_levels, quant in sweep.items():
         tv = obs.distribution_distance(quant[-1].orders, quant[-1].probabilities,
                                        optical[-1].orders, optical[-1].probabilities)
         sweep_tv[n_levels] = tv

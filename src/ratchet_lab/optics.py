@@ -9,11 +9,11 @@ the mirror-lens distance to the effective Planck constant and back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .evolution import MomentumLadder
+from .evolution import NORM_TOL, MomentumLadder, NumericalFailure
 from .model import (
     EffectivePlanck,
     MirrorProfile,
@@ -181,6 +181,27 @@ def window_periods_of(field: BeamField, period_m: float) -> int:
     return periods
 
 
+def _reflection_factor(field: BeamField, mirror: MirrorProfile, wavelength_m: float) -> np.ndarray:
+    """Mirror factor exp(i*4*pi*d(x)/lambda), the profile looked up at the nearest sample."""
+    window_periods_of(field, mirror.period_m)
+    n_mirror = mirror.depth_samples.size
+    step = mirror.period_m / n_mirror
+    idx = np.mod(np.rint(field.x / step).astype(int), n_mirror)
+    return np.exp(1j * phase_from_depth(mirror, wavelength_m)[idx])
+
+
+def _fresnel_kernel(field: BeamField, distance: float) -> np.ndarray:
+    """Angular-spectrum factor exp(-i*pi*lambda*z*f_x^2) per FFT-ordered f_x."""
+    fx = np.fft.fftfreq(field.samples.size, d=field.dx)
+    return np.exp(-1j * math.pi * field.wavelength_m * distance * fx * fx)
+
+
+def _focal_plane(spectrum: np.ndarray, field: BeamField, focal_m: float) -> tuple[np.ndarray, float]:
+    """Focal-plane intensity (zero order at index n//2) and pixel pitch of a field's spectrum."""
+    intensity = np.abs(np.fft.fftshift(spectrum)) ** 2
+    return intensity, field.wavelength_m * focal_m / field.window_m
+
+
 def apply_mirror(field: BeamField, mirror: MirrorProfile, wavelength_m: float | None = None) -> BeamField:
     """Reflect off the etched mirror: multiply by exp(i*4*pi*d(x)/lambda).
 
@@ -188,13 +209,7 @@ def apply_mirror(field: BeamField, mirror: MirrorProfile, wavelength_m: float | 
     lookup. Power is unchanged (unimodular factor).
     """
     lam = field.wavelength_m if wavelength_m is None else wavelength_m
-    window_periods_of(field, mirror.period_m)
-    n_mirror = mirror.depth_samples.size
-    step = mirror.period_m / n_mirror
-    idx = np.mod(np.rint(field.x / step).astype(int), n_mirror)
-    phase = phase_from_depth(mirror, lam)[idx]
-    return BeamField(samples=field.samples * np.exp(1j * phase), dx=field.dx,
-                     window_m=field.window_m, power=field.power, wavelength_m=field.wavelength_m)
+    return replace(field, samples=field.samples * _reflection_factor(field, mirror, lam))
 
 
 def propagate_fresnel(field: BeamField, distance: float) -> BeamField:
@@ -207,11 +222,8 @@ def propagate_fresnel(field: BeamField, distance: float) -> BeamField:
         raise ValueError(f"distance must be >= 0, got {distance!r}")
     if distance == 0.0:
         return field
-    fx = np.fft.fftfreq(field.samples.size, d=field.dx)
-    kernel = np.exp(-1j * math.pi * field.wavelength_m * distance * fx * fx)
-    samples = np.fft.ifft(np.fft.fft(field.samples) * kernel)
-    return BeamField(samples=samples, dx=field.dx, window_m=field.window_m,
-                     power=field.power, wavelength_m=field.wavelength_m)
+    spectrum = np.fft.fft(field.samples) * _fresnel_kernel(field, distance)
+    return replace(field, samples=np.fft.ifft(spectrum))
 
 
 def far_field(field: BeamField, focal_m: float) -> tuple[np.ndarray, float]:
@@ -223,10 +235,7 @@ def far_field(field: BeamField, focal_m: float) -> tuple[np.ndarray, float]:
     """
     if focal_m <= 0:
         raise ValueError(f"focal_m must be positive, got {focal_m!r}")
-    spectrum = np.fft.fftshift(np.fft.fft(field.samples))
-    intensity = np.abs(spectrum) ** 2
-    pitch = field.wavelength_m * focal_m / field.window_m
-    return intensity, pitch
+    return _focal_plane(np.fft.fft(field.samples), field, focal_m)
 
 
 def _bin_orders(intensity_shifted: np.ndarray, window_periods: int,
@@ -276,22 +285,35 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     with hbar_eff read from the geometry. Rows are normalized to unit sum by
     default; with loss_accounting the k-th row integrates to
     reflectivity^k * 0.05 * input power.
+
+    The reflection factor and the Fresnel kernel are built once per run, and
+    the focal-plane transform is also the forward transform of the flight.
+    Raises NumericalFailure when the tapped power (by Parseval) drifts from
+    the input power by more than 1e-8 relative.
     """
     if n_kicks < 1:
         raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
     hbar = hbar_from_geometry(geom)
     flight = distance_for_hbar(hbar, geom.wavelength_m, geom.period_m)
+    reflect = _reflection_factor(beam, mirror, beam.wavelength_m)
+    kernel = _fresnel_kernel(beam, flight)
+    samples = beam.samples
     rows = []
-    pitch = None
     for k in range(1, n_kicks + 1):
-        beam = apply_mirror(beam, mirror)
-        intensity, pitch = far_field(beam, geom.focal_m)
+        samples = samples * reflect
+        spectrum = np.fft.fft(samples)
+        intensity, pitch = _focal_plane(spectrum, beam, geom.focal_m)
+        total = intensity.sum()
+        drift = abs(total * beam.dx / samples.size - beam.power)
+        if drift > NORM_TOL * beam.power:
+            raise NumericalFailure(f"beam power drifted by {drift / beam.power:.3e} (relative) at bounce {k}")
         if loss_accounting:
-            scale = geom.reflectivity**k * 0.05 * beam.power / intensity.sum()
+            scale = geom.reflectivity**k * 0.05 * beam.power / total
         else:
-            scale = 1.0 / intensity.sum()
+            scale = 1.0 / total
         rows.append(intensity * scale)
-        beam = propagate_fresnel(beam, flight)
+        if k < n_kicks:  # no output reads the field after the last tap
+            samples = np.fft.ifft(spectrum * kernel)
     meta = {
         "normalization": "loss" if loss_accounting else "per_row",
         "window_periods": window_periods_of(beam, geom.period_m),

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -26,3 +27,18 @@ PAPER_PERIOD = 600e-6
 PAPER_FOCAL = 0.3
 PAPER_REFLECTIVITY = 0.95
 PAPER_DISTANCE_HALF_PI = 0.169172
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts of np.fft.fft and np.fft.ifft calls made while the test runs."""
+    import numpy as np
+
+    calls = Counter()
+    for name in ("fft", "ifft"):
+        def counted(a, *args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

@@ -123,6 +123,47 @@ def test_evolve_one_period_is_kick_then_free(pot, hbar_res):
     assert via_evolve.kick_count == 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(k=st.floats(min_value=0.0, max_value=5.0),
+       alpha=st.floats(min_value=0.0, max_value=1.0),
+       phi=st.floats(min_value=0.0, max_value=2 * math.pi),
+       hbar_eff=st.floats(min_value=1e-2, max_value=4 * math.pi),
+       beta=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       n_kicks=st.integers(min_value=1, max_value=30))
+def test_evolve_equals_step_composition_bitwise(k, alpha, phi, hbar_eff, beta, n_kicks):
+    pot = RatchetPotential(K=k, alpha=alpha, phi=phi)
+    hbar = EffectivePlanck(hbar_eff)
+    tapped = []
+    out = evolve(plane_wave(GRID, beta=beta), KickedRunParams(pot, hbar, n_kicks),
+                 lambda kick, lad: tapped.append((kick, lad)))
+    state = plane_wave(GRID, beta=beta)
+    for kick in range(1, n_kicks + 1):
+        state = kick_step(state, pot, hbar)
+        reference = momentum_spectrum(state, hbar)
+        assert tapped[kick - 1][0] == kick
+        assert np.array_equal(tapped[kick - 1][1].probabilities, reference.probabilities)
+        assert np.array_equal(tapped[kick - 1][1].orders, reference.orders)
+        state = free_step(state, hbar)
+    assert np.array_equal(out.amplitudes, state.amplitudes)
+    assert out.kick_count == n_kicks
+
+
+def test_evolve_takes_two_ffts_per_kick(pot, hbar_res, fft_calls):
+    evolve(plane_wave(GRID), KickedRunParams(pot, hbar_res, 7), lambda k, lad: None)
+    assert (fft_calls["fft"], fft_calls["ifft"]) == (7, 7)
+
+
+def test_evolve_norm_guard_names_the_kick(pot, hbar_res, monkeypatch):
+    import ratchet_lab.evolution as evolution
+
+    def lossy(p, h, x):
+        return kick_phase_profile(p, h, x) + 1e-3j
+
+    monkeypatch.setattr(evolution, "kick_phase_profile", lossy)
+    with pytest.raises(NumericalFailure, match=r"^norm drifted by .* at kick 1$"):
+        evolve(plane_wave(GRID), KickedRunParams(pot, hbar_res, 3))
+
+
 def test_evolve_zero_strength_constant_spectra(hbar_res):
     rows = []
     evolve(plane_wave(GRID), KickedRunParams(RatchetPotential(K=0.0), hbar_res, 5),
@@ -230,6 +271,11 @@ def test_ladder_record_schema(pot, hbar_res):
     assert parsed["kick"] == 1
     assert parsed["hbar"] == pytest.approx(hbar_res.hbar_eff)
     assert len(parsed["orders"]) == GRID.n == len(parsed["prob"])
+    ladder = momentum_spectrum(kick_step(plane_wave(GRID), pot, hbar_res), hbar_res)
+    per_element = {"kick": 1, "beta": 0.0, "hbar": hbar_res.hbar_eff,
+                   "orders": [int(n) for n in ladder.orders],
+                   "prob": [float(p) for p in ladder.probabilities]}
+    assert json.dumps(ladder_record(1, ladder)) == json.dumps(per_element)
 
 
 def test_beta_ensemble_shapes(pot, hbar_res):

@@ -5,7 +5,9 @@ import pytest
 
 from ratchet_lab.config import parse_config
 from ratchet_lab.experiments import (
+    QUANTIZATION_SWEEP,
     ScanSpec,
+    bounce_image,
     compare_engines,
     optical_kick_ladders,
     quantum_kick_ladders,
@@ -155,9 +157,19 @@ def test_scan_spec_validation(pot):
 
 # --- engine comparison ---------------------------------------------------------
 
-def test_compare_engines_report(tmp_path):
+def test_compare_engines_report(tmp_path, monkeypatch):
+    import ratchet_lab.experiments as experiments
+
+    bounces = []
+
+    def counted(*args, **kwargs):
+        bounces.append(args)
+        return bounce_image(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "bounce_image", counted)
     cfg = cfg_with(beam_periods=256, beam_width=32 * 600e-6, n_kicks=22)
     report = compare_engines(cfg, tmp_path)
+    assert len(bounces) == 1 + len(QUANTIZATION_SWEEP)  # continuous mirror, then one per level
     assert max(report["per_kick_linf"]) < 1e-2
     sweep = report["sweep_tv"]
     values = [sweep[n] for n in (2, 4, 8, 16, 32, 64)]
@@ -165,6 +177,9 @@ def test_compare_engines_report(tmp_path):
     text = (tmp_path / "compare_engines.csv").read_text()
     assert "quantization_sweep,22,16," in text
     assert "quantum_vs_optical,1," in text
+    rows = [ln.split(",")[0] for ln in text.splitlines()[3:]]
+    assert rows == (["quantum_vs_optical"] * 22 + ["quantized_vs_continuous"] * 22
+                    + ["quantization_sweep"] * len(QUANTIZATION_SWEEP))
 
 
 def test_engines_identical_before_evolution():

@@ -3,9 +3,11 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ratchet_lab.evolution import SpatialGrid, kick_step, momentum_spectrum, plane_wave
-from ratchet_lab.model import EffectivePlanck, RatchetPotential, depth_from_phase
+from ratchet_lab.evolution import NumericalFailure, SpatialGrid, kick_step, momentum_spectrum, plane_wave
+from ratchet_lab.model import EffectivePlanck, RatchetPotential, depth_from_phase, phase_from_depth
 from ratchet_lab.observables import distribution_distance
 from ratchet_lab.optics import (
     BeamField,
@@ -209,6 +211,78 @@ def test_bounce_rows_normalized_by_default(pot, hbar_res):
     image = bounce_simulation(PAPER_GEOM, mirror, beam, 3)
     assert np.allclose(image.rows.sum(axis=1), 1.0, atol=1e-12)
     assert image.metadata["normalization"] == "per_row"
+
+
+def stepwise_rows(geom, mirror, beam, n_kicks, loss_accounting):
+    """Rows of bounce_simulation built from the public single-step functions."""
+    flight = distance_for_hbar(hbar_from_geometry(geom), geom.wavelength_m, geom.period_m)
+    rows = []
+    for k in range(1, n_kicks + 1):
+        beam = apply_mirror(beam, mirror)
+        intensity, _ = far_field(beam, geom.focal_m)
+        if loss_accounting:
+            scale = geom.reflectivity**k * 0.05 * beam.power / intensity.sum()
+        else:
+            scale = 1.0 / intensity.sum()
+        rows.append(intensity * scale)
+        beam = propagate_fresnel(beam, flight)
+    return np.stack(rows)
+
+
+def bounce_case(hbar_eff, window_periods, samples_per_period, n_levels="continuous"):
+    hbar = EffectivePlanck(hbar_eff)
+    geom = OpticalGeometry(LAM, PERIOD, distance_for_hbar(hbar, LAM, PERIOD), 0.3, 0.95)
+    mirror = ratchet_mirror(RatchetPotential(), hbar_from_geometry(geom), LAM, PERIOD,
+                            samples_per_period, n_levels)
+    beam = gaussian_beam(PERIOD, window_periods, samples_per_period,
+                         window_periods / 4 * PERIOD, LAM, power=1.5)
+    return geom, mirror, beam
+
+
+@settings(max_examples=20, deadline=None)
+@given(hbar_over_pi=st.floats(min_value=0.1, max_value=2.0),
+       window_periods=st.integers(min_value=8, max_value=96),
+       samples_per_period=st.sampled_from([64, 96, 128]),
+       n_levels=st.sampled_from(["continuous", 4, 16]),
+       n_kicks=st.integers(min_value=1, max_value=12),
+       loss_accounting=st.booleans())
+def test_bounce_equals_step_composition_bitwise(hbar_over_pi, window_periods, samples_per_period,
+                                                n_levels, n_kicks, loss_accounting):
+    geom, mirror, beam = bounce_case(hbar_over_pi * math.pi, window_periods, samples_per_period, n_levels)
+    assert beam.samples.size < 16384
+    image = bounce_simulation(geom, mirror, beam, n_kicks, loss_accounting)
+    assert np.array_equal(image.rows, stepwise_rows(geom, mirror, beam, n_kicks, loss_accounting))
+
+
+def test_bounce_matches_step_composition_at_65536_samples():
+    # Above 256 KiB numpy evaluates apply_mirror's `samples * exp(...)` with the
+    # temporary as the left operand, and complex SIMD multiply is not bitwise
+    # commutative, so the large beam agrees to rounding only.
+    geom, mirror, beam = bounce_case(0.5 * math.pi, 512, 128)
+    image = bounce_simulation(geom, mirror, beam, 22)
+    assert np.max(np.abs(image.rows - stepwise_rows(geom, mirror, beam, 22, False))) < 1e-14
+
+
+@pytest.mark.parametrize("n_kicks", [1, 4])
+def test_bounce_takes_one_fft_pair_per_bounce(n_kicks, fft_calls):
+    geom, mirror, beam = bounce_case(0.5 * math.pi, 16, 64)
+    bounce_simulation(geom, mirror, beam, n_kicks)
+    assert (fft_calls["fft"], fft_calls["ifft"]) == (n_kicks, n_kicks - 1)
+
+
+def test_bounce_power_guard(monkeypatch, tmp_path, capsys):
+    import ratchet_lab.optics as optics
+    from ratchet_lab.cli import main
+
+    def lossy(mirror, wavelength_m):
+        return phase_from_depth(mirror, wavelength_m) + 1e-3j
+
+    monkeypatch.setattr(optics, "phase_from_depth", lossy)
+    geom, mirror, beam = bounce_case(0.5 * math.pi, 16, 64)
+    with pytest.raises(NumericalFailure, match=r"^beam power drifted by .* at bounce 1$"):
+        bounce_simulation(geom, mirror, beam, 3)
+    assert main(["optical", "--hbar=0.5pi", "--n_kicks=3", "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_bounce_correspondence_moderate_beam(pot, hbar_res):
