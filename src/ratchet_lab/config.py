@@ -147,6 +147,12 @@ class RunConfig:
             reflectivity=self.reflectivity,
         )
 
+    def scan_hbar_values(self) -> tuple[float, ...]:
+        """The scan's hbar_eff grid: scan_hbar_min + i*scan_hbar_step up to scan_hbar_max."""
+        n = int(round((self.scan_hbar_max - self.scan_hbar_min) / self.scan_hbar_step)) + 1
+        values = (self.scan_hbar_min + i * self.scan_hbar_step for i in range(n))
+        return tuple(v for v in values if v <= self.scan_hbar_max * (1 + 1e-12))
+
 
 # file name -> field, in declaration order
 _KEYS = {f.metadata.get("name", f.name): f for f in fields(RunConfig) if "parse" in f.metadata}
@@ -196,6 +202,10 @@ def parse_config(text: str = "", overrides: dict[str, str] | None = None) -> Run
     if round(min(span, MAX_SCAN_POINTS)) + 1 > MAX_SCAN_POINTS:
         raise ConfigError(f"scan_hbar_step: must give at most {MAX_SCAN_POINTS} scan points, "
                           f"got {span + 1:.6g}")
+    values = cfg.scan_hbar_values()
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"scan_hbar_step: {cfg.scan_hbar_step!r} is too small to separate "
+                          f"scan points near {scan_max!r} in floating point")
     return cfg
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "momentum_spectrum",
     "evolve",
     "ladder_record",
-    "beta_ensemble_spectra",
 ]
 
 NORM_TOL = 1e-8  # norm drift beyond this signals an implementation bug
@@ -43,8 +42,8 @@ class NumericalFailure(RuntimeError):
 class SpatialGrid:
     """Uniform periodic grid over `periods` potential periods of length 2*pi."""
 
-    periods: int = 1
-    points_per_period: int = 256
+    periods: int
+    points_per_period: int
 
     def __post_init__(self) -> None:
         if self.periods < 1:
@@ -130,12 +129,6 @@ class MomentumLadder:
     def ladder_values(self) -> np.ndarray:
         """Momentum in potential-order units, q_n = n/periods + beta."""
         return self.orders / self.grid_periods + self.beta
-
-    @property
-    def physical_momenta(self) -> np.ndarray:
-        if self.hbar is None:
-            raise ValueError("ladder carries no effective Planck constant")
-        return self.hbar.hbar_eff * self.ladder_values
 
 
 @dataclass(frozen=True)
@@ -257,27 +250,3 @@ def ladder_record(kick: int, ladder: MomentumLadder) -> dict:
         "orders": ladder.orders.tolist(),
         "prob": ladder.probabilities.tolist(),
     }
-
-
-def beta_ensemble_spectra(
-    pot: RatchetPotential,
-    hbar: EffectivePlanck,
-    grid: SpatialGrid,
-    n_kicks: int,
-    n_beta: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-kick ladder probabilities averaged over a uniform beta grid on [0, 1).
-
-    Returns (orders, probs) with probs of shape (n_kicks, len(orders)).
-    """
-    if n_beta < 1:
-        raise ValueError(f"n_beta must be >= 1, got {n_beta}")
-    orders = np.fft.fftshift(grid.mode_numbers)
-    acc = np.zeros((n_kicks, grid.n))
-    params = KickedRunParams(potential=pot, hbar=hbar, n_kicks=n_kicks)
-    for i in range(n_beta):
-        beta = i / n_beta
-        rows: list[np.ndarray] = []
-        evolve(plane_wave(grid, beta=beta), params, lambda k, lad: rows.append(lad.probabilities))
-        acc += np.stack(rows)
-    return orders, acc / n_beta

@@ -62,7 +62,7 @@ class ScanSpec:
     potential: RatchetPotential
     beta: float = 0.0
     mode: str = "fixed-k"
-    kick_phase_anchor: float | None = None  # K/hbar_eff held fixed in fixed-kick-phase mode
+    kick_phase_anchor: float = 1.0  # K/hbar_eff held fixed in fixed-kick-phase mode
 
     def __post_init__(self) -> None:
         values = self.hbar_values
@@ -75,11 +75,8 @@ class ScanSpec:
 
     @classmethod
     def from_config(cls, cfg: RunConfig, mode: str | None = None) -> "ScanSpec":
-        n = int(round((cfg.scan_hbar_max - cfg.scan_hbar_min) / cfg.scan_hbar_step)) + 1
-        values = tuple(cfg.scan_hbar_min + i * cfg.scan_hbar_step for i in range(n))
-        values = tuple(v for v in values if v <= cfg.scan_hbar_max * (1 + 1e-12))
         return cls(
-            hbar_values=values,
+            hbar_values=cfg.scan_hbar_values(),
             kicks_at=cfg.scan_kicks_at,
             potential=cfg.potential(),
             beta=cfg.beta,
@@ -229,10 +226,11 @@ class ScanPoint:
     is_local_max: bool = False
 
 
-def _scan_one(spec: ScanSpec, cfg: RunConfig, hbar_eff: float, mode: str) -> list[tuple]:
+def _scan_one(spec: ScanSpec, cfg: RunConfig, hbar_eff: float, mode: str) -> dict[int, float]:
+    """|mean momentum| after each of the spec's kick counts, in kick order."""
     if mode == "fixed-kick-phase":
-        anchor = spec.kick_phase_anchor if spec.kick_phase_anchor is not None else 1.0
-        pot = RatchetPotential(K=anchor * hbar_eff, alpha=spec.potential.alpha, phi=spec.potential.phi)
+        pot = RatchetPotential(K=spec.kick_phase_anchor * hbar_eff, alpha=spec.potential.alpha,
+                               phi=spec.potential.phi)
     else:
         pot = spec.potential
     grid = cfg.grid()
@@ -246,7 +244,7 @@ def _scan_one(spec: ScanSpec, cfg: RunConfig, hbar_eff: float, mode: str) -> lis
             captured[kick] = abs(obs.mean_momentum(ladder))
 
     evolve(plane_wave(grid, beta=spec.beta), params, sink)
-    return [(mode, hbar_eff, k, captured[k]) for k in sorted(wanted)]
+    return captured
 
 
 def run_fig4(cfg: RunConfig, out_dir: str | Path) -> list[ScanPoint]:
@@ -260,20 +258,20 @@ def run_fig4(cfg: RunConfig, out_dir: str | Path) -> list[ScanPoint]:
     out.mkdir(parents=True, exist_ok=True)
     spec = ScanSpec.from_config(cfg)
     modes = ("fixed-k", "fixed-kick-phase") if spec.mode == "both" else (spec.mode,)
-    rows = sorted(row for mode in modes for h in spec.hbar_values
-                  for row in _scan_one(spec, cfg, h, mode))
-    # flag local maxima (plateau-tolerant) within each (mode, kicks) series
-    points: list[ScanPoint] = []
+    # one (mode, kicks) series of |<p>| per kick count, in increasing hbar_eff
+    series: dict[tuple[str, int], list[float]] = {}
     for mode in modes:
-        for kicks in sorted(set(spec.kicks_at)):
-            series = [r for r in rows if r[0] == mode and r[2] == kicks]
-            values = [r[3] for r in series]
-            for i, row in enumerate(series):
-                left = values[i - 1] if i > 0 else -math.inf
-                right = values[i + 1] if i + 1 < len(values) else -math.inf
-                points.append(ScanPoint(mode=row[0], hbar_eff=row[1], kicks=row[2],
-                                        abs_mean_p=row[3],
-                                        is_local_max=values[i] >= left and values[i] >= right))
+        for h in spec.hbar_values:
+            for kicks, value in _scan_one(spec, cfg, h, mode).items():
+                series.setdefault((mode, kicks), []).append(value)
+    # flag local maxima (plateau-tolerant) within each series
+    points: list[ScanPoint] = []
+    for (mode, kicks), values in series.items():
+        for i, (h, value) in enumerate(zip(spec.hbar_values, values)):
+            left = values[i - 1] if i > 0 else -math.inf
+            right = values[i + 1] if i + 1 < len(values) else -math.inf
+            points.append(ScanPoint(mode=mode, hbar_eff=h, kicks=kicks, abs_mean_p=value,
+                                    is_local_max=value >= left and value >= right))
     points.sort(key=lambda p: (p.mode, p.hbar_eff, p.kicks))
     write_csv(out / "fig4_scan.csv", ["mode", "hbar", "kicks", "mean_p_final", "is_local_max"],
               [(p.mode, p.hbar_eff, p.kicks, p.abs_mean_p, int(p.is_local_max)) for p in points],

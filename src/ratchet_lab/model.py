@@ -177,8 +177,7 @@ def resonance_check(hbar: EffectivePlanck, s_max: int, tol: float) -> ResonanceO
     return ResonanceOrder(int(r), int(s))
 
 
-def depth_from_phase(phase_samples, lam: float, period_m: float,
-                     n_levels: int | str = "continuous") -> MirrorProfile:
+def depth_from_phase(phase_samples, lam: float, period_m: float) -> MirrorProfile:
     """Etch depth realizing a reflection phase profile, d = phase*lam/(4*pi).
 
     Normal-incidence double-pass convention: a flat of depth d adds round-trip
@@ -194,7 +193,7 @@ def depth_from_phase(phase_samples, lam: float, period_m: float,
     # Dividing by 4*pi before scaling lets pi-multiple phases cancel exactly.
     depth = np.mod((phase / (4.0 * math.pi)) * lam, half)
     depth[depth >= half] = 0.0  # guard float wrap landing on the modulus
-    return MirrorProfile(period_m=period_m, depth_samples=depth, n_levels=n_levels)
+    return MirrorProfile(period_m=period_m, depth_samples=depth)
 
 
 def phase_from_depth(profile: MirrorProfile, lam: float) -> np.ndarray:

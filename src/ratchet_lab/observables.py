@@ -123,14 +123,20 @@ def polynomial_fit(xs, ys, degree: int) -> FitResult:
     )
 
 
+def _difference(p_orders, p_probs, q_orders, q_probs) -> np.ndarray:
+    """Per-order P - Q over the sorted union of the orders, a missing order counting as zero."""
+    p_orders = np.asarray(p_orders, dtype=int)
+    q_orders = np.asarray(q_orders, dtype=int)
+    support = np.union1d(p_orders, q_orders)
+    diff = np.zeros(support.size)
+    diff[np.searchsorted(support, p_orders)] = np.asarray(p_probs, dtype=float)
+    diff[np.searchsorted(support, q_orders)] -= np.asarray(q_probs, dtype=float)
+    return diff
+
+
 def distribution_distance(p_orders, p_probs, q_orders, q_probs) -> float:
-    """Total variation distance between two order distributions."""
-    acc: dict[int, float] = {}
-    for n, p in zip(np.asarray(p_orders, dtype=int), np.asarray(p_probs, dtype=float)):
-        acc[int(n)] = acc.get(int(n), 0.0) + p
-    for n, q in zip(np.asarray(q_orders, dtype=int), np.asarray(q_probs, dtype=float)):
-        acc[int(n)] = acc.get(int(n), 0.0) - q
-    return 0.5 * sum(abs(v) for v in acc.values())
+    """Total variation distance between two order distributions, summed in ascending order."""
+    return 0.5 * sum(np.abs(_difference(p_orders, p_probs, q_orders, q_probs)).tolist())
 
 
 def distribution_linf(p_orders, p_probs, q_orders, q_probs) -> float:
@@ -139,10 +145,4 @@ def distribution_linf(p_orders, p_probs, q_orders, q_probs) -> float:
     Both distributions are aligned on the union of their orders, an order
     missing from one side counting as probability zero.
     """
-    p_orders = np.asarray(p_orders, dtype=int)
-    q_orders = np.asarray(q_orders, dtype=int)
-    support = np.union1d(p_orders, q_orders)
-    diff = np.zeros(support.size)
-    diff[np.searchsorted(support, p_orders)] = np.asarray(p_probs, dtype=float)
-    diff[np.searchsorted(support, q_orders)] -= np.asarray(q_probs, dtype=float)
-    return float(np.max(np.abs(diff)))
+    return float(np.max(np.abs(_difference(p_orders, p_probs, q_orders, q_probs))))

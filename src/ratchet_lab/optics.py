@@ -21,6 +21,7 @@ from .model import (
     depth_from_phase,
     kick_phase_profile,
     phase_from_depth,
+    quantize_profile,
 )
 
 __all__ = [
@@ -45,16 +46,18 @@ __all__ = [
     "render_ccd",
 ]
 
+MIN_REGION_SAMPLES = 64  # narrowest constant-gradient region deflection_check probes
+
 
 @dataclass(frozen=True)
 class OpticalGeometry:
     """Wavelength, mirror period, mirror-lens gap, focal length, reflectivity."""
 
-    wavelength_m: float = 532e-9
-    period_m: float = 600e-6
-    distance_m: float = 0.169172
-    focal_m: float = 0.3
-    reflectivity: float = 0.95
+    wavelength_m: float
+    period_m: float
+    distance_m: float
+    focal_m: float
+    reflectivity: float
 
     def __post_init__(self) -> None:
         for name in ("wavelength_m", "period_m", "distance_m", "focal_m"):
@@ -106,8 +109,6 @@ def ratchet_mirror(
     profile = depth_from_phase(phase, wavelength_m, period_m)
     if n_levels == "continuous":
         return profile
-    from .model import quantize_profile
-
     return quantize_profile(profile.depth_samples, int(n_levels), period_m)
 
 
@@ -156,12 +157,11 @@ def _make_field(amplitudes: np.ndarray, period_m: float, window_periods: int,
 
 
 def gaussian_beam(period_m: float, window_periods: int, samples_per_period: int,
-                  width_m: float, wavelength_m: float, power: float = 1.0,
-                  center_m: float = 0.0) -> BeamField:
+                  width_m: float, wavelength_m: float, power: float = 1.0) -> BeamField:
     """Gaussian beam of 1/e^2 intensity half-width width_m, centered on the window."""
     n = window_periods * samples_per_period
     x = (np.arange(n) - n // 2) * (period_m / samples_per_period)
-    amp = np.exp(-((x - center_m) ** 2) / width_m**2).astype(complex)
+    amp = np.exp(-(x**2) / width_m**2).astype(complex)
     return _make_field(amp, period_m, window_periods, samples_per_period, wavelength_m, power)
 
 
@@ -181,13 +181,13 @@ def window_periods_of(field: BeamField, period_m: float) -> int:
     return periods
 
 
-def _reflection_factor(field: BeamField, mirror: MirrorProfile, wavelength_m: float) -> np.ndarray:
+def _reflection_factor(field: BeamField, mirror: MirrorProfile) -> np.ndarray:
     """Mirror factor exp(i*4*pi*d(x)/lambda), the profile looked up at the nearest sample."""
     window_periods_of(field, mirror.period_m)
     n_mirror = mirror.depth_samples.size
     step = mirror.period_m / n_mirror
     idx = np.mod(np.rint(field.x / step).astype(int), n_mirror)
-    return np.exp(1j * phase_from_depth(mirror, wavelength_m)[idx])
+    return np.exp(1j * phase_from_depth(mirror, field.wavelength_m)[idx])
 
 
 def _fresnel_kernel(field: BeamField, distance: float) -> np.ndarray:
@@ -202,14 +202,13 @@ def _focal_plane(spectrum: np.ndarray, field: BeamField, focal_m: float) -> tupl
     return intensity, field.wavelength_m * focal_m / field.window_m
 
 
-def apply_mirror(field: BeamField, mirror: MirrorProfile, wavelength_m: float | None = None) -> BeamField:
+def apply_mirror(field: BeamField, mirror: MirrorProfile) -> BeamField:
     """Reflect off the etched mirror: multiply by exp(i*4*pi*d(x)/lambda).
 
     The staircase profile is resampled onto the field grid by nearest-sample
     lookup. Power is unchanged (unimodular factor).
     """
-    lam = field.wavelength_m if wavelength_m is None else wavelength_m
-    return replace(field, samples=field.samples * _reflection_factor(field, mirror, lam))
+    return replace(field, samples=field.samples * _reflection_factor(field, mirror))
 
 
 def propagate_fresnel(field: BeamField, distance: float) -> BeamField:
@@ -238,28 +237,19 @@ def far_field(field: BeamField, focal_m: float) -> tuple[np.ndarray, float]:
     return _focal_plane(np.fft.fft(field.samples), field, focal_m)
 
 
-def _bin_orders(intensity_shifted: np.ndarray, window_periods: int,
-                max_order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _bin_orders(intensity_shifted: np.ndarray, window_periods: int) -> tuple[np.ndarray, np.ndarray]:
     n = intensity_shifted.size
     fine = np.arange(n) - n // 2
     orders = np.rint(fine / window_periods).astype(int)
-    n_hi = orders.max()
     n_lo = orders.min()
-    sums = np.zeros(n_hi - n_lo + 1)
-    np.add.at(sums, orders - n_lo, intensity_shifted)
-    all_orders = np.arange(n_lo, n_hi + 1)
-    if max_order is not None:
-        keep = np.abs(all_orders) <= max_order
-        all_orders, sums = all_orders[keep], sums[keep]
-    total = sums.sum()
-    return all_orders, sums / total
+    sums = np.bincount(orders - n_lo, weights=intensity_shifted)
+    return np.arange(n_lo, n_lo + sums.size), sums / sums.sum()
 
 
-def order_probabilities(field: BeamField, period_m: float,
-                        max_order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def order_probabilities(field: BeamField, period_m: float) -> tuple[np.ndarray, np.ndarray]:
     """Far-field probability per grating order (fine bins summed to nearest order)."""
     intensity, _ = far_field(field, 1.0)
-    return _bin_orders(intensity, window_periods_of(field, period_m), max_order)
+    return _bin_orders(intensity, window_periods_of(field, period_m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,10 +259,6 @@ class FarFieldImage:
     rows: np.ndarray
     pixel_pitch_m: float
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def n_kicks(self) -> int:
-        return self.rows.shape[0]
 
 
 def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamField,
@@ -295,7 +281,7 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
         raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
     hbar = hbar_from_geometry(geom)
     flight = distance_for_hbar(hbar, geom.wavelength_m, geom.period_m)
-    reflect = _reflection_factor(beam, mirror, beam.wavelength_m)
+    reflect = _reflection_factor(beam, mirror)
     kernel = _fresnel_kernel(beam, flight)
     samples = beam.samples
     rows = []
@@ -323,14 +309,13 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     return FarFieldImage(rows=np.stack(rows), pixel_pitch_m=pitch, metadata=meta)
 
 
-def row_order_probabilities(image: FarFieldImage, kick: int,
-                            max_order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def row_order_probabilities(image: FarFieldImage, kick: int) -> tuple[np.ndarray, np.ndarray]:
     """Order distribution of row `kick` (1-based, matching kick count)."""
-    return _bin_orders(image.rows[kick - 1], image.metadata["window_periods"], max_order)
+    return _bin_orders(image.rows[kick - 1], image.metadata["window_periods"])
 
 
-def row_order_ladder(image: FarFieldImage, kick: int, max_order: int | None = None) -> MomentumLadder:
-    orders, probs = row_order_probabilities(image, kick, max_order)
+def row_order_ladder(image: FarFieldImage, kick: int) -> MomentumLadder:
+    orders, probs = row_order_probabilities(image, kick)
     return MomentumLadder(beta=0.0, orders=orders, probabilities=probs / probs.sum(),
                           hbar=EffectivePlanck(image.metadata["hbar_eff"]), grid_periods=1)
 
@@ -346,15 +331,14 @@ class DeflectionRegion:
     measured_shift_m: float
 
 
-def deflection_check(mirror: MirrorProfile, wavelength_m: float, focal_m: float,
-                     min_region_samples: int = 64) -> list[DeflectionRegion]:
+def deflection_check(mirror: MirrorProfile, wavelength_m: float, focal_m: float) -> list[DeflectionRegion]:
     """Probe each constant-gradient region and compare the far-field centroid
     shift against (lambda*focal/(2*pi)) * dphi/dx.
 
     Regions are maximal runs of constant slope in the unwrapped reflection
     phase. A narrow Gaussian probe (1/e^2 half-width one sixth of the region)
-    is centered on each; raises if no region is wide enough to host a probe
-    with 4x clearance.
+    is centered on each region of at least MIN_REGION_SAMPLES samples; raises
+    if there is none.
     """
     n = mirror.depth_samples.size
     step = mirror.period_m / n
@@ -371,12 +355,10 @@ def deflection_check(mirror: MirrorProfile, wavelength_m: float, focal_m: float,
     x = np.arange(n) * step
     results = []
     for lo, hi in regions:
-        if hi - lo < min_region_samples:
+        if hi - lo < MIN_REGION_SAMPLES:
             continue
         length = (hi - lo) * step
         width = length / 6.0
-        if length < 4.0 * width:  # pragma: no cover - 6x construction satisfies this
-            continue
         center = (x[lo] + x[hi - 1]) / 2.0
         probe = np.exp(-((x - center) ** 2) / width**2) * np.exp(1j * phase[: n])
         spectrum = np.fft.fftshift(np.fft.fft(probe))
@@ -391,7 +373,7 @@ def deflection_check(mirror: MirrorProfile, wavelength_m: float, focal_m: float,
             grad_phase=grad, predicted_shift_m=predicted, measured_shift_m=centroid,
         ))
     if not results:
-        raise ValueError(f"no constant-gradient region with >= {min_region_samples} samples")
+        raise ValueError(f"no constant-gradient region with >= {MIN_REGION_SAMPLES} samples")
     return results
 
 

@@ -203,8 +203,13 @@ def test_cli_absurd_grid_rejected_at_parse(tmp_path):
     assert not (tmp_path / "spectra.ndjson").exists()
 
 
-@pytest.mark.parametrize("step", ["nan", "1e-9pi"])
-def test_cli_bad_scan_step_exits_2_before_output(tmp_path, monkeypatch, capsys, step):
+# At 1e12 a step of 6e-5 is below half an ulp, so every grid point rounds to the first.
+COLLAPSED = ["--scan_hbar_min=1e12", "--scan_hbar_max=1000000000000.4"]
+
+
+@pytest.mark.parametrize("step, extra", [("nan", []), ("1e-9pi", []), ("6e-5", COLLAPSED)],
+                         ids=["nan", "1e-9pi", "collapsed"])
+def test_cli_bad_scan_step_exits_2_before_output(tmp_path, monkeypatch, capsys, step, extra):
     import ratchet_lab.experiments as experiments
 
     def no_grid(*args, **kwargs):
@@ -212,9 +217,17 @@ def test_cli_bad_scan_step_exits_2_before_output(tmp_path, monkeypatch, capsys, 
 
     monkeypatch.setattr(experiments.ScanSpec, "from_config", no_grid)
     out = tmp_path / "scan"
-    assert main(["scan", "--hbar=0.5pi", f"--scan_hbar_step={step}", "--out", str(out)]) == 2
+    assert main(["scan", "--hbar=0.5pi", *extra, f"--scan_hbar_step={step}", "--out", str(out)]) == 2
     assert "scan_hbar_step" in capsys.readouterr().err
     assert not (out / "run_manifest").exists()
+
+
+def test_scan_grid_separable_at_parse():
+    with pytest.raises(ConfigError, match="^scan_hbar_step: .* too small to separate"):
+        parse_config("hbar=1\nscan_hbar_min=1e12\nscan_hbar_max=1000000000000.4\nscan_hbar_step=6e-5\n")
+    cfg = parse_config("hbar=1\nscan_hbar_min=1e12\nscan_hbar_max=1000000000000.4\nscan_hbar_step=2e-4\n")
+    values = cfg.scan_hbar_values()
+    assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_cli_missing_subcommand_exits_2():

@@ -13,7 +13,6 @@ from ratchet_lab.evolution import (
     NumericalFailure,
     SpatialGrid,
     WaveState,
-    beta_ensemble_spectra,
     evolve,
     free_step,
     kick_step,
@@ -276,9 +275,3 @@ def test_ladder_record_schema(pot, hbar_res):
                    "orders": [int(n) for n in ladder.orders],
                    "prob": [float(p) for p in ladder.probabilities]}
     assert json.dumps(ladder_record(1, ladder)) == json.dumps(per_element)
-
-
-def test_beta_ensemble_shapes(pot, hbar_res):
-    orders, probs = beta_ensemble_spectra(pot, hbar_res, GRID, n_kicks=3, n_beta=4)
-    assert probs.shape == (3, GRID.n)
-    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-10)

@@ -153,6 +153,16 @@ def test_linf_matches_per_order_dict_bitwise(seed):
     pd, qd = dict(zip(p_orders.tolist(), p.tolist())), dict(zip(q_orders.tolist(), q.tolist()))
     expected = max(abs(pd.get(n, 0.0) - qd.get(n, 0.0)) for n in set(pd) | set(qd))
     assert distribution_linf(p_orders, p, q_orders, q) == expected
+    # Orders as compare_engines passes them: the quantum ladder first, ascending
+    # and covering the optical orders. The TV must match the per-order dict loop.
+    c_orders = np.sort(rng.choice(p_orders, size=rng.integers(1, p_orders.size + 1), replace=False))
+    c = rng.uniform(0, 1, c_orders.size)
+    acc: dict[int, float] = {}
+    for n, v in zip(p_orders, p):
+        acc[int(n)] = acc.get(int(n), 0.0) + v
+    for n, v in zip(c_orders, c):
+        acc[int(n)] = acc.get(int(n), 0.0) - v
+    assert distribution_distance(p_orders, p, c_orders, c) == 0.5 * sum(abs(v) for v in acc.values())
 
 
 @settings(max_examples=100, deadline=None)

@@ -112,7 +112,7 @@ def test_apply_mirror_incommensurate_window():
 def test_single_bounce_matches_quantum_kick(pot, hbar_res):
     mirror = ratchet_mirror(pot, hbar_res, LAM, PERIOD, samples_per_period=128)
     beam = apply_mirror(plane_wave_beam(PERIOD, 16, 128, LAM), mirror)
-    orders, probs = order_probabilities(beam, PERIOD, max_order=40)
+    orders, probs = order_probabilities(beam, PERIOD)
     quantum = momentum_spectrum(kick_step(plane_wave(SpatialGrid(1, 256)), pot, hbar_res))
     qmap = dict(zip(quantum.orders.tolist(), quantum.probabilities.tolist()))
     worst = max(abs(p - qmap.get(int(n), 0.0)) for n, p in zip(orders, probs))

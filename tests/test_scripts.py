@@ -1,0 +1,34 @@
+"""Smoke runs of the study scripts, so a change that breaks one fails here."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+from ratchet_lab.config import parse_config
+from ratchet_lab.experiments import quantum_kick_ladders
+from ratchet_lab.observables import mean_momentum, mean_square_momentum
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_beam_width_study_worst_linf():
+    study = load_script("beam_width_study")
+    cfg = parse_config("", {"hbar": "0.5pi", "beam_width": repr(16 * study.PERIOD),
+                            "beam_periods": "128", "beam_points_per_period": "128"})
+    assert 0.0 < study.worst_linf(cfg, 2) < 1e-2
+
+
+def test_current_growth_study_trajectory():
+    study = load_script("current_growth_study")
+    rows = study.trajectory(0.5 * math.pi, 3)
+    cfg = parse_config("hbar=0.5pi\n")
+    ladders = quantum_kick_ladders(cfg, cfg.hbar, 3)
+    assert rows == [(k, mean_momentum(lad), mean_square_momentum(lad))
+                    for k, lad in enumerate(ladders, start=1)]
