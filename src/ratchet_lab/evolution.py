@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,10 +28,13 @@ __all__ = [
     "free_step",
     "momentum_spectrum",
     "evolve",
+    "scan_ladders",
     "ladder_record",
 ]
 
 NORM_TOL = 1e-8  # norm drift beyond this signals an implementation bug
+# Rows x grid points a scan propagates at once (1 MiB per complex array).
+SCAN_BATCH_CELLS = 1 << 16
 
 
 class NumericalFailure(RuntimeError):
@@ -209,6 +212,30 @@ def momentum_spectrum(state: WaveState, hbar: EffectivePlanck | None = None) -> 
     return _ladder(np.fft.fft(state.amplitudes), state.grid, state.beta, hbar)
 
 
+def _propagate(u: np.ndarray, kick: np.ndarray, flight: np.ndarray, dx: float,
+               kicks: range, tap: Callable[[int, np.ndarray], None]) -> np.ndarray:
+    """Flashing periods on the last axis of `u` (one row per run); returns the final rows.
+
+    Callers build the kick and flight factors once per run; the transform
+    handed to `tap(kick, spectrum)` is also the forward transform of the
+    flight. A row whose norm drifts beyond NORM_TOL after a kick raises
+    NumericalFailure naming the kick, with `row` set to that row's index.
+    """
+    for k in kicks:
+        u = u * kick
+        drift = np.abs(np.sum(np.abs(u) ** 2, axis=-1) * dx - 1.0)
+        bad = np.flatnonzero(drift > NORM_TOL)
+        if bad.size:
+            failure = NumericalFailure(f"norm drifted by {drift.flat[bad[0]]:.3e} at kick {k}")
+            failure.row = int(bad[0])
+            raise failure
+        spectrum = np.fft.fft(u)
+        tap(k, spectrum)
+        spectrum *= flight
+        u = np.fft.ifft(spectrum)
+    return u
+
+
 def evolve(
     state: WaveState,
     params: KickedRunParams,
@@ -218,27 +245,52 @@ def evolve(
 
     After each kick the momentum spectrum is handed to `record(kick, ladder)`,
     matching a far-field tap right after each mirror encounter; the free
-    flight that completes the period does not change the spectrum. The kick
-    and flight factors are built once per run, and the transform taken for
-    the spectrum is also the forward transform of the flight. Aborts with
-    NumericalFailure if the norm drifts beyond 1e-8 after a kick; the
-    returned state validates the final norm.
+    flight that completes the period does not change the spectrum. Aborts with
+    NumericalFailure if the norm drifts beyond 1e-8 after a kick; the returned
+    state validates the final norm.
     """
     grid = state.grid
-    kick = _kick_factor(params.potential, params.hbar, grid)
-    flight = _flight_factor(grid, state.beta, params.hbar)
-    u = state.amplitudes
-    for k in range(state.kick_count + 1, state.kick_count + params.n_kicks + 1):
-        u = u * kick
-        drift = abs(_norm(u, grid) - 1.0)
-        if drift > NORM_TOL:
-            raise NumericalFailure(f"norm drifted by {drift:.3e} at kick {k}")
-        spectrum = np.fft.fft(u)
+
+    def tap(kick: int, spectrum: np.ndarray) -> None:
         if record is not None:
-            record(k, _ladder(spectrum, grid, state.beta, params.hbar))
-        spectrum *= flight
-        u = np.fft.ifft(spectrum)
+            record(kick, _ladder(spectrum, grid, state.beta, params.hbar))
+
+    u = _propagate(state.amplitudes, _kick_factor(params.potential, params.hbar, grid),
+                   _flight_factor(grid, state.beta, params.hbar), grid.dx,
+                   range(state.kick_count + 1, state.kick_count + params.n_kicks + 1), tap)
     return replace(state, amplitudes=u, kick_count=state.kick_count + params.n_kicks)
+
+
+def scan_ladders(grid: SpatialGrid, beta: float, runs: Sequence[tuple[RatchetPotential, EffectivePlanck]],
+                 kicks_at: Iterable[int]) -> Iterator[tuple[int, int, MomentumLadder]]:
+    """(run index, kick, ladder) of each (potential, hbar) run from the plane wave, at kicks_at.
+
+    Each ladder is bitwise the one `evolve` records for that run alone. The
+    runs propagate as the rows of one batch, in chunks of at most
+    SCAN_BATCH_CELLS rows x grid points. A drifting row raises
+    NumericalFailure naming its hbar_eff, K and the kick.
+    """
+    wanted = set(kicks_at)
+    start = plane_wave(grid, beta).amplitudes
+    size = max(1, SCAN_BATCH_CELLS // grid.n)
+    for lo in range(0, len(runs), size):
+        chunk = runs[lo:lo + size]
+        ladders: list[tuple[int, int, MomentumLadder]] = []
+
+        def tap(kick: int, spectrum: np.ndarray) -> None:
+            if kick in wanted:
+                ladders.extend((lo + i, kick, _ladder(row, grid, beta, hbar))
+                               for i, (row, (_pot, hbar)) in enumerate(zip(spectrum, chunk)))
+
+        try:
+            _propagate(np.tile(start, (len(chunk), 1)),
+                       np.stack([_kick_factor(pot, hbar, grid) for pot, hbar in chunk]),
+                       np.stack([_flight_factor(grid, beta, hbar) for _pot, hbar in chunk]),
+                       grid.dx, range(1, max(wanted) + 1), tap)
+        except NumericalFailure as exc:
+            pot, hbar = chunk[exc.row]
+            raise NumericalFailure(f"scan run hbar_eff={hbar.hbar_eff!r} K={pot.K!r}: {exc}") from None
+        yield from ladders
 
 
 def ladder_record(kick: int, ladder: MomentumLadder) -> dict:

@@ -20,6 +20,7 @@ from .evolution import (
     MomentumLadder,
     evolve,
     plane_wave,
+    scan_ladders,
 )
 from .fileio import write_csv, write_pgm
 from .model import RatchetPotential
@@ -35,7 +36,6 @@ from .optics import (
 )
 
 __all__ = [
-    "ScanSpec",
     "ScanPoint",
     "quantum_kick_ladders",
     "optical_kick_ladders",
@@ -51,38 +51,6 @@ __all__ = [
 ]
 
 FIG2_HBARS = ((0.5, "a"), (0.35, "b"))  # hbar_eff in units of pi, panel label
-
-
-@dataclass(frozen=True)
-class ScanSpec:
-    """Grid of effective Planck constants and the kick counts to sample."""
-
-    hbar_values: tuple[float, ...]
-    kicks_at: tuple[int, ...]
-    potential: RatchetPotential
-    beta: float = 0.0
-    mode: str = "fixed-k"
-    kick_phase_anchor: float = 1.0  # K/hbar_eff held fixed in fixed-kick-phase mode
-
-    def __post_init__(self) -> None:
-        values = self.hbar_values
-        if not values or any(v <= 0 for v in values):
-            raise ValueError("hbar_values must be positive")
-        if any(b >= a for a, b in zip(values[1:], values)):
-            raise ValueError("hbar_values must be strictly increasing")
-        if not self.kicks_at or any(k < 1 for k in self.kicks_at):
-            raise ValueError("kicks_at must be positive kick counts")
-
-    @classmethod
-    def from_config(cls, cfg: RunConfig, mode: str | None = None) -> "ScanSpec":
-        return cls(
-            hbar_values=cfg.scan_hbar_values(),
-            kicks_at=cfg.scan_kicks_at,
-            potential=cfg.potential(),
-            beta=cfg.beta,
-            mode=cfg.scan_mode if mode is None else mode,
-            kick_phase_anchor=cfg.K / cfg.hbar,
-        )
 
 
 def quantum_kick_ladders(cfg: RunConfig, hbar_eff: float, n_kicks: int) -> list[MomentumLadder]:
@@ -226,53 +194,31 @@ class ScanPoint:
     is_local_max: bool = False
 
 
-def _scan_one(spec: ScanSpec, cfg: RunConfig, hbar_eff: float, mode: str) -> dict[int, float]:
-    """|mean momentum| after each of the spec's kick counts, in kick order."""
-    if mode == "fixed-kick-phase":
-        pot = RatchetPotential(K=spec.kick_phase_anchor * hbar_eff, alpha=spec.potential.alpha,
-                               phi=spec.potential.phi)
-    else:
-        pot = spec.potential
-    grid = cfg.grid()
-    params = KickedRunParams(potential=pot, hbar=EffectivePlanck(hbar_eff),
-                             n_kicks=max(spec.kicks_at))
-    wanted = set(spec.kicks_at)
-    captured: dict[int, float] = {}
-
-    def sink(kick: int, ladder: MomentumLadder) -> None:
-        if kick in wanted:
-            captured[kick] = abs(obs.mean_momentum(ladder))
-
-    evolve(plane_wave(grid, beta=spec.beta), params, sink)
-    return captured
-
-
 def run_fig4(cfg: RunConfig, out_dir: str | Path) -> list[ScanPoint]:
     """|mean momentum| scan over the hbar_eff grid at the configured kick counts.
 
     fixed-k mode holds the kick strength K constant across the scan;
     fixed-kick-phase holds K/hbar_eff constant (a fixed etched mirror);
     mode `both` emits both. Local maxima are flagged per (mode, kicks) series.
+    Every (mode, hbar_eff) run is one row of a batched propagation.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = ScanSpec.from_config(cfg)
-    modes = ("fixed-k", "fixed-kick-phase") if spec.mode == "both" else (spec.mode,)
-    # one (mode, kicks) series of |<p>| per kick count, in increasing hbar_eff
-    series: dict[tuple[str, int], list[float]] = {}
-    for mode in modes:
-        for h in spec.hbar_values:
-            for kicks, value in _scan_one(spec, cfg, h, mode).items():
-                series.setdefault((mode, kicks), []).append(value)
-    # flag local maxima (plateau-tolerant) within each series
+    hbars = cfg.scan_hbar_values()
+    modes = ("fixed-k", "fixed-kick-phase") if cfg.scan_mode == "both" else (cfg.scan_mode,)
+    anchor = cfg.K / cfg.hbar  # K/hbar_eff held fixed in fixed-kick-phase mode
+    runs = [(RatchetPotential(K=anchor * h, alpha=cfg.alpha, phi=cfg.phi)
+             if mode == "fixed-kick-phase" else cfg.potential(), EffectivePlanck(h))
+            for mode in modes for h in hbars]
+    values = {(*divmod(run, len(hbars)), kick): abs(obs.mean_momentum(ladder))
+              for run, kick, ladder in scan_ladders(cfg.grid(), cfg.beta, runs, cfg.scan_kicks_at)}
+    # keys (mode, hbar, kicks) sort as the CSV rows, since `modes` is in name order;
+    # local maxima (plateau-tolerant) are flagged within each (mode, kicks) series
     points: list[ScanPoint] = []
-    for (mode, kicks), values in series.items():
-        for i, (h, value) in enumerate(zip(spec.hbar_values, values)):
-            left = values[i - 1] if i > 0 else -math.inf
-            right = values[i + 1] if i + 1 < len(values) else -math.inf
-            points.append(ScanPoint(mode=mode, hbar_eff=h, kicks=kicks, abs_mean_p=value,
-                                    is_local_max=value >= left and value >= right))
-    points.sort(key=lambda p: (p.mode, p.hbar_eff, p.kicks))
+    for (m, i, kicks), value in sorted(values.items()):
+        left, right = (values.get((m, j, kicks), -math.inf) for j in (i - 1, i + 1))
+        points.append(ScanPoint(mode=modes[m], hbar_eff=hbars[i], kicks=kicks, abs_mean_p=value,
+                                is_local_max=value >= left and value >= right))
     write_csv(out / "fig4_scan.csv", ["mode", "hbar", "kicks", "mean_p_final", "is_local_max"],
               [(p.mode, p.hbar_eff, p.kicks, p.abs_mean_p, int(p.is_local_max)) for p in points],
               comments=["mean_p_final is |<p>| at the stated kick count",

@@ -68,6 +68,11 @@ def test_invalid_values_name_the_key():
         parse_config("hbar=1\nscan_hbar_step=nan\n")
     with pytest.raises(ConfigError, match="scan_hbar_step: must be finite"):
         parse_config("hbar=1\nscan_hbar_step=inf\n")
+    for kicks in ("0", "5,0", ""):
+        with pytest.raises(ConfigError, match="scan_kicks_at"):
+            parse_config(f"hbar=1\nscan_kicks_at={kicks}\n")
+    with pytest.raises(ConfigError, match="^scan_hbar_min: need 0 < scan_hbar_min <= scan_hbar_max"):
+        parse_config("hbar=1\nscan_hbar_min=1.0\nscan_hbar_max=0.5\n")
 
 
 @pytest.mark.parametrize("key", ["K", "alpha", "phi", "hbar", "lambda", "period", "focal",
@@ -212,10 +217,10 @@ COLLAPSED = ["--scan_hbar_min=1e12", "--scan_hbar_max=1000000000000.4"]
 def test_cli_bad_scan_step_exits_2_before_output(tmp_path, monkeypatch, capsys, step, extra):
     import ratchet_lab.experiments as experiments
 
-    def no_grid(*args, **kwargs):
-        raise AssertionError("scan grid built for a rejected config")
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan started for a rejected config")
 
-    monkeypatch.setattr(experiments.ScanSpec, "from_config", no_grid)
+    monkeypatch.setattr(experiments, "scan_ladders", no_scan)
     out = tmp_path / "scan"
     assert main(["scan", "--hbar=0.5pi", *extra, f"--scan_hbar_step={step}", "--out", str(out)]) == 2
     assert "scan_hbar_step" in capsys.readouterr().err

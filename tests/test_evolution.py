@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from ratchet_lab.evolution import (
     ladder_record,
     momentum_spectrum,
     plane_wave,
+    scan_ladders,
     state_from_orders,
 )
 from ratchet_lab.model import EffectivePlanck, RatchetPotential, kick_phase_profile
@@ -161,6 +164,53 @@ def test_evolve_norm_guard_names_the_kick(pot, hbar_res, monkeypatch):
     monkeypatch.setattr(evolution, "kick_phase_profile", lossy)
     with pytest.raises(NumericalFailure, match=r"^norm drifted by .* at kick 1$"):
         evolve(plane_wave(GRID), KickedRunParams(pot, hbar_res, 3))
+
+
+GRIDS = (GRID, SpatialGrid(1, 34), SpatialGrid(2, 50))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=st.sampled_from(GRIDS),
+       runs=st.lists(st.tuples(st.floats(min_value=0.0, max_value=5.0),
+                               st.floats(min_value=1e-2, max_value=4 * math.pi)),
+                     min_size=1, max_size=8),
+       alpha=st.floats(min_value=0.0, max_value=1.0),
+       phi=st.floats(min_value=0.0, max_value=2 * math.pi),
+       beta=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       kicks_at=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
+       rows=st.integers(min_value=1, max_value=9))
+def test_scan_rows_equal_single_runs_bitwise(grid, runs, alpha, phi, beta, kicks_at, rows):
+    runs = [(RatchetPotential(K=k, alpha=alpha, phi=phi), EffectivePlanck(h)) for k, h in runs]
+    with mock.patch("ratchet_lab.evolution.SCAN_BATCH_CELLS", rows * grid.n):
+        batched = list(scan_ladders(grid, beta, runs, kicks_at))
+    assert sorted((run, kick) for run, kick, _ in batched) == sorted(
+        (run, kick) for run in range(len(runs)) for kick in set(kicks_at))
+    for run, kick, ladder in batched:
+        pot, hbar = runs[run]
+        single = []
+        evolve(plane_wave(grid, beta=beta), KickedRunParams(pot, hbar, kick),
+               lambda k, lad: single.append(lad))
+        assert np.array_equal(ladder.probabilities, single[-1].probabilities)
+        assert np.array_equal(ladder.orders, single[-1].orders)
+        assert (ladder.beta, ladder.hbar, ladder.grid_periods) == (beta, hbar, grid.periods)
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_scan_norm_guard_names_the_row(pot, monkeypatch, rows):
+    import ratchet_lab.evolution as evolution
+
+    lossy_hbar = 0.35 * math.pi
+
+    def lossy(p, h, x):
+        phase = kick_phase_profile(p, h, x)
+        return phase + 1e-3j if h.hbar_eff == lossy_hbar else phase
+
+    monkeypatch.setattr(evolution, "kick_phase_profile", lossy)
+    monkeypatch.setattr(evolution, "SCAN_BATCH_CELLS", rows * GRID.n)
+    runs = [(pot, EffectivePlanck(h * math.pi)) for h in (0.25, 0.3, 0.35, 0.4)]
+    expected = rf"^scan run hbar_eff={re.escape(repr(lossy_hbar))} K=1\.0: norm drifted by .* at kick 1$"
+    with pytest.raises(NumericalFailure, match=expected):
+        list(scan_ladders(GRID, 0.0, runs, (5,)))
 
 
 def test_evolve_zero_strength_constant_spectra(hbar_res):

@@ -6,7 +6,6 @@ import pytest
 from ratchet_lab.config import parse_config
 from ratchet_lab.experiments import (
     QUANTIZATION_SWEEP,
-    ScanSpec,
     bounce_image,
     compare_engines,
     optical_kick_ladders,
@@ -148,11 +147,20 @@ def test_fig4_fixed_kick_phase_mode(tmp_path):
     assert fk.abs_mean_p == pytest.approx(fp.abs_mean_p, rel=1e-12)
 
 
-def test_scan_spec_validation(pot):
-    with pytest.raises(ValueError):
-        ScanSpec(hbar_values=(1.0, 0.5), kicks_at=(5,), potential=pot)
-    with pytest.raises(ValueError):
-        ScanSpec(hbar_values=(0.5, 1.0), kicks_at=(0,), potential=pot)
+@pytest.mark.parametrize("rows", [1, 3])
+def test_fig4_csv_independent_of_chunking(tmp_path, monkeypatch, fft_calls, rows):
+    import ratchet_lab.evolution as evolution
+
+    # 2 modes x 11 hbar values = 22 rows: one batch, then chunks of 1 or 3 (7 x 3 + 1)
+    cfg = cfg_with(scan_mode="both", scan_hbar_min="0.1pi", scan_hbar_max="1.1pi",
+                   scan_hbar_step="0.1pi", scan_kicks_at="5,2")
+    run_fig4(cfg, tmp_path / "batch")
+    assert fft_calls["fft"] == 5
+    monkeypatch.setattr(evolution, "SCAN_BATCH_CELLS", rows * cfg.grid().n)
+    run_fig4(cfg, tmp_path / "chunked")
+    assert fft_calls["fft"] == 5 + 5 * math.ceil(22 / rows)
+    batch = (tmp_path / "batch" / "fig4_scan.csv").read_bytes()
+    assert (tmp_path / "chunked" / "fig4_scan.csv").read_bytes() == batch
 
 
 # --- engine comparison ---------------------------------------------------------
