@@ -14,26 +14,20 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, parse_config, parse_config_file
-from .evolution import (
-    KickedRunParams,
-    NumericalFailure,
-    evolve,
-    ladder_record,
-    plane_wave,
-)
+from .evolution import NumericalFailure, ladder_record
 from .experiments import (
     bounce_image,
     compare_engines,
-    crop_image,
-    ladder_csv_rows,
+    quantum_kick_ladders,
     run_fig4,
     run_figs,
     write_manifest,
+    write_panel,
 )
-from .fileio import write_csv, write_ndjson, write_pgm
+from .fileio import write_csv, write_ndjson
 from .model import save_mirror_profile
 from .observables import stats_from_ladder
-from .optics import ratchet_mirror, render_ccd, row_order_ladder
+from .optics import image_ladders, ratchet_mirror
 
 SUBCOMMANDS = ("evolve", "optical", "scan", "mirror", "compare", "figs")
 
@@ -62,17 +56,10 @@ def _collect_overrides(extras: list[str]) -> dict[str, str]:
 
 
 def _cmd_evolve(cfg: RunConfig, out: Path) -> None:
-    records = []
-    stats = []
-
-    def sink(kick, ladder):
-        records.append(ladder_record(kick, ladder))
-        stats.append(stats_from_ladder(kick, ladder))
-
-    params = KickedRunParams(potential=cfg.potential(), hbar=cfg.effective_planck(),
-                             n_kicks=cfg.n_kicks)
-    evolve(plane_wave(cfg.grid(), beta=cfg.beta), params, sink)
-    write_ndjson(out / "spectra.ndjson", records)
+    ladders = quantum_kick_ladders(cfg, cfg.hbar, cfg.n_kicks)
+    write_ndjson(out / "spectra.ndjson",
+                 (ladder_record(k, lad) for k, lad in enumerate(ladders, start=1)))
+    stats = [stats_from_ladder(k, lad) for k, lad in enumerate(ladders, start=1)]
     write_csv(out / "stats.csv", ["kick", "mean_p", "mean_p2", "participation"],
               [(s.kick, s.mean_p, s.mean_p2, s.participation) for s in stats],
               comments=[f"hbar={cfg.hbar!r} beta={cfg.beta!r} n_kicks={cfg.n_kicks}"])
@@ -80,11 +67,8 @@ def _cmd_evolve(cfg: RunConfig, out: Path) -> None:
 
 def _cmd_optical(cfg: RunConfig, out: Path) -> None:
     image = bounce_image(cfg, cfg.hbar, cfg.n_kicks)
-    ladders = [row_order_ladder(image, k) for k in range(1, cfg.n_kicks + 1)]
-    write_pgm(out / "ccd.pgm", render_ccd(crop_image(image, cfg.max_order), cfg.gamma))
-    write_csv(out / "orders.csv", ["kick", "order", "probability"],
-              ladder_csv_rows(ladders, cfg.max_order),
-              comments=[f"hbar={cfg.hbar!r} n_levels={cfg.n_levels}"])
+    write_panel(out / "orders.csv", out / "ccd.pgm", image, image_ladders(image), cfg,
+                [f"hbar={cfg.hbar!r} n_levels={cfg.n_levels}"])
 
 
 def _cmd_mirror(cfg: RunConfig, out: Path) -> None:

@@ -97,7 +97,7 @@ class WaveState:
         if self.kick_count < 0:
             raise ValueError(f"kick_count must be >= 0, got {self.kick_count}")
         drift = abs(self.norm - 1.0)
-        if drift > NORM_TOL:
+        if not drift <= NORM_TOL:  # NaN fails too
             raise NumericalFailure(f"state norm off unity by {drift:.3e}")
 
     @property
@@ -122,10 +122,10 @@ class MomentumLadder:
         object.__setattr__(self, "probabilities", probs)
         if orders.shape != probs.shape:
             raise ValueError("orders and probabilities must have matching shapes")
-        if np.any(probs < -1e-12):
+        if not np.all(probs >= -1e-12):  # NaN fails too
             raise ValueError("probabilities must be non-negative")
         total = float(probs.sum())
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
 
     @property
@@ -182,13 +182,20 @@ def _flight_factor(grid: SpatialGrid, beta: float, hbar: EffectivePlanck) -> np.
     return np.exp(-1j * math.pi * half_turns)
 
 
-def _ladder(spectrum: np.ndarray, grid: SpatialGrid, beta: float,
+def _orders(grid: SpatialGrid) -> np.ndarray:
+    """Mode numbers in ascending (fftshift) order, read-only so a run's ladders can share them."""
+    orders = np.fft.fftshift(grid.mode_numbers)
+    orders.flags.writeable = False
+    return orders
+
+
+def _ladder(spectrum: np.ndarray, orders: np.ndarray, grid: SpatialGrid, beta: float,
             hbar: EffectivePlanck | None) -> MomentumLadder:
     probs = np.abs(spectrum) ** 2
     probs /= probs.sum()
     return MomentumLadder(
         beta=beta,
-        orders=np.fft.fftshift(grid.mode_numbers),
+        orders=orders,
         probabilities=np.fft.fftshift(probs),
         hbar=hbar,
         grid_periods=grid.periods,
@@ -209,7 +216,7 @@ def free_step(state: WaveState, hbar: EffectivePlanck) -> WaveState:
 
 def momentum_spectrum(state: WaveState, hbar: EffectivePlanck | None = None) -> MomentumLadder:
     """Ladder probabilities |c_n|^2 from the discrete Fourier coefficients."""
-    return _ladder(np.fft.fft(state.amplitudes), state.grid, state.beta, hbar)
+    return _ladder(np.fft.fft(state.amplitudes), _orders(state.grid), state.grid, state.beta, hbar)
 
 
 def _propagate(u: np.ndarray, kick: np.ndarray, flight: np.ndarray, dx: float,
@@ -224,7 +231,7 @@ def _propagate(u: np.ndarray, kick: np.ndarray, flight: np.ndarray, dx: float,
     for k in kicks:
         u = u * kick
         drift = np.abs(np.sum(np.abs(u) ** 2, axis=-1) * dx - 1.0)
-        bad = np.flatnonzero(drift > NORM_TOL)
+        bad = np.flatnonzero(~(drift <= NORM_TOL))  # NaN fails too
         if bad.size:
             failure = NumericalFailure(f"norm drifted by {drift.flat[bad[0]]:.3e} at kick {k}")
             failure.row = int(bad[0])
@@ -250,10 +257,11 @@ def evolve(
     state validates the final norm.
     """
     grid = state.grid
+    orders = _orders(grid)
 
     def tap(kick: int, spectrum: np.ndarray) -> None:
         if record is not None:
-            record(kick, _ladder(spectrum, grid, state.beta, params.hbar))
+            record(kick, _ladder(spectrum, orders, grid, state.beta, params.hbar))
 
     u = _propagate(state.amplitudes, _kick_factor(params.potential, params.hbar, grid),
                    _flight_factor(grid, state.beta, params.hbar), grid.dx,
@@ -272,6 +280,7 @@ def scan_ladders(grid: SpatialGrid, beta: float, runs: Sequence[tuple[RatchetPot
     """
     wanted = set(kicks_at)
     start = plane_wave(grid, beta).amplitudes
+    orders = _orders(grid)
     size = max(1, SCAN_BATCH_CELLS // grid.n)
     for lo in range(0, len(runs), size):
         chunk = runs[lo:lo + size]
@@ -279,7 +288,7 @@ def scan_ladders(grid: SpatialGrid, beta: float, runs: Sequence[tuple[RatchetPot
 
         def tap(kick: int, spectrum: np.ndarray) -> None:
             if kick in wanted:
-                ladders.extend((lo + i, kick, _ladder(row, grid, beta, hbar))
+                ladders.extend((lo + i, kick, _ladder(row, orders, grid, beta, hbar))
                                for i, (row, (_pot, hbar)) in enumerate(zip(spectrum, chunk)))
 
         try:

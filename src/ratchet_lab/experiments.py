@@ -7,7 +7,7 @@ and returns its in-memory results for programmatic use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,9 @@ from .optics import (
     distance_for_hbar,
     gaussian_beam,
     hbar_from_geometry,
+    image_ladders,
     ratchet_mirror,
     render_ccd,
-    row_order_ladder,
 )
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "bounce_image",
     "crop_image",
     "ladder_csv_rows",
+    "write_panel",
     "run_fig2",
     "run_fig3",
     "run_fig4",
@@ -79,21 +80,7 @@ def bounce_image(cfg: RunConfig, hbar_eff: float, n_kicks: int,
 def optical_kick_ladders(cfg: RunConfig, hbar_eff: float, n_kicks: int,
                          n_levels: int | str | None = None) -> list[MomentumLadder]:
     """Per-kick order distributions of the beam-bounce engine."""
-    image = bounce_image(cfg, hbar_eff, n_kicks, n_levels)
-    return [row_order_ladder(image, k) for k in range(1, n_kicks + 1)]
-
-
-def _quantum_ccd(ladders: list[MomentumLadder], cfg: RunConfig) -> FarFieldImage:
-    """Pseudo-CCD image from quantum spectra: one pixel per order."""
-    cut = cfg.max_order
-    rows = []
-    for lad in ladders:
-        keep = np.abs(lad.orders) <= cut
-        rows.append(lad.probabilities[keep])
-    pitch = cfg.wavelength * cfg.focal / cfg.period
-    meta = {"normalization": "per_row", "window_periods": 1, "engine": "quantum",
-            "order_spacing_m": pitch}
-    return FarFieldImage(rows=np.stack(rows), pixel_pitch_m=pitch, metadata=meta)
+    return image_ladders(bounce_image(cfg, hbar_eff, n_kicks, n_levels))
 
 
 def ladder_csv_rows(ladders: list[MomentumLadder], max_order: int):
@@ -104,13 +91,21 @@ def ladder_csv_rows(ladders: list[MomentumLadder], max_order: int):
 
 
 def crop_image(image: FarFieldImage, max_order: int) -> FarFieldImage:
-    w = image.metadata["window_periods"]
+    """Columns of orders -max_order..max_order, clipped to the image."""
+    w = image.window_periods
     n = image.rows.shape[1]
     center = n // 2
     lo = max(0, center - max_order * w)
     hi = min(n, center + max_order * w + 1)
-    return FarFieldImage(rows=image.rows[:, lo:hi], pixel_pitch_m=image.pixel_pitch_m,
-                         metadata=image.metadata)
+    return replace(image, rows=image.rows[:, lo:hi])
+
+
+def write_panel(csv_path: Path, pgm_path: Path, image: FarFieldImage, ladders: list[MomentumLadder],
+                cfg: RunConfig, comments: list[str]) -> None:
+    """One CCD panel: the per-kick orders within max_order as CSV, the cropped image as PGM."""
+    write_csv(csv_path, ["kick", "order", "probability"], ladder_csv_rows(ladders, cfg.max_order),
+              comments=comments)
+    write_pgm(pgm_path, render_ccd(crop_image(image, cfg.max_order), cfg.gamma))
 
 
 def run_fig2(cfg: RunConfig, out_dir: str | Path) -> dict:
@@ -129,20 +124,18 @@ def run_fig2(cfg: RunConfig, out_dir: str | Path) -> dict:
         if cfg.engine in ("quantum", "both"):
             ladders = quantum_kick_ladders(cfg, hbar_eff, cfg.n_kicks)
             panel["quantum"] = ladders
-            write_csv(out / f"fig2_{label}.csv", ["kick", "order", "probability"],
-                      ladder_csv_rows(ladders, cfg.max_order),
-                      comments=[f"engine=quantum hbar={hbar_eff!r}"] + comments)
-            write_pgm(out / f"fig2_{label}.pgm", render_ccd(_quantum_ccd(ladders, cfg), cfg.gamma))
+            # one column per ladder rung, rung 0 at the centre column like a focal-plane image
+            image = FarFieldImage(rows=np.stack([lad.probabilities for lad in ladders]),
+                                  window_periods=1, hbar_eff=hbar_eff)
+            write_panel(out / f"fig2_{label}.csv", out / f"fig2_{label}.pgm", image, ladders, cfg,
+                        [f"engine=quantum hbar={hbar_eff!r}"] + comments)
         if cfg.engine in ("optical", "both"):
             image = bounce_image(cfg, hbar_eff, cfg.n_kicks)
-            ladders = [row_order_ladder(image, k) for k in range(1, cfg.n_kicks + 1)]
+            ladders = image_ladders(image)
             panel["optical"] = ladders
-            suffix = "_optical" if cfg.engine == "both" else ""
-            write_csv(out / f"fig2_{label}{suffix}.csv", ["kick", "order", "probability"],
-                      ladder_csv_rows(ladders, cfg.max_order),
-                      comments=[f"engine=optical hbar={hbar_eff!r}"] + comments)
-            write_pgm(out / f"fig2_{label}{suffix}.pgm",
-                      render_ccd(crop_image(image, cfg.max_order), cfg.gamma))
+            stem = f"fig2_{label}_optical" if cfg.engine == "both" else f"fig2_{label}"
+            write_panel(out / f"{stem}.csv", out / f"{stem}.pgm", image, ladders, cfg,
+                        [f"engine=optical hbar={hbar_eff!r}"] + comments)
         results[label] = panel
     return results
 

@@ -77,7 +77,7 @@ def propagate(u: FloquetMatrix, initial: np.ndarray, n_kicks: int) -> MomentumLa
 
     The initial coefficient vector (aligned with u.orders) must be supported
     on |n| <= n_max/4; if probability in the outer quarter of the basis ever
-    exceeds 1e-8, the run aborts with a truncation-breach failure.
+    exceeds 1e-8 (or is NaN), the run aborts with a truncation-breach failure.
     """
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be >= 0, got {n_kicks}")
@@ -95,7 +95,7 @@ def propagate(u: FloquetMatrix, initial: np.ndarray, n_kicks: int) -> MomentumLa
     for kick in range(1, n_kicks + 1):
         coeffs = u.entries @ coeffs
         leaked = float(np.sum(np.abs(coeffs[outer]) ** 2))
-        if leaked > 1e-8:
+        if not leaked <= 1e-8:  # NaN fails too
             raise NumericalFailure(f"truncation breach: outer-quarter probability {leaked:.3e} at kick {kick}")
     probs = np.abs(coeffs) ** 2
     probs /= probs.sum()

@@ -9,7 +9,7 @@ the mirror-lens distance to the effective Planck constant and back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "bounce_simulation",
     "row_order_probabilities",
     "row_order_ladder",
+    "image_ladders",
     "deflection_check",
     "render_ccd",
 ]
@@ -196,10 +197,9 @@ def _fresnel_kernel(field: BeamField, distance: float) -> np.ndarray:
     return np.exp(-1j * math.pi * field.wavelength_m * distance * fx * fx)
 
 
-def _focal_plane(spectrum: np.ndarray, field: BeamField, focal_m: float) -> tuple[np.ndarray, float]:
-    """Focal-plane intensity (zero order at index n//2) and pixel pitch of a field's spectrum."""
-    intensity = np.abs(np.fft.fftshift(spectrum)) ** 2
-    return intensity, field.wavelength_m * focal_m / field.window_m
+def _focal_plane(spectrum: np.ndarray) -> np.ndarray:
+    """Focal-plane intensity of a field's spectrum, zero order at index n//2."""
+    return np.abs(np.fft.fftshift(spectrum)) ** 2
 
 
 def apply_mirror(field: BeamField, mirror: MirrorProfile) -> BeamField:
@@ -230,26 +230,27 @@ def far_field(field: BeamField, focal_m: float) -> tuple[np.ndarray, float]:
 
     The lens maps spatial frequency f_x to the focal-plane coordinate
     X = lambda*focal*f_x, so grating orders land at spacing lambda*focal/l.
-    Returns (intensity, pixel_pitch_m) with the zero order at index n//2.
+    Returns (intensity, pixel pitch in meters) with the zero order at index n//2.
     """
     if focal_m <= 0:
         raise ValueError(f"focal_m must be positive, got {focal_m!r}")
-    return _focal_plane(np.fft.fft(field.samples), field, focal_m)
+    return _focal_plane(np.fft.fft(field.samples)), field.wavelength_m * focal_m / field.window_m
 
 
-def _bin_orders(intensity_shifted: np.ndarray, window_periods: int) -> tuple[np.ndarray, np.ndarray]:
-    n = intensity_shifted.size
-    fine = np.arange(n) - n // 2
-    orders = np.rint(fine / window_periods).astype(int)
-    n_lo = orders.min()
-    sums = np.bincount(orders - n_lo, weights=intensity_shifted)
-    return np.arange(n_lo, n_lo + sums.size), sums / sums.sum()
+def _bin_orders(rows: np.ndarray, window_periods: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orders and per-row probabilities of (kicks, n) focal-plane rows, through one fine-bin -> order map."""
+    n = rows.shape[1]
+    orders = np.rint((np.arange(n) - n // 2) / window_periods).astype(int)
+    idx = orders - orders[0]
+    sums = np.stack([np.bincount(idx, weights=row) for row in rows])
+    return np.arange(orders[0], orders[0] + sums.shape[1]), sums / sums.sum(axis=1, keepdims=True)
 
 
 def order_probabilities(field: BeamField, period_m: float) -> tuple[np.ndarray, np.ndarray]:
     """Far-field probability per grating order (fine bins summed to nearest order)."""
     intensity, _ = far_field(field, 1.0)
-    return _bin_orders(intensity, window_periods_of(field, period_m))
+    orders, probs = _bin_orders(intensity[None], window_periods_of(field, period_m))
+    return orders, probs[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,8 +258,11 @@ class FarFieldImage:
     """Per-kick far-field intensity rows tapped at the lens focal plane."""
 
     rows: np.ndarray
-    pixel_pitch_m: float
-    metadata: dict = field(default_factory=dict)
+    """(kicks, n) intensities; row k-1 is the tap after kick k, zero order at column n//2."""
+    window_periods: int
+    """Mirror periods across the window, i.e. fine columns per diffraction order."""
+    hbar_eff: float
+    """Effective Planck constant of the run, carried into the order ladders."""
 
 
 def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamField,
@@ -275,7 +279,7 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     The reflection factor and the Fresnel kernel are built once per run, and
     the focal-plane transform is also the forward transform of the flight.
     Raises NumericalFailure when the tapped power (by Parseval) drifts from
-    the input power by more than 1e-8 relative.
+    the input power by more than 1e-8 relative, or is not finite.
     """
     if n_kicks < 1:
         raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
@@ -288,10 +292,10 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     for k in range(1, n_kicks + 1):
         samples = samples * reflect
         spectrum = np.fft.fft(samples)
-        intensity, pitch = _focal_plane(spectrum, beam, geom.focal_m)
+        intensity = _focal_plane(spectrum)
         total = intensity.sum()
         drift = abs(total * beam.dx / samples.size - beam.power)
-        if drift > NORM_TOL * beam.power:
+        if not drift <= NORM_TOL * beam.power:  # NaN fails too
             raise NumericalFailure(f"beam power drifted by {drift / beam.power:.3e} (relative) at bounce {k}")
         if loss_accounting:
             scale = geom.reflectivity**k * 0.05 * beam.power / total
@@ -300,24 +304,28 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
         rows.append(intensity * scale)
         if k < n_kicks:  # no output reads the field after the last tap
             samples = np.fft.ifft(spectrum * kernel)
-    meta = {
-        "normalization": "loss" if loss_accounting else "per_row",
-        "window_periods": window_periods_of(beam, geom.period_m),
-        "hbar_eff": hbar.hbar_eff,
-        "order_spacing_m": geom.wavelength_m * geom.focal_m / geom.period_m,
-    }
-    return FarFieldImage(rows=np.stack(rows), pixel_pitch_m=pitch, metadata=meta)
+    return FarFieldImage(rows=np.stack(rows), window_periods=window_periods_of(beam, geom.period_m),
+                         hbar_eff=hbar.hbar_eff)
+
+
+def image_ladders(image: FarFieldImage) -> list[MomentumLadder]:
+    """Order ladder of every row, in kick order; the ladders share one orders array."""
+    orders, probs = _bin_orders(image.rows, image.window_periods)
+    orders.flags.writeable = False
+    probs /= probs.sum(axis=1, keepdims=True)
+    hbar = EffectivePlanck(image.hbar_eff)
+    return [MomentumLadder(beta=0.0, orders=orders, probabilities=row, hbar=hbar, grid_periods=1)
+            for row in probs]
 
 
 def row_order_probabilities(image: FarFieldImage, kick: int) -> tuple[np.ndarray, np.ndarray]:
     """Order distribution of row `kick` (1-based, matching kick count)."""
-    return _bin_orders(image.rows[kick - 1], image.metadata["window_periods"])
+    orders, probs = _bin_orders(image.rows[kick - 1:kick], image.window_periods)
+    return orders, probs[0]
 
 
 def row_order_ladder(image: FarFieldImage, kick: int) -> MomentumLadder:
-    orders, probs = row_order_probabilities(image, kick)
-    return MomentumLadder(beta=0.0, orders=orders, probabilities=probs / probs.sum(),
-                          hbar=EffectivePlanck(image.metadata["hbar_eff"]), grid_periods=1)
+    return image_ladders(replace(image, rows=image.rows[kick - 1:kick]))[0]
 
 
 @dataclass(frozen=True)

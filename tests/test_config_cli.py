@@ -307,6 +307,27 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+# K/hbar_eff overflows the kick phase to inf, so the state turns NaN at the first kick
+NAN_OVERRIDES = ["--hbar=0.01", "--K=1e307"]
+
+
+def test_cli_nan_norm_exits_3_before_output(tmp_path, capsys):
+    with pytest.warns(RuntimeWarning):
+        code = main(["evolve", *NAN_OVERRIDES, "--n_kicks=2", "--out", str(tmp_path)])
+    assert code == 3
+    assert "norm drifted by nan at kick 1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run_manifest"]
+
+
+def test_cli_scan_nan_norm_names_the_row(tmp_path, capsys):
+    with pytest.warns(RuntimeWarning):
+        code = main(["scan", *NAN_OVERRIDES, "--out", str(tmp_path)])
+    assert code == 3
+    first = parse_config("", {"hbar": "0.01", "K": "1e307"}).scan_hbar_values()[0]
+    assert f"scan run hbar_eff={first!r} K=1e+307: norm drifted by nan at kick 1" in capsys.readouterr().err
+    assert not (tmp_path / "fig4_scan.csv").exists()
+
+
 def test_cli_fixed_kick_phase_flag(tmp_path):
     out = tmp_path / "fkp"
     code = main(["scan", "--hbar=0.5pi", "--fixed-kick-phase", "--scan_hbar_min=0.4pi",

@@ -51,6 +51,17 @@ def test_state_norm_guard():
         WaveState(grid=GRID, amplitudes=u)
 
 
+def test_state_nan_norm_fails_the_guard():
+    with pytest.raises(NumericalFailure, match="state norm off unity by nan"):
+        WaveState(grid=GRID, amplitudes=np.full(GRID.n, np.nan, dtype=complex))
+
+
+@pytest.mark.parametrize("probs", [[np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 0.0]])
+def test_ladder_rejects_non_finite_probabilities(probs):
+    with pytest.raises(ValueError):
+        MomentumLadder(beta=0.0, orders=np.arange(len(probs)), probabilities=probs)
+
+
 def test_state_beta_range():
     with pytest.raises(ValueError):
         plane_wave(GRID, beta=1.0)
@@ -164,6 +175,25 @@ def test_evolve_norm_guard_names_the_kick(pot, hbar_res, monkeypatch):
     monkeypatch.setattr(evolution, "kick_phase_profile", lossy)
     with pytest.raises(NumericalFailure, match=r"^norm drifted by .* at kick 1$"):
         evolve(plane_wave(GRID), KickedRunParams(pot, hbar_res, 3))
+
+
+def test_evolve_nan_norm_fails_the_guard(pot, hbar_res, monkeypatch):
+    import ratchet_lab.evolution as evolution
+
+    monkeypatch.setattr(evolution, "kick_phase_profile", lambda p, h, x: np.full(x.shape, np.nan))
+    with pytest.raises(NumericalFailure, match=r"^norm drifted by nan at kick 1$"):
+        evolve(plane_wave(GRID), KickedRunParams(pot, hbar_res, 3))
+
+
+def test_ladders_of_a_run_share_one_read_only_orders_array(pot, hbar_res):
+    grid = SpatialGrid(2, 50)
+    single = []
+    evolve(plane_wave(grid), KickedRunParams(pot, hbar_res, 4), lambda k, lad: single.append(lad))
+    scanned = [lad for _run, _kick, lad in scan_ladders(grid, 0.25, [(pot, hbar_res)] * 3, (1, 2))]
+    for ladders in (single, scanned):
+        assert all(lad.orders is ladders[0].orders for lad in ladders)
+        assert not ladders[0].orders.flags.writeable
+        assert np.array_equal(ladders[0].orders, np.fft.fftshift(grid.mode_numbers))
 
 
 GRIDS = (GRID, SpatialGrid(1, 34), SpatialGrid(2, 50))

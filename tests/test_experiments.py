@@ -8,6 +8,7 @@ from ratchet_lab.experiments import (
     QUANTIZATION_SWEEP,
     bounce_image,
     compare_engines,
+    crop_image,
     optical_kick_ladders,
     quantum_kick_ladders,
     run_fig2,
@@ -15,7 +16,9 @@ from ratchet_lab.experiments import (
     run_fig4,
     run_figs,
 )
+from ratchet_lab.cli import main
 from ratchet_lab.fileio import read_pgm
+from ratchet_lab.optics import FarFieldImage, render_ccd
 from ratchet_lab.observables import mean_momentum, mean_square_momentum
 
 
@@ -62,6 +65,40 @@ def test_fig2_optical_panels_written(tmp_path):
         assert len(result[label]["optical"]) == 4
     raster = read_pgm(tmp_path / "fig2_a_optical.pgm")
     assert raster.shape[0] == 4
+
+
+def old_quantum_panel_rows(ladders, max_order):
+    """Reference: the quantum CCD rows as the orders |n| <= max_order of each ladder."""
+    return np.stack([lad.probabilities[np.abs(lad.orders) <= max_order] for lad in ladders])
+
+
+@pytest.mark.parametrize("periods", [1, 2, 3])
+def test_quantum_panel_crop_matches_order_cut(tmp_path, periods):
+    cfg = cfg_with(engine="quantum", periods=periods, points_per_period=64, n_kicks=5, gamma=0.5)
+    ladders = quantum_kick_ladders(cfg, 0.5 * math.pi, cfg.n_kicks)
+    image = FarFieldImage(rows=np.stack([lad.probabilities for lad in ladders]), window_periods=1,
+                          hbar_eff=0.5 * math.pi)
+    for max_order in (0, 5, 40, 200):  # 40 and 200 reach past the edge of a 64-point grid
+        cropped = crop_image(image, max_order).rows
+        assert cropped.tobytes() == old_quantum_panel_rows(ladders, max_order).tobytes()
+    run_fig2(cfg, tmp_path)
+    expected = render_ccd(FarFieldImage(rows=old_quantum_panel_rows(ladders, cfg.max_order),
+                                        window_periods=1, hbar_eff=0.5 * math.pi), cfg.gamma)
+    assert read_pgm(tmp_path / "fig2_a.pgm").tobytes() == expected.tobytes()
+
+
+def test_optical_subcommand_writes_the_fig2_optical_panel(tmp_path):
+    small = ["--n_kicks=4", "--beam_periods=16", "--beam_points_per_period=64"]
+    assert main(["optical", "--hbar=0.35pi", *small, "--out", str(tmp_path / "opt")]) == 0
+    assert main(["figs", "--hbar=0.5pi", "--engine=both", *small, "--out", str(tmp_path / "figs")]) == 0
+
+    def data_rows(path):
+        return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+    assert data_rows(tmp_path / "opt" / "orders.csv") == data_rows(tmp_path / "figs" / "fig2_b_optical.csv")
+    assert len(data_rows(tmp_path / "opt" / "orders.csv")) > 4 * 2 * 32
+    pgm = (tmp_path / "opt" / "ccd.pgm").read_bytes()
+    assert pgm == (tmp_path / "figs" / "fig2_b_optical.pgm").read_bytes()
 
 
 def test_fig2_csv_schema(tmp_path):

@@ -11,7 +11,7 @@ from ratchet_lab.evolution import (
     evolve,
     plane_wave,
 )
-from ratchet_lab.floquet import build_floquet, build_kick_matrix, propagate
+from ratchet_lab.floquet import FloquetMatrix, build_floquet, build_kick_matrix, propagate
 from ratchet_lab.model import EffectivePlanck, RatchetPotential
 
 
@@ -89,6 +89,14 @@ def test_propagate_rejects_wide_support(pot, hbar_res):
     init[0] = 1.0  # order -16 with n_max=16
     with pytest.raises(ValueError):
         propagate(build_floquet(pot, hbar_res, 0.0, 16), init, 1)
+
+
+def test_propagate_flags_nan_leakage(pot, hbar_res):
+    u = build_floquet(pot, hbar_res, 0.0, 8)
+    poisoned = FloquetMatrix(n_max=8, beta=0.0, hbar=hbar_res, entries=np.full_like(u.entries, np.nan),
+                             interior_unitarity_defect=u.interior_unitarity_defect)
+    with pytest.raises(NumericalFailure, match="outer-quarter probability nan at kick 1"):
+        propagate(poisoned, unit_vector(8), 3)
 
 
 def test_propagate_flags_truncation_breach():

@@ -19,6 +19,7 @@ from ratchet_lab.optics import (
     far_field,
     gaussian_beam,
     hbar_from_geometry,
+    image_ladders,
     lau_distance,
     order_probabilities,
     plane_wave_beam,
@@ -202,7 +203,6 @@ def test_bounce_loss_accounting_bookkeeping():
     for k in range(1, 6):
         expected = PAPER_GEOM.reflectivity**k * 0.05 * 2.5
         assert image.rows[k - 1].sum() == pytest.approx(expected, rel=1e-12)
-    assert image.metadata["normalization"] == "loss"
 
 
 def test_bounce_rows_normalized_by_default(pot, hbar_res):
@@ -210,7 +210,6 @@ def test_bounce_rows_normalized_by_default(pot, hbar_res):
     beam = gaussian_beam(PERIOD, 16, 64, 3 * PERIOD, LAM)
     image = bounce_simulation(PAPER_GEOM, mirror, beam, 3)
     assert np.allclose(image.rows.sum(axis=1), 1.0, atol=1e-12)
-    assert image.metadata["normalization"] == "per_row"
 
 
 def stepwise_rows(geom, mirror, beam, n_kicks, loss_accounting):
@@ -285,6 +284,16 @@ def test_bounce_power_guard(monkeypatch, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_bounce_nan_power_fails_the_guard(monkeypatch):
+    import ratchet_lab.optics as optics
+
+    monkeypatch.setattr(optics, "phase_from_depth",
+                        lambda mirror, wavelength_m: np.full(mirror.depth_samples.shape, np.nan))
+    geom, mirror, beam = bounce_case(0.5 * math.pi, 16, 64)
+    with pytest.raises(NumericalFailure, match=r"^beam power drifted by nan \(relative\) at bounce 1$"):
+        bounce_simulation(geom, mirror, beam, 3)
+
+
 def test_bounce_correspondence_moderate_beam(pot, hbar_res):
     from ratchet_lab.evolution import KickedRunParams, evolve
 
@@ -302,6 +311,45 @@ def test_bounce_correspondence_moderate_beam(pot, hbar_res):
         ref = reference[k - 1]
         worst = max(worst, max(abs(p - ref.get(int(n), 0.0)) for n, p in zip(orders, probs)))
     assert worst < 1e-2
+
+
+def per_row_bin_orders(intensity_shifted, window_periods):
+    """Reference: the binning of one focal-plane row as optical ladders were built row by row."""
+    n = intensity_shifted.size
+    fine = np.arange(n) - n // 2
+    orders = np.rint(fine / window_periods).astype(int)
+    n_lo = orders.min()
+    sums = np.bincount(orders - n_lo, weights=intensity_shifted)
+    return np.arange(n_lo, n_lo + sums.size), sums / sums.sum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(kicks=st.integers(min_value=1, max_value=6),
+       window_periods=st.integers(min_value=1, max_value=12),
+       n=st.integers(min_value=2, max_value=300),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       scale=st.floats(min_value=1e-12, max_value=1e6),
+       hbar_eff=st.floats(min_value=1e-2, max_value=4 * math.pi))
+def test_image_ladders_match_per_row_binning_bitwise(kicks, window_periods, n, seed, scale, hbar_eff):
+    rng = np.random.default_rng(seed)
+    rows = rng.random((kicks, n)) * scale
+    rows[:, rng.random(n) < 0.3] = 0.0  # dark columns, as between diffraction orders
+    rows[:, n // 2] += scale
+    image = FarFieldImage(rows=rows, window_periods=window_periods, hbar_eff=hbar_eff)
+    ladders = image_ladders(image)
+    assert len(ladders) == kicks
+    assert not ladders[0].orders.flags.writeable
+    for k, ladder in enumerate(ladders, start=1):
+        orders, probs = per_row_bin_orders(rows[k - 1], window_periods)
+        assert ladder.orders is ladders[0].orders
+        assert ladder.orders.dtype == orders.dtype and ladder.orders.tobytes() == orders.tobytes()
+        # the ladder renormalizes the binned row once more, as row_order_ladder always did
+        assert ladder.probabilities.tobytes() == (probs / probs.sum()).tobytes()
+        assert (ladder.beta, ladder.hbar, ladder.grid_periods) == (0.0, EffectivePlanck(hbar_eff), 1)
+        one_orders, one_probs = row_order_probabilities(image, k)
+        assert one_orders.tobytes() == orders.tobytes() and one_probs.tobytes() == probs.tobytes()
+        single = row_order_ladder(image, k)
+        assert single.probabilities.tobytes() == ladder.probabilities.tobytes()
 
 
 # --- deflection ---------------------------------------------------------------
@@ -366,12 +414,10 @@ def test_integer_ramp_shifts_beam_ladder_exactly():
 # --- CCD rendering ---------------------------------------------------------------
 
 def test_render_ccd_uniform_and_two_peak_rows():
-    img = FarFieldImage(rows=np.array([[0.2, 0.2, 0.2, 0.2]]), pixel_pitch_m=1e-6,
-                        metadata={"window_periods": 1})
+    img = FarFieldImage(rows=np.array([[0.2, 0.2, 0.2, 0.2]]), window_periods=1, hbar_eff=1.0)
     raster = render_ccd(img, gamma=1.0)
     assert np.all(raster == 255)
-    img2 = FarFieldImage(rows=np.array([[0.0, 0.5, 0.0, 0.5]]), pixel_pitch_m=1e-6,
-                         metadata={"window_periods": 1})
+    img2 = FarFieldImage(rows=np.array([[0.0, 0.5, 0.0, 0.5]]), window_periods=1, hbar_eff=1.0)
     raster2 = render_ccd(img2, gamma=1.0)
     assert list(raster2[0]) == [0, 255, 0, 255]
     with pytest.raises(ValueError):
