@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-8  # norm drift beyond this signals an implementation bug
-# Rows x grid points a scan propagates at once (1 MiB per complex array).
-SCAN_BATCH_CELLS = 1 << 16
+# Rows x samples a batched scan or bounce propagates at once (8 MiB per complex array).
+BATCH_CELLS = 1 << 19
 
 
 class NumericalFailure(RuntimeError):
@@ -275,13 +275,13 @@ def scan_ladders(grid: SpatialGrid, beta: float, runs: Sequence[tuple[RatchetPot
 
     Each ladder is bitwise the one `evolve` records for that run alone. The
     runs propagate as the rows of one batch, in chunks of at most
-    SCAN_BATCH_CELLS rows x grid points. A drifting row raises
+    BATCH_CELLS rows x grid points. A drifting row raises
     NumericalFailure naming its hbar_eff, K and the kick.
     """
     wanted = set(kicks_at)
     start = plane_wave(grid, beta).amplitudes
     orders = _orders(grid)
-    size = max(1, SCAN_BATCH_CELLS // grid.n)
+    size = max(1, BATCH_CELLS // grid.n)
     for lo in range(0, len(runs), size):
         chunk = runs[lo:lo + size]
         ladders: list[tuple[int, int, MomentumLadder]] = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -23,9 +24,12 @@ from .evolution import (
     scan_ladders,
 )
 from .fileio import write_csv, write_pgm
-from .model import RatchetPotential
+from .model import MirrorProfile, RatchetPotential
 from .optics import (
+    BeamField,
     FarFieldImage,
+    OpticalGeometry,
+    bounce_ladders,
     bounce_simulation,
     distance_for_hbar,
     gaussian_beam,
@@ -62,17 +66,25 @@ def quantum_kick_ladders(cfg: RunConfig, hbar_eff: float, n_kicks: int) -> list[
     return ladders
 
 
+def _bounce_setup(cfg: RunConfig, hbar_eff: float, levels: Sequence[int | str]
+                  ) -> tuple[OpticalGeometry, list[MirrorProfile], BeamField]:
+    """Geometry at the distance realizing hbar_eff, one ratchet mirror per entry of
+    `levels`, and the standard Gaussian beam."""
+    hbar = EffectivePlanck(hbar_eff)
+    geom = cfg.geometry(distance=distance_for_hbar(hbar, cfg.wavelength, cfg.period))
+    pot = cfg.potential()
+    mirrors = [ratchet_mirror(pot, hbar_from_geometry(geom), cfg.wavelength, cfg.period,
+                              samples_per_period=cfg.beam_points_per_period, n_levels=n_levels)
+               for n_levels in levels]
+    beam = gaussian_beam(cfg.period, cfg.beam_periods, cfg.beam_points_per_period,
+                         cfg.beam_width, cfg.wavelength)
+    return geom, mirrors, beam
+
+
 def bounce_image(cfg: RunConfig, hbar_eff: float, n_kicks: int,
                  n_levels: int | str | None = None) -> FarFieldImage:
     """Beam-bounce run at the distance realizing hbar_eff, standard Gaussian beam."""
-    hbar = EffectivePlanck(hbar_eff)
-    distance = distance_for_hbar(hbar, cfg.wavelength, cfg.period)
-    geom = cfg.geometry(distance=distance)
-    mirror = ratchet_mirror(cfg.potential(), hbar_from_geometry(geom), cfg.wavelength,
-                            cfg.period, samples_per_period=cfg.beam_points_per_period,
-                            n_levels=cfg.n_levels if n_levels is None else n_levels)
-    beam = gaussian_beam(cfg.period, cfg.beam_periods, cfg.beam_points_per_period,
-                         cfg.beam_width, cfg.wavelength)
+    geom, (mirror,), beam = _bounce_setup(cfg, hbar_eff, [cfg.n_levels if n_levels is None else n_levels])
     return bounce_simulation(geom, mirror, beam, n_kicks,
                              loss_accounting=cfg.normalization == "loss")
 
@@ -234,7 +246,9 @@ def compare_engines(cfg: RunConfig, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     n_kicks = cfg.n_kicks
     quantum = quantum_kick_ladders(cfg, cfg.hbar, n_kicks)
-    optical = optical_kick_ladders(cfg, cfg.hbar, n_kicks, n_levels="continuous")
+    geom, mirrors, beam = _bounce_setup(cfg, cfg.hbar, ("continuous", *QUANTIZATION_SWEEP))
+    optical, *quantized = bounce_ladders(geom, mirrors, beam, n_kicks,
+                                         loss_accounting=cfg.normalization == "loss")
     rows = []
     per_kick_linf = []
     per_kick_tv = []
@@ -245,8 +259,7 @@ def compare_engines(cfg: RunConfig, out_dir: str | Path) -> dict:
         per_kick_linf.append(linf)
         per_kick_tv.append(tv)
         rows.append(("quantum_vs_optical", k, "continuous", linf, tv))
-    sweep = {n_levels: optical_kick_ladders(cfg, cfg.hbar, n_kicks, n_levels=n_levels)
-             for n_levels in QUANTIZATION_SWEEP}
+    sweep = dict(zip(QUANTIZATION_SWEEP, quantized))
     sixteen = sweep[16]
     for k in range(1, n_kicks + 1):
         tv = obs.distribution_distance(sixteen[k - 1].orders, sixteen[k - 1].probabilities,

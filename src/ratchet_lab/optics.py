@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import evolution
 from .evolution import NORM_TOL, MomentumLadder, NumericalFailure
 from .model import (
     EffectivePlanck,
@@ -40,6 +42,7 @@ __all__ = [
     "far_field",
     "order_probabilities",
     "bounce_simulation",
+    "bounce_ladders",
     "row_order_probabilities",
     "row_order_ladder",
     "image_ladders",
@@ -265,6 +268,56 @@ class FarFieldImage:
     """Effective Planck constant of the run, carried into the order ladders."""
 
 
+def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField, n_kicks: int,
+            loss_accounting: bool, tap: Callable[[int, np.ndarray], None]) -> None:
+    """Bounce the beam n_kicks times off each mirror, one batch row per mirror.
+
+    After bounce k the scaled focal-plane rows, shape (mirrors, n) with the
+    zero order at column n//2, are handed to `tap(k, rows)`; the buffer is
+    reused, so the tap must copy what it keeps. The reflection table, the
+    Fresnel kernel and the buffers are built once, and the focal-plane
+    transform is also the forward transform of the flight. A row whose tapped
+    power (by Parseval) drifts from the input power by more than 1e-8
+    relative, or is not finite, raises NumericalFailure naming the bounce,
+    with `row` set to that row's index.
+    """
+    flight = distance_for_hbar(hbar_from_geometry(geom), geom.wavelength_m, geom.period_m)
+    kernel = _fresnel_kernel(beam, flight)
+    n = beam.samples.size
+    h = n // 2
+    reflect = np.empty((len(mirrors), n), dtype=complex)
+    for i, mirror in enumerate(mirrors):
+        reflect[i] = _reflection_factor(beam, mirror)
+    field = np.empty_like(reflect)
+    field[:] = beam.samples
+    rows = np.empty(reflect.shape)
+    for k in range(1, n_kicks + 1):
+        # field stays the left operand: complex SIMD multiply is not bitwise commutative
+        np.multiply(field, reflect, out=field)
+        np.fft.fft(field, out=field)
+        # |fftshift(field)|^2 along the last axis only: the last h columns move to the front
+        np.abs(field[:, n - h:], out=rows[:, :h])
+        np.abs(field[:, :n - h], out=rows[:, h:])
+        np.square(rows, out=rows)
+        totals = rows.sum(axis=1)
+        drift = np.abs(totals * beam.dx / n - beam.power)
+        bad = np.flatnonzero(~(drift <= NORM_TOL * beam.power))  # NaN fails too
+        if bad.size:
+            failure = NumericalFailure(
+                f"beam power drifted by {drift[bad[0]] / beam.power:.3e} (relative) at bounce {k}")
+            failure.row = int(bad[0])
+            raise failure
+        if loss_accounting:
+            scale = geom.reflectivity**k * 0.05 * beam.power / totals
+        else:
+            scale = 1.0 / totals
+        rows *= scale[:, None]
+        tap(k, rows)
+        if k < n_kicks:  # no output reads the field after the last tap
+            field *= kernel
+            np.fft.ifft(field, out=field)
+
+
 def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamField,
                       n_kicks: int, loss_accounting: bool = False) -> FarFieldImage:
     """Bounce the beam n_kicks times, tapping the far field after each mirror hit.
@@ -276,46 +329,77 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     default; with loss_accounting the k-th row integrates to
     reflectivity^k * 0.05 * input power.
 
-    The reflection factor and the Fresnel kernel are built once per run, and
-    the focal-plane transform is also the forward transform of the flight.
-    Raises NumericalFailure when the tapped power (by Parseval) drifts from
-    the input power by more than 1e-8 relative, or is not finite.
+    This is the batch of one of the bounce loop, so the reflection factor and
+    the Fresnel kernel are built once per run and each bounce takes one FFT
+    pair (none after the last tap). Raises NumericalFailure when the tapped
+    power (by Parseval) drifts from the input power by more than 1e-8
+    relative, or is not finite.
     """
     if n_kicks < 1:
         raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
-    hbar = hbar_from_geometry(geom)
-    flight = distance_for_hbar(hbar, geom.wavelength_m, geom.period_m)
-    reflect = _reflection_factor(beam, mirror)
-    kernel = _fresnel_kernel(beam, flight)
-    samples = beam.samples
-    rows = []
-    for k in range(1, n_kicks + 1):
-        samples = samples * reflect
-        spectrum = np.fft.fft(samples)
-        intensity = _focal_plane(spectrum)
-        total = intensity.sum()
-        drift = abs(total * beam.dx / samples.size - beam.power)
-        if not drift <= NORM_TOL * beam.power:  # NaN fails too
-            raise NumericalFailure(f"beam power drifted by {drift / beam.power:.3e} (relative) at bounce {k}")
-        if loss_accounting:
-            scale = geom.reflectivity**k * 0.05 * beam.power / total
-        else:
-            scale = 1.0 / total
-        rows.append(intensity * scale)
-        if k < n_kicks:  # no output reads the field after the last tap
-            samples = np.fft.ifft(spectrum * kernel)
-    return FarFieldImage(rows=np.stack(rows), window_periods=window_periods_of(beam, geom.period_m),
-                         hbar_eff=hbar.hbar_eff)
+    image = np.empty((n_kicks, beam.samples.size))
+
+    def tap(kick: int, rows: np.ndarray) -> None:
+        image[kick - 1] = rows[0]
+
+    _bounce(geom, [mirror], beam, n_kicks, loss_accounting, tap)
+    return FarFieldImage(rows=image, window_periods=window_periods_of(beam, geom.period_m),
+                         hbar_eff=hbar_from_geometry(geom).hbar_eff)
+
+
+def _ladders(orders: np.ndarray, probs: np.ndarray, hbar: EffectivePlanck) -> list[MomentumLadder]:
+    """One ladder per row of binned probabilities, all sharing `orders`.
+
+    Each row is divided by its (ulp-off) sum once more, as row_order_ladder
+    always did; the optical artifacts keep their bytes through this division.
+    """
+    probs /= probs.sum(axis=1, keepdims=True)
+    return [MomentumLadder(beta=0.0, orders=orders, probabilities=row, hbar=hbar, grid_periods=1)
+            for row in probs]
 
 
 def image_ladders(image: FarFieldImage) -> list[MomentumLadder]:
     """Order ladder of every row, in kick order; the ladders share one orders array."""
     orders, probs = _bin_orders(image.rows, image.window_periods)
     orders.flags.writeable = False
-    probs /= probs.sum(axis=1, keepdims=True)
-    hbar = EffectivePlanck(image.hbar_eff)
-    return [MomentumLadder(beta=0.0, orders=orders, probabilities=row, hbar=hbar, grid_periods=1)
-            for row in probs]
+    return _ladders(orders, probs, EffectivePlanck(image.hbar_eff))
+
+
+def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField,
+                   n_kicks: int, loss_accounting: bool) -> list[list[MomentumLadder]]:
+    """Per-kick order ladders of one bounce run per mirror, in mirror order.
+
+    Each ladder is bitwise the one `image_ladders(bounce_simulation(...))`
+    gives for that mirror alone, and all of them share one read-only orders
+    array. The runs propagate as the rows of one batch, in chunks of at most
+    BATCH_CELLS rows x beam samples, and each kick's rows are binned at once,
+    so no full-resolution image is kept. A drifting row raises
+    NumericalFailure naming its mirror's n_levels and the bounce.
+    """
+    if n_kicks < 1:
+        raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
+    window_periods = window_periods_of(beam, geom.period_m)
+    hbar = hbar_from_geometry(geom)
+    ladders: list[list[MomentumLadder]] = [[] for _ in mirrors]
+    orders = None  # binned by the first tap, then shared by every ladder
+    size = max(1, evolution.BATCH_CELLS // beam.samples.size)
+    for lo in range(0, len(mirrors), size):
+        chunk = mirrors[lo:lo + size]
+
+        def tap(_kick: int, rows: np.ndarray) -> None:
+            nonlocal orders
+            binned, probs = _bin_orders(rows, window_periods)
+            if orders is None:
+                orders = binned
+                orders.flags.writeable = False
+            for i, ladder in enumerate(_ladders(orders, probs, hbar)):
+                ladders[lo + i].append(ladder)
+
+        try:
+            _bounce(geom, chunk, beam, n_kicks, loss_accounting, tap)
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"bounce run n_levels={chunk[exc.row].n_levels}: {exc}") from None
+    return ladders
 
 
 def row_order_probabilities(image: FarFieldImage, kick: int) -> tuple[np.ndarray, np.ndarray]:

@@ -211,7 +211,7 @@ GRIDS = (GRID, SpatialGrid(1, 34), SpatialGrid(2, 50))
        rows=st.integers(min_value=1, max_value=9))
 def test_scan_rows_equal_single_runs_bitwise(grid, runs, alpha, phi, beta, kicks_at, rows):
     runs = [(RatchetPotential(K=k, alpha=alpha, phi=phi), EffectivePlanck(h)) for k, h in runs]
-    with mock.patch("ratchet_lab.evolution.SCAN_BATCH_CELLS", rows * grid.n):
+    with mock.patch("ratchet_lab.evolution.BATCH_CELLS", rows * grid.n):
         batched = list(scan_ladders(grid, beta, runs, kicks_at))
     assert sorted((run, kick) for run, kick, _ in batched) == sorted(
         (run, kick) for run in range(len(runs)) for kick in set(kicks_at))
@@ -236,7 +236,7 @@ def test_scan_norm_guard_names_the_row(pot, monkeypatch, rows):
         return phase + 1e-3j if h.hbar_eff == lossy_hbar else phase
 
     monkeypatch.setattr(evolution, "kick_phase_profile", lossy)
-    monkeypatch.setattr(evolution, "SCAN_BATCH_CELLS", rows * GRID.n)
+    monkeypatch.setattr(evolution, "BATCH_CELLS", rows * GRID.n)
     runs = [(pot, EffectivePlanck(h * math.pi)) for h in (0.25, 0.3, 0.35, 0.4)]
     expected = rf"^scan run hbar_eff={re.escape(repr(lossy_hbar))} K=1\.0: norm drifted by .* at kick 1$"
     with pytest.raises(NumericalFailure, match=expected):

@@ -6,7 +6,6 @@ import pytest
 from ratchet_lab.config import parse_config
 from ratchet_lab.experiments import (
     QUANTIZATION_SWEEP,
-    bounce_image,
     compare_engines,
     crop_image,
     optical_kick_ladders,
@@ -18,7 +17,7 @@ from ratchet_lab.experiments import (
 )
 from ratchet_lab.cli import main
 from ratchet_lab.fileio import read_pgm
-from ratchet_lab.optics import FarFieldImage, render_ccd
+from ratchet_lab.optics import FarFieldImage, bounce_ladders, render_ccd
 from ratchet_lab.observables import mean_momentum, mean_square_momentum
 
 
@@ -193,7 +192,7 @@ def test_fig4_csv_independent_of_chunking(tmp_path, monkeypatch, fft_calls, rows
                    scan_hbar_step="0.1pi", scan_kicks_at="5,2")
     run_fig4(cfg, tmp_path / "batch")
     assert fft_calls["fft"] == 5
-    monkeypatch.setattr(evolution, "SCAN_BATCH_CELLS", rows * cfg.grid().n)
+    monkeypatch.setattr(evolution, "BATCH_CELLS", rows * cfg.grid().n)
     run_fig4(cfg, tmp_path / "chunked")
     assert fft_calls["fft"] == 5 + 5 * math.ceil(22 / rows)
     batch = (tmp_path / "batch" / "fig4_scan.csv").read_bytes()
@@ -202,19 +201,22 @@ def test_fig4_csv_independent_of_chunking(tmp_path, monkeypatch, fft_calls, rows
 
 # --- engine comparison ---------------------------------------------------------
 
-def test_compare_engines_report(tmp_path, monkeypatch):
+def test_compare_engines_report(tmp_path, monkeypatch, fft_calls):
     import ratchet_lab.experiments as experiments
 
-    bounces = []
+    batches = []
 
-    def counted(*args, **kwargs):
-        bounces.append(args)
-        return bounce_image(*args, **kwargs)
+    def counted(geom, mirrors, *args, **kwargs):
+        batches.append([mirror.n_levels for mirror in mirrors])
+        return bounce_ladders(geom, mirrors, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "bounce_image", counted)
+    monkeypatch.setattr(experiments, "bounce_ladders", counted)
     cfg = cfg_with(beam_periods=256, beam_width=32 * 600e-6, n_kicks=22)
     report = compare_engines(cfg, tmp_path)
-    assert len(bounces) == 1 + len(QUANTIZATION_SWEEP)  # continuous mirror, then one per level
+    # one batch: the continuous mirror, then one row per level
+    assert batches == [["continuous", *QUANTIZATION_SWEEP]]
+    # 22 kicks of the quantum run (22 + 22), 22 bounces of the batch (22 + 21)
+    assert (fft_calls["fft"], fft_calls["ifft"]) == (44, 43)
     assert max(report["per_kick_linf"]) < 1e-2
     sweep = report["sweep_tv"]
     values = [sweep[n] for n in (2, 4, 8, 16, 32, 64)]

@@ -1,5 +1,6 @@
 import math
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ratchet_lab.optics import (
     BeamField,
     OpticalGeometry,
     apply_mirror,
+    bounce_ladders,
     bounce_simulation,
     deflection_check,
     distance_for_hbar,
@@ -228,11 +230,10 @@ def stepwise_rows(geom, mirror, beam, n_kicks, loss_accounting):
     return np.stack(rows)
 
 
-def bounce_case(hbar_eff, window_periods, samples_per_period, n_levels="continuous"):
+def bounce_case(hbar_eff, window_periods, samples_per_period, n_levels="continuous", pot=RatchetPotential()):
     hbar = EffectivePlanck(hbar_eff)
     geom = OpticalGeometry(LAM, PERIOD, distance_for_hbar(hbar, LAM, PERIOD), 0.3, 0.95)
-    mirror = ratchet_mirror(RatchetPotential(), hbar_from_geometry(geom), LAM, PERIOD,
-                            samples_per_period, n_levels)
+    mirror = ratchet_mirror(pot, hbar_from_geometry(geom), LAM, PERIOD, samples_per_period, n_levels)
     beam = gaussian_beam(PERIOD, window_periods, samples_per_period,
                          window_periods / 4 * PERIOD, LAM, power=1.5)
     return geom, mirror, beam
@@ -292,6 +293,102 @@ def test_bounce_nan_power_fails_the_guard(monkeypatch):
     geom, mirror, beam = bounce_case(0.5 * math.pi, 16, 64)
     with pytest.raises(NumericalFailure, match=r"^beam power drifted by nan \(relative\) at bounce 1$"):
         bounce_simulation(geom, mirror, beam, 3)
+
+
+def test_cli_optical_odd_window_equals_step_composition_bytes(tmp_path):
+    # 9 periods x 65 samples: an odd n, so the focal-plane half swap is uneven
+    from ratchet_lab.cli import main
+    from ratchet_lab.config import parse_config
+    from ratchet_lab.experiments import write_panel
+
+    flags = {"hbar": "0.35pi", "beam_periods": "9", "beam_points_per_period": "65"}
+    assert main(["optical", *(f"--{k}={v}" for k, v in flags.items()), "--out", str(tmp_path / "cli")]) == 0
+    cfg = parse_config("", flags)
+    geom = cfg.geometry(distance=distance_for_hbar(EffectivePlanck(cfg.hbar), cfg.wavelength, cfg.period))
+    mirror = ratchet_mirror(cfg.potential(), hbar_from_geometry(geom), cfg.wavelength, cfg.period,
+                            cfg.beam_points_per_period, cfg.n_levels)
+    beam = gaussian_beam(cfg.period, cfg.beam_periods, cfg.beam_points_per_period, cfg.beam_width,
+                         cfg.wavelength)
+    assert beam.samples.size == 585
+    image = FarFieldImage(rows=stepwise_rows(geom, mirror, beam, cfg.n_kicks, False),
+                          window_periods=9, hbar_eff=hbar_from_geometry(geom).hbar_eff)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    write_panel(ref / "orders.csv", ref / "ccd.pgm", image, image_ladders(image), cfg,
+                [f"hbar={cfg.hbar!r} n_levels={cfg.n_levels}"])
+    for name in ("orders.csv", "ccd.pgm"):
+        assert (tmp_path / "cli" / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(K=st.floats(min_value=0.0, max_value=3.0),
+       alpha=st.floats(min_value=0.0, max_value=1.0),
+       phi=st.floats(min_value=0.0, max_value=2 * math.pi),
+       levels=st.lists(st.sampled_from(["continuous", 2, 4, 8, 16, 64]), min_size=1, max_size=7),
+       window_periods=st.integers(min_value=8, max_value=40),
+       samples_per_period=st.sampled_from([64, 65, 96, 128]),
+       n_kicks=st.integers(min_value=1, max_value=8),
+       loss_accounting=st.booleans(),
+       rows=st.integers(min_value=1, max_value=8))
+def test_bounce_ladders_equal_single_runs_bitwise(K, alpha, phi, levels, window_periods, samples_per_period,
+                                                  n_kicks, loss_accounting, rows):
+    pot = RatchetPotential(K=K, alpha=alpha, phi=phi)
+    geom, _, beam = bounce_case(0.5 * math.pi, window_periods, samples_per_period, pot=pot)
+    mirrors = [ratchet_mirror(pot, hbar_from_geometry(geom), LAM, PERIOD, samples_per_period, n_levels)
+               for n_levels in levels]
+    # chunks of `rows` mirrors: one row, uneven tails, or the whole batch
+    with mock.patch("ratchet_lab.evolution.BATCH_CELLS", rows * beam.samples.size):
+        batched = bounce_ladders(geom, mirrors, beam, n_kicks, loss_accounting)
+    assert len(batched) == len(mirrors)
+    assert not batched[0][0].orders.flags.writeable
+    for mirror, ladders in zip(mirrors, batched):
+        single = image_ladders(bounce_simulation(geom, mirror, beam, n_kicks, loss_accounting))
+        assert len(ladders) == n_kicks
+        for got, want in zip(ladders, single):
+            assert got.orders is batched[0][0].orders
+            assert got.orders.tobytes() == want.orders.tobytes()
+            assert got.probabilities.tobytes() == want.probabilities.tobytes()
+            assert (got.beta, got.hbar, got.grid_periods) == (want.beta, want.hbar, want.grid_periods)
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_bounce_batch_guard_names_the_row(monkeypatch, tmp_path, capsys, rows):
+    import ratchet_lab.evolution as evolution
+    import ratchet_lab.optics as optics
+    from ratchet_lab.cli import main
+
+    def lossy(mirror, wavelength_m):
+        phase = phase_from_depth(mirror, wavelength_m)
+        return phase + 1e-3j if mirror.n_levels == 16 else phase
+
+    monkeypatch.setattr(optics, "phase_from_depth", lossy)
+    geom, _, beam = bounce_case(0.5 * math.pi, 16, 64)
+    monkeypatch.setattr(evolution, "BATCH_CELLS", rows * beam.samples.size)
+    mirrors = [ratchet_mirror(RatchetPotential(), hbar_from_geometry(geom), LAM, PERIOD, 64, n_levels)
+               for n_levels in ("continuous", 4, 16, 64)]
+    expected = r"^bounce run n_levels=16: beam power drifted by .* \(relative\) at bounce 1$"
+    with pytest.raises(NumericalFailure, match=expected):
+        bounce_ladders(geom, mirrors, beam, 3, loss_accounting=False)
+    out = tmp_path / "compare"
+    assert main(["compare", "--hbar=0.5pi", "--n_kicks=3", "--beam_periods=16",
+                 "--beam_points_per_period=64", "--out", str(out)]) == 3
+    assert "numerical failure: bounce run n_levels=16: beam power drifted" in capsys.readouterr().err
+    assert not (out / "compare_engines.csv").exists()
+
+
+@pytest.mark.parametrize("m", [1, 3, 7])
+@pytest.mark.parametrize("n", [256, 585, 8192, 65536])
+def test_batched_in_place_fft_equals_per_row_bitwise(n, m):
+    # the engines transform (rows, n) batches, the beam engine in place; a
+    # numpy upgrade that broke this equality would move artifact bits
+    rng = np.random.default_rng(n + m)
+    a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    for transform in (np.fft.fft, np.fft.ifft):
+        in_place = a.copy()
+        transform(in_place, out=in_place)
+        for batch in (transform(a), in_place):
+            for row, ref in zip(batch, a):
+                assert row.tobytes() == transform(ref).tobytes()
 
 
 def test_bounce_correspondence_moderate_beam(pot, hbar_res):
