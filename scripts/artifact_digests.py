@@ -1,0 +1,46 @@
+#!/usr/bin/env python3
+"""sha256 of every artifact the reference CLI runs write, one line per file.
+
+    PYTHONPATH=src python scripts/artifact_digests.py > digests.txt
+
+Each argv in ARGVS runs through `ratchet_lab.cli.main` into its own temporary
+directory, and the script prints `sha256  <argv-label>/<file>` for every file
+written, sorted by label and name. Byte identity between two checkouts is
+then a `diff` of their outputs.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from ratchet_lab.cli import main as cli_main
+
+ARGVS = (
+    ("figs", "--hbar=0.5pi"),
+    ("scan", "--hbar=0.5pi", "--fixed-kick-phase"),
+    ("scan", "--hbar=0.5pi", "--scan_mode=both"),
+    ("compare", "--hbar=0.5pi"),
+    ("evolve", "--distance=0.169172", "--n_kicks=22"),
+    ("optical", "--hbar=0.35pi", "--n_levels=16"),
+)
+
+
+def digest_lines(argvs=ARGVS) -> list[str]:
+    """`sha256  <argv-label>/<file>` for every artifact of every argv; raises if a run fails."""
+    lines = []
+    for argv in argvs:
+        label = " ".join(argv)
+        with tempfile.TemporaryDirectory() as tmp:
+            code = cli_main([*argv, f"--out={tmp}"])
+            if code != 0:
+                raise RuntimeError(f"`{label}` exited {code}")
+            for path in sorted(Path(tmp).rglob("*")):
+                if path.is_file():
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    lines.append(f"{digest}  {label}/{path.relative_to(tmp).as_posix()}")
+    return lines
+
+
+if __name__ == "__main__":
+    sys.stdout.write("".join(line + "\n" for line in digest_lines()))

@@ -221,25 +221,31 @@ def momentum_spectrum(state: WaveState, hbar: EffectivePlanck | None = None) -> 
 
 def _propagate(u: np.ndarray, kick: np.ndarray, flight: np.ndarray, dx: float,
                kicks: range, tap: Callable[[int, np.ndarray], None]) -> np.ndarray:
-    """Flashing periods on the last axis of `u` (one row per run); returns the final rows.
+    """Flashing periods on the last axis of `u` (one row per run), in place; returns `u`.
 
-    Callers build the kick and flight factors once per run; the transform
-    handed to `tap(kick, spectrum)` is also the forward transform of the
-    flight. A row whose norm drifts beyond NORM_TOL after a kick raises
-    NumericalFailure naming the kick, with `row` set to that row's index.
+    `u` is overwritten, so callers hand in an array of their own. Callers
+    build the kick and flight factors once per run; the transform handed to
+    `tap(kick, spectrum)` is `u` itself, also the forward transform of the
+    flight, so the tap must copy what it keeps. A row whose norm drifts
+    beyond NORM_TOL after a kick raises NumericalFailure naming the kick,
+    with `row` set to that row's index.
     """
+    power = np.empty(u.shape)
     for k in kicks:
-        u = u * kick
-        drift = np.abs(np.sum(np.abs(u) ** 2, axis=-1) * dx - 1.0)
+        # u stays the left operand: complex SIMD multiply is not bitwise commutative
+        np.multiply(u, kick, out=u)
+        np.abs(u, out=power)
+        np.square(power, out=power)
+        drift = np.abs(power.sum(axis=-1) * dx - 1.0)
         bad = np.flatnonzero(~(drift <= NORM_TOL))  # NaN fails too
         if bad.size:
             failure = NumericalFailure(f"norm drifted by {drift.flat[bad[0]]:.3e} at kick {k}")
             failure.row = int(bad[0])
             raise failure
-        spectrum = np.fft.fft(u)
-        tap(k, spectrum)
-        spectrum *= flight
-        u = np.fft.ifft(spectrum)
+        np.fft.fft(u, out=u)
+        tap(k, u)
+        np.multiply(u, flight, out=u)
+        np.fft.ifft(u, out=u)
     return u
 
 
@@ -263,7 +269,7 @@ def evolve(
         if record is not None:
             record(kick, _ladder(spectrum, orders, grid, state.beta, params.hbar))
 
-    u = _propagate(state.amplitudes, _kick_factor(params.potential, params.hbar, grid),
+    u = _propagate(state.amplitudes.copy(), _kick_factor(params.potential, params.hbar, grid),
                    _flight_factor(grid, state.beta, params.hbar), grid.dx,
                    range(state.kick_count + 1, state.kick_count + params.n_kicks + 1), tap)
     return replace(state, amplitudes=u, kick_count=state.kick_count + params.n_kicks)

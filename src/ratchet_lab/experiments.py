@@ -98,8 +98,8 @@ def optical_kick_ladders(cfg: RunConfig, hbar_eff: float, n_kicks: int,
 def ladder_csv_rows(ladders: list[MomentumLadder], max_order: int):
     for k, lad in enumerate(ladders, start=1):
         keep = np.abs(lad.orders) <= max_order
-        for n, p in zip(lad.orders[keep], lad.probabilities[keep]):
-            yield (k, int(n), float(p))
+        for n, p in zip(lad.orders[keep].tolist(), lad.probabilities[keep].tolist()):
+            yield (k, n, p)
 
 
 def crop_image(image: FarFieldImage, max_order: int) -> FarFieldImage:
@@ -180,7 +180,7 @@ def run_fig3(cfg: RunConfig, out_dir: str | Path) -> dict:
         final = ladders[-1]
         keep = np.abs(final.orders) <= cfg.max_order
         write_csv(out / f"fig3_dist22_{tag}.csv", ["order", "probability"],
-                  zip(final.orders[keep], final.probabilities[keep]),
+                  zip(final.orders[keep].tolist(), final.probabilities[keep].tolist()),
                   comments=[f"hbar={hbar_eff!r} kick={cfg.n_kicks}"])
         results[tag] = {"hbar_eff": hbar_eff, "ladders": ladders, "stats": stats,
                         "p_fit": p_fit, "p2_fit": p2_fit}

@@ -1,7 +1,8 @@
 """Deterministic writers: CSV, binary PGM, NDJSON.
 
 Floats are serialized with repr (shortest round-trip form), so identical runs
-produce byte-identical files.
+produce byte-identical files. The writers take numpy scalars too, but are
+fastest on Python scalars: hand them rows built from `.tolist()`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ __all__ = ["fmt", "write_csv", "write_pgm", "read_pgm", "write_ndjson"]
 
 
 def fmt(value) -> str:
+    kind = type(value)
+    if kind is float:
+        return repr(value)
+    if kind is int or kind is str:
+        return str(value)
     if isinstance(value, (np.floating, float)):
         return repr(float(value))
     if isinstance(value, (np.integer, int)):
@@ -26,7 +32,7 @@ def write_csv(path: str | Path, columns: list[str], rows, comments: list[str] | 
     lines = [f"# {c}" for c in (comments or [])]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        lines.append(",".join(map(fmt, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -240,20 +240,24 @@ def far_field(field: BeamField, focal_m: float) -> tuple[np.ndarray, float]:
     return _focal_plane(np.fft.fft(field.samples)), field.wavelength_m * focal_m / field.window_m
 
 
-def _bin_orders(rows: np.ndarray, window_periods: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orders and per-row probabilities of (kicks, n) focal-plane rows, through one fine-bin -> order map."""
-    n = rows.shape[1]
-    orders = np.rint((np.arange(n) - n // 2) / window_periods).astype(int)
-    idx = orders - orders[0]
+def _order_map(n: int, window_periods: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending orders of n focal-plane columns (zero order at column n//2) and the
+    fine-column -> order map, as each column's index into those orders."""
+    nearest = np.rint((np.arange(n) - n // 2) / window_periods).astype(int)
+    return np.arange(nearest[0], nearest[-1] + 1), nearest - nearest[0]
+
+
+def _bin_orders(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per-row order probabilities of (kicks, n) focal-plane rows, summed through the map `idx`."""
     sums = np.stack([np.bincount(idx, weights=row) for row in rows])
-    return np.arange(orders[0], orders[0] + sums.shape[1]), sums / sums.sum(axis=1, keepdims=True)
+    return sums / sums.sum(axis=1, keepdims=True)
 
 
 def order_probabilities(field: BeamField, period_m: float) -> tuple[np.ndarray, np.ndarray]:
     """Far-field probability per grating order (fine bins summed to nearest order)."""
     intensity, _ = far_field(field, 1.0)
-    orders, probs = _bin_orders(intensity[None], window_periods_of(field, period_m))
-    return orders, probs[0]
+    orders, idx = _order_map(intensity.size, window_periods_of(field, period_m))
+    return orders, _bin_orders(intensity[None], idx)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,9 +364,9 @@ def _ladders(orders: np.ndarray, probs: np.ndarray, hbar: EffectivePlanck) -> li
 
 def image_ladders(image: FarFieldImage) -> list[MomentumLadder]:
     """Order ladder of every row, in kick order; the ladders share one orders array."""
-    orders, probs = _bin_orders(image.rows, image.window_periods)
+    orders, idx = _order_map(image.rows.shape[1], image.window_periods)
     orders.flags.writeable = False
-    return _ladders(orders, probs, EffectivePlanck(image.hbar_eff))
+    return _ladders(orders, _bin_orders(image.rows, idx), EffectivePlanck(image.hbar_eff))
 
 
 def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField,
@@ -372,27 +376,23 @@ def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam
     Each ladder is bitwise the one `image_ladders(bounce_simulation(...))`
     gives for that mirror alone, and all of them share one read-only orders
     array. The runs propagate as the rows of one batch, in chunks of at most
-    BATCH_CELLS rows x beam samples, and each kick's rows are binned at once,
-    so no full-resolution image is kept. A drifting row raises
-    NumericalFailure naming its mirror's n_levels and the bounce.
+    BATCH_CELLS rows x beam samples, and each kick's rows are binned at once
+    through one order map built per call, so no full-resolution image is kept.
+    A drifting row raises NumericalFailure naming its mirror's n_levels and
+    the bounce.
     """
     if n_kicks < 1:
         raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
-    window_periods = window_periods_of(beam, geom.period_m)
+    orders, idx = _order_map(beam.samples.size, window_periods_of(beam, geom.period_m))
+    orders.flags.writeable = False
     hbar = hbar_from_geometry(geom)
     ladders: list[list[MomentumLadder]] = [[] for _ in mirrors]
-    orders = None  # binned by the first tap, then shared by every ladder
     size = max(1, evolution.BATCH_CELLS // beam.samples.size)
     for lo in range(0, len(mirrors), size):
         chunk = mirrors[lo:lo + size]
 
         def tap(_kick: int, rows: np.ndarray) -> None:
-            nonlocal orders
-            binned, probs = _bin_orders(rows, window_periods)
-            if orders is None:
-                orders = binned
-                orders.flags.writeable = False
-            for i, ladder in enumerate(_ladders(orders, probs, hbar)):
+            for i, ladder in enumerate(_ladders(orders, _bin_orders(rows, idx), hbar)):
                 ladders[lo + i].append(ladder)
 
         try:
@@ -404,8 +404,8 @@ def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam
 
 def row_order_probabilities(image: FarFieldImage, kick: int) -> tuple[np.ndarray, np.ndarray]:
     """Order distribution of row `kick` (1-based, matching kick count)."""
-    orders, probs = _bin_orders(image.rows[kick - 1:kick], image.window_periods)
-    return orders, probs[0]
+    orders, idx = _order_map(image.rows.shape[1], image.window_periods)
+    return orders, _bin_orders(image.rows[kick - 1:kick], idx)[0]
 
 
 def row_order_ladder(image: FarFieldImage, kick: int) -> MomentumLadder:

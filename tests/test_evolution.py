@@ -196,6 +196,26 @@ def test_ladders_of_a_run_share_one_read_only_orders_array(pot, hbar_res):
         assert np.array_equal(ladders[0].orders, np.fft.fftshift(grid.mode_numbers))
 
 
+def test_engines_leave_caller_arrays_unchanged(pot, hbar_res, monkeypatch):
+    import ratchet_lab.evolution as evolution
+
+    state = state_from_orders(GRID, {0: 1.0, 1: 0.5j}, beta=0.2)
+    before = state.amplitudes.tobytes()
+    evolve(state, KickedRunParams(pot, hbar_res, 5), lambda k, lad: None)
+    assert state.amplitudes.tobytes() == before
+
+    starts = []
+
+    def recorded_plane_wave(grid, beta=0.0, order=0):
+        starts.append(plane_wave(grid, beta, order))
+        return starts[-1]
+
+    monkeypatch.setattr(evolution, "plane_wave", recorded_plane_wave)
+    list(scan_ladders(GRID, 0.2, [(pot, hbar_res)] * 3, (1, 4)))
+    assert len(starts) == 1
+    assert starts[0].amplitudes.tobytes() == plane_wave(GRID, 0.2).amplitudes.tobytes()
+
+
 GRIDS = (GRID, SpatialGrid(1, 34), SpatialGrid(2, 50))
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 from ratchet_lab.config import parse_config
@@ -32,3 +33,13 @@ def test_current_growth_study_trajectory():
     ladders = quantum_kick_ladders(cfg, cfg.hbar, 3)
     assert rows == [(k, mean_momentum(lad), mean_square_momentum(lad))
                     for k, lad in enumerate(ladders, start=1)]
+
+
+def test_artifact_digests_lines_repeat():
+    digests = load_script("artifact_digests")
+    argvs = [("evolve", "--hbar=0.5pi", "--n_kicks=3")]
+    lines = digests.digest_lines(argvs)
+    label = re.escape("evolve --hbar=0.5pi --n_kicks=3")
+    assert [re.fullmatch(rf"[0-9a-f]{{64}}  {label}/([\w.]+)", line)[1] for line in lines] == [
+        "run_manifest", "spectra.ndjson", "stats.csv"]
+    assert digests.digest_lines(argvs) == lines
