@@ -5,14 +5,19 @@
 
 Each argv in ARGVS runs through `ratchet_lab.cli.main` into its own temporary
 directory, and the script prints `sha256  <argv-label>/<file>` for every file
-written, sorted by label and name. Byte identity between two checkouts is
-then a `diff` of their outputs.
+written, sorted by label and name, after two `#` lines naming the numpy
+version and the machine. Byte identity between two checkouts is then a `diff`
+of their outputs. The same output, checked in as `tests/golden_digests.txt`,
+is what the test suite compares every artifact against.
 """
 
 import hashlib
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from ratchet_lab.cli import main as cli_main
 
@@ -42,5 +47,10 @@ def digest_lines(argvs=ARGVS) -> list[str]:
     return lines
 
 
+def header_lines() -> list[str]:
+    """The numpy version and the machine the digests were made with: float bits may differ on others."""
+    return [f"# numpy {np.__version__}", f"# machine {platform.machine()}"]
+
+
 if __name__ == "__main__":
-    sys.stdout.write("".join(line + "\n" for line in digest_lines()))
+    sys.stdout.write("".join(line + "\n" for line in header_lines() + digest_lines()))

@@ -4,13 +4,19 @@ One flashing period is a position-space phase kick followed by a
 momentum-space free flight. The state stores the periodic part
 u(x) = psi(x) * exp(-i*beta*x), so the quasimomentum beta enters the free
 flight as an exact diagonal parameter instead of a grid offset.
+
+`_split_step` is the one propagation core of both engines: it runs batches
+of runs in place, in chunks, through the kick/FFT/tap/flight/IFFT loop, and
+holds the drift guard that names a failing run. `evolve` and `scan_ladders`
+feed it the kick and flight factors; `optics` feeds it the mirror reflection
+and the Fresnel kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -33,8 +39,12 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-8  # norm drift beyond this signals an implementation bug
+_NORM_DRIFT = "norm drifted by {:.3e} at kick {}"
 # Rows x samples a batched scan or bounce propagates at once (8 MiB per complex array).
 BATCH_CELLS = 1 << 19
+
+
+_Run = TypeVar("_Run")
 
 
 class NumericalFailure(RuntimeError):
@@ -219,34 +229,63 @@ def momentum_spectrum(state: WaveState, hbar: EffectivePlanck | None = None) -> 
     return _ladder(np.fft.fft(state.amplitudes), _orders(state.grid), state.grid, state.beta, hbar)
 
 
-def _propagate(u: np.ndarray, kick: np.ndarray, flight: np.ndarray, dx: float,
-               kicks: range, tap: Callable[[int, np.ndarray], None]) -> np.ndarray:
-    """Flashing periods on the last axis of `u` (one row per run), in place; returns `u`.
+def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], np.ndarray],
+                flight: np.ndarray | Callable[[_Run], np.ndarray], kicks: range, dx: float, norm: float,
+                drift_message: str, name: Callable[[_Run], str], flight_after_last: bool = False
+                ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Kick/flight periods of every run from the field `start`, one batch row per run.
 
-    `u` is overwritten, so callers hand in an array of their own. Callers
-    build the kick and flight factors once per run; the transform handed to
-    `tap(kick, spectrum)` is `u` itself, also the forward transform of the
-    flight, so the tap must copy what it keeps. A row whose norm drifts
-    beyond NORM_TOL after a kick raises NumericalFailure naming the kick,
-    with `row` set to that row's index.
+    Each period multiplies by the run's position-space factor `kick(run)`,
+    takes the forward FFT, taps, multiplies by the momentum-space factor and
+    takes the inverse FFT, all in place. `flight` is one factor shared by
+    every run or, like `kick`, built per run. The runs propagate in chunks of
+    at most BATCH_CELLS rows x samples, and the buffers are built once and
+    reused by every chunk. At each tap the core yields (index of the chunk's
+    first run, kick, spectrum, power, totals): the spectrum is the chunk's
+    field itself, power its fftshifted |spectrum|^2 (zero order at column
+    n//2) and totals the row sums of power. The spectrum and power buffers
+    are reused, so the consumer copies what it keeps. Control returns at
+    every tap, so no chunk's results pile up. The flight after the last tap
+    is skipped, as nothing reads the field, unless `flight_after_last`; then
+    the last yielded spectrum holds the final field once the generator ends.
+
+    A row whose power, totals * dx / n by Parseval, drifts from `norm` by more
+    than NORM_TOL relative, or is not finite, raises NumericalFailure with
+    text name(run) + drift_message.format(relative drift, kick).
     """
-    power = np.empty(u.shape)
-    for k in kicks:
-        # u stays the left operand: complex SIMD multiply is not bitwise commutative
-        np.multiply(u, kick, out=u)
-        np.abs(u, out=power)
-        np.square(power, out=power)
-        drift = np.abs(power.sum(axis=-1) * dx - 1.0)
-        bad = np.flatnonzero(~(drift <= NORM_TOL))  # NaN fails too
-        if bad.size:
-            failure = NumericalFailure(f"norm drifted by {drift.flat[bad[0]]:.3e} at kick {k}")
-            failure.row = int(bad[0])
-            raise failure
-        np.fft.fft(u, out=u)
-        tap(k, u)
-        np.multiply(u, flight, out=u)
-        np.fft.ifft(u, out=u)
-    return u
+    n = start.size
+    h = n // 2
+    size = min(len(runs), max(1, BATCH_CELLS // n))
+    field = np.empty((size, n), dtype=complex)
+    position = np.empty_like(field)
+    momentum = np.empty_like(field) if callable(flight) else np.broadcast_to(flight, field.shape)
+    power = np.empty(field.shape)
+    tol = NORM_TOL * norm
+    for lo in range(0, len(runs), size):
+        chunk = runs[lo:lo + size]
+        for i, run in enumerate(chunk):
+            position[i] = kick(run)
+            if callable(flight):
+                momentum[i] = flight(run)
+        u, pos, mom, p = (buffer[:len(chunk)] for buffer in (field, position, momentum, power))
+        u[:] = start
+        for k in kicks:
+            # u stays the left operand: complex SIMD multiply is not bitwise commutative
+            np.multiply(u, pos, out=u)
+            np.fft.fft(u, out=u)
+            # |fftshift(u)|^2 along the last axis only: the last h columns move to the front
+            np.abs(u[:, n - h:], out=p[:, :h])
+            np.abs(u[:, :n - h], out=p[:, h:])
+            np.square(p, out=p)
+            totals = p.sum(axis=1)
+            drift = np.abs(totals * dx / n - norm)
+            bad = np.flatnonzero(~(drift <= tol))  # NaN fails too
+            if bad.size:
+                raise NumericalFailure(name(chunk[bad[0]]) + drift_message.format(drift[bad[0]] / norm, k))
+            yield lo, k, u, p, totals
+            if k != kicks[-1] or flight_after_last:
+                np.multiply(u, mom, out=u)
+                np.fft.ifft(u, out=u)
 
 
 def evolve(
@@ -264,15 +303,15 @@ def evolve(
     """
     grid = state.grid
     orders = _orders(grid)
-
-    def tap(kick: int, spectrum: np.ndarray) -> None:
+    kicks = range(state.kick_count + 1, state.kick_count + params.n_kicks + 1)
+    for _lo, k, u, _power, _totals in _split_step(
+            state.amplitudes, [params], lambda run: _kick_factor(run.potential, run.hbar, grid),
+            _flight_factor(grid, state.beta, params.hbar), kicks, grid.dx, 1.0, _NORM_DRIFT,
+            lambda _run: "", flight_after_last=True):
         if record is not None:
-            record(kick, _ladder(spectrum, orders, grid, state.beta, params.hbar))
-
-    u = _propagate(state.amplitudes.copy(), _kick_factor(params.potential, params.hbar, grid),
-                   _flight_factor(grid, state.beta, params.hbar), grid.dx,
-                   range(state.kick_count + 1, state.kick_count + params.n_kicks + 1), tap)
-    return replace(state, amplitudes=u, kick_count=state.kick_count + params.n_kicks)
+            record(k, _ladder(u[0], orders, grid, state.beta, params.hbar))
+    # the flight after the last kick left the final field in u
+    return replace(state, amplitudes=u[0], kick_count=kicks[-1])
 
 
 def scan_ladders(grid: SpatialGrid, beta: float, runs: Sequence[tuple[RatchetPotential, EffectivePlanck]],
@@ -281,31 +320,19 @@ def scan_ladders(grid: SpatialGrid, beta: float, runs: Sequence[tuple[RatchetPot
 
     Each ladder is bitwise the one `evolve` records for that run alone. The
     runs propagate as the rows of one batch, in chunks of at most
-    BATCH_CELLS rows x grid points. A drifting row raises
-    NumericalFailure naming its hbar_eff, K and the kick.
+    BATCH_CELLS rows x grid points, and each ladder is yielded as soon as its
+    kick is tapped. A drifting row raises NumericalFailure naming its
+    hbar_eff, K and the kick.
     """
     wanted = set(kicks_at)
-    start = plane_wave(grid, beta).amplitudes
     orders = _orders(grid)
-    size = max(1, BATCH_CELLS // grid.n)
-    for lo in range(0, len(runs), size):
-        chunk = runs[lo:lo + size]
-        ladders: list[tuple[int, int, MomentumLadder]] = []
-
-        def tap(kick: int, spectrum: np.ndarray) -> None:
-            if kick in wanted:
-                ladders.extend((lo + i, kick, _ladder(row, orders, grid, beta, hbar))
-                               for i, (row, (_pot, hbar)) in enumerate(zip(spectrum, chunk)))
-
-        try:
-            _propagate(np.tile(start, (len(chunk), 1)),
-                       np.stack([_kick_factor(pot, hbar, grid) for pot, hbar in chunk]),
-                       np.stack([_flight_factor(grid, beta, hbar) for _pot, hbar in chunk]),
-                       grid.dx, range(1, max(wanted) + 1), tap)
-        except NumericalFailure as exc:
-            pot, hbar = chunk[exc.row]
-            raise NumericalFailure(f"scan run hbar_eff={hbar.hbar_eff!r} K={pot.K!r}: {exc}") from None
-        yield from ladders
+    for lo, k, spectrum, _power, _totals in _split_step(
+            plane_wave(grid, beta).amplitudes, runs, lambda run: _kick_factor(*run, grid),
+            lambda run: _flight_factor(grid, beta, run[1]), range(1, max(wanted) + 1), grid.dx, 1.0,
+            _NORM_DRIFT, lambda run: f"scan run hbar_eff={run[1].hbar_eff!r} K={run[0].K!r}: "):
+        if k in wanted:
+            for i, row in enumerate(spectrum):
+                yield lo + i, k, _ladder(row, orders, grid, beta, runs[lo + i][1])
 
 
 def ladder_record(kick: int, ladder: MomentumLadder) -> dict:

@@ -23,7 +23,7 @@ def fmt(value) -> str:
         return str(value)
     if isinstance(value, (np.floating, float)):
         return repr(float(value))
-    if isinstance(value, (np.integer, int)):
+    if isinstance(value, (np.integer, np.bool_, int)):  # booleans write as 1/0
         return str(int(value))
     return str(value)
 

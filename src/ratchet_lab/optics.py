@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import evolution
-from .evolution import NORM_TOL, MomentumLadder, NumericalFailure
+from .evolution import MomentumLadder
 from .model import (
     EffectivePlanck,
     MirrorProfile,
@@ -273,53 +273,32 @@ class FarFieldImage:
 
 
 def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField, n_kicks: int,
-            loss_accounting: bool, tap: Callable[[int, np.ndarray], None]) -> None:
+            loss_accounting: bool, name: Callable[[MirrorProfile], str]
+            ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Bounce the beam n_kicks times off each mirror, one batch row per mirror.
 
-    After bounce k the scaled focal-plane rows, shape (mirrors, n) with the
-    zero order at column n//2, are handed to `tap(k, rows)`; the buffer is
-    reused, so the tap must copy what it keeps. The reflection table, the
-    Fresnel kernel and the buffers are built once, and the focal-plane
-    transform is also the forward transform of the flight. A row whose tapped
-    power (by Parseval) drifts from the input power by more than 1e-8
-    relative, or is not finite, raises NumericalFailure naming the bounce,
-    with `row` set to that row's index.
+    Yields (index of the chunk's first mirror, bounce k, rows) after each
+    bounce, with rows the chunk's scaled focal-plane intensities, zero order
+    at column n//2. The buffer is reused, so the consumer copies what it
+    keeps. The reflection table and the Fresnel kernel are built once, and the
+    focal-plane transform is also the forward transform of the flight. A row
+    whose tapped power (by Parseval) drifts from the input power by more than
+    1e-8 relative, or is not finite, raises NumericalFailure with text
+    name(mirror) + the drift and the bounce.
     """
+    if n_kicks < 1:
+        raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
     flight = distance_for_hbar(hbar_from_geometry(geom), geom.wavelength_m, geom.period_m)
-    kernel = _fresnel_kernel(beam, flight)
-    n = beam.samples.size
-    h = n // 2
-    reflect = np.empty((len(mirrors), n), dtype=complex)
-    for i, mirror in enumerate(mirrors):
-        reflect[i] = _reflection_factor(beam, mirror)
-    field = np.empty_like(reflect)
-    field[:] = beam.samples
-    rows = np.empty(reflect.shape)
-    for k in range(1, n_kicks + 1):
-        # field stays the left operand: complex SIMD multiply is not bitwise commutative
-        np.multiply(field, reflect, out=field)
-        np.fft.fft(field, out=field)
-        # |fftshift(field)|^2 along the last axis only: the last h columns move to the front
-        np.abs(field[:, n - h:], out=rows[:, :h])
-        np.abs(field[:, :n - h], out=rows[:, h:])
-        np.square(rows, out=rows)
-        totals = rows.sum(axis=1)
-        drift = np.abs(totals * beam.dx / n - beam.power)
-        bad = np.flatnonzero(~(drift <= NORM_TOL * beam.power))  # NaN fails too
-        if bad.size:
-            failure = NumericalFailure(
-                f"beam power drifted by {drift[bad[0]] / beam.power:.3e} (relative) at bounce {k}")
-            failure.row = int(bad[0])
-            raise failure
+    for lo, k, _spectrum, rows, totals in evolution._split_step(
+            beam.samples, mirrors, lambda mirror: _reflection_factor(beam, mirror),
+            _fresnel_kernel(beam, flight), range(1, n_kicks + 1), beam.dx, beam.power,
+            "beam power drifted by {:.3e} (relative) at bounce {}", name):
         if loss_accounting:
             scale = geom.reflectivity**k * 0.05 * beam.power / totals
         else:
             scale = 1.0 / totals
         rows *= scale[:, None]
-        tap(k, rows)
-        if k < n_kicks:  # no output reads the field after the last tap
-            field *= kernel
-            np.fft.ifft(field, out=field)
+        yield lo, k, rows
 
 
 def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamField,
@@ -339,14 +318,11 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     power (by Parseval) drifts from the input power by more than 1e-8
     relative, or is not finite.
     """
-    if n_kicks < 1:
-        raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
-    image = np.empty((n_kicks, beam.samples.size))
-
-    def tap(kick: int, rows: np.ndarray) -> None:
-        image[kick - 1] = rows[0]
-
-    _bounce(geom, [mirror], beam, n_kicks, loss_accounting, tap)
+    image = None
+    for _lo, k, rows in _bounce(geom, [mirror], beam, n_kicks, loss_accounting, lambda _mirror: ""):
+        if image is None:  # allocated once _bounce has checked n_kicks
+            image = np.empty((n_kicks, rows.shape[1]))
+        image[k - 1] = rows[0]
     return FarFieldImage(rows=image, window_periods=window_periods_of(beam, geom.period_m),
                          hbar_eff=hbar_from_geometry(geom).hbar_eff)
 
@@ -381,24 +357,14 @@ def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam
     A drifting row raises NumericalFailure naming its mirror's n_levels and
     the bounce.
     """
-    if n_kicks < 1:
-        raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
     orders, idx = _order_map(beam.samples.size, window_periods_of(beam, geom.period_m))
     orders.flags.writeable = False
     hbar = hbar_from_geometry(geom)
     ladders: list[list[MomentumLadder]] = [[] for _ in mirrors]
-    size = max(1, evolution.BATCH_CELLS // beam.samples.size)
-    for lo in range(0, len(mirrors), size):
-        chunk = mirrors[lo:lo + size]
-
-        def tap(_kick: int, rows: np.ndarray) -> None:
-            for i, ladder in enumerate(_ladders(orders, _bin_orders(rows, idx), hbar)):
-                ladders[lo + i].append(ladder)
-
-        try:
-            _bounce(geom, chunk, beam, n_kicks, loss_accounting, tap)
-        except NumericalFailure as exc:
-            raise NumericalFailure(f"bounce run n_levels={chunk[exc.row].n_levels}: {exc}") from None
+    for lo, _k, rows in _bounce(geom, mirrors, beam, n_kicks, loss_accounting,
+                                lambda mirror: f"bounce run n_levels={mirror.n_levels}: "):
+        for i, ladder in enumerate(_ladders(orders, _bin_orders(rows, idx), hbar)):
+            ladders[lo + i].append(ladder)
     return ladders
 
 

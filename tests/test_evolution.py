@@ -263,6 +263,30 @@ def test_scan_norm_guard_names_the_row(pot, monkeypatch, rows):
         list(scan_ladders(GRID, 0.0, runs, (5,)))
 
 
+def test_scan_yields_each_chunk_before_the_next_runs(pot, monkeypatch):
+    # a scan that built every chunk before yielding would raise at the first next()
+    import ratchet_lab.evolution as evolution
+
+    lossy_hbar = 0.35 * math.pi
+
+    def lossy(p, h, x):
+        phase = kick_phase_profile(p, h, x)
+        return phase + 1e-3j if h.hbar_eff == lossy_hbar else phase
+
+    monkeypatch.setattr(evolution, "kick_phase_profile", lossy)
+    monkeypatch.setattr(evolution, "BATCH_CELLS", GRID.n)
+    runs = [(pot, EffectivePlanck(h * math.pi)) for h in (0.25, 0.3, 0.35, 0.4)]
+    ladders = scan_ladders(GRID, 0.0, runs, (5,))
+    run, kick, ladder = next(ladders)
+    single = []
+    evolve(plane_wave(GRID), KickedRunParams(*runs[0], 5), lambda k, lad: single.append(lad))
+    assert (run, kick) == (0, 5)
+    assert ladder.probabilities.tobytes() == single[-1].probabilities.tobytes()
+    expected = rf"^scan run hbar_eff={re.escape(repr(lossy_hbar))} K=1\.0: norm drifted by .* at kick 1$"
+    with pytest.raises(NumericalFailure, match=expected):
+        list(ladders)
+
+
 def test_evolve_zero_strength_constant_spectra(hbar_res):
     rows = []
     evolve(plane_wave(GRID), KickedRunParams(RatchetPotential(K=0.0), hbar_res, 5),

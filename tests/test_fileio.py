@@ -11,10 +11,10 @@ from ratchet_lab.fileio import fmt, write_csv
 
 
 def reference_fmt(value) -> str:
-    """fmt as it was before its exact-type fast path; the byte reference."""
+    """fmt without its exact-type fast path; the byte reference. Booleans, numpy's too, write as 1/0."""
     if isinstance(value, (np.floating, float)):
         return repr(float(value))
-    if isinstance(value, (np.integer, int)):
+    if isinstance(value, (np.integer, np.bool_, int)):
         return str(int(value))
     return str(value)
 
@@ -38,19 +38,18 @@ def test_fmt_matches_reference(value):
 def csv_bytes(rows) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.csv"
-        write_csv(path, ["i", "x", "y", "z"], rows, comments=["c"])
+        write_csv(path, ["i", "x", "y", "z", "b"], rows, comments=["c"])
         return path.read_bytes()
 
 
-COLUMN_DTYPES = (np.int64, np.int32, np.float64, np.float32)
+COLUMN_DTYPES = (np.int64, np.int32, np.float64, np.float32, np.bool_)
 
 
 @given(data=st.lists(st.tuples(st.integers(min_value=-2**63, max_value=2**63 - 1),
                                st.integers(min_value=-2**31, max_value=2**31 - 1),
-                               st.floats() | EDGE_FLOATS, st.floats(width=32)),
+                               st.floats() | EDGE_FLOATS, st.floats(width=32), st.booleans()),
                      min_size=1, max_size=20))
 def test_write_csv_numpy_rows_match_tolist_twin(data):
-    # np.bool_ is left out: it writes "True" where its .tolist() twin writes "1"
     columns = [np.array(col, dtype=dtype) for col, dtype in zip(zip(*data), COLUMN_DTYPES)]
     numpy_rows = list(zip(*columns))
     assert csv_bytes(numpy_rows) == csv_bytes(list(zip(*(col.tolist() for col in columns))))

@@ -376,6 +376,45 @@ def test_bounce_batch_guard_names_the_row(monkeypatch, tmp_path, capsys, rows):
     assert not (out / "compare_engines.csv").exists()
 
 
+@settings(max_examples=25, deadline=None)
+@given(K=st.floats(min_value=0.0, max_value=2.0),
+       alpha=st.floats(min_value=0.0, max_value=1.0),
+       phi=st.floats(min_value=0.0, max_value=2 * math.pi),
+       hbar_over_pi=st.sampled_from([0.5, 1.0, 1.5, 2.0]) | st.floats(min_value=0.05, max_value=2.0),
+       window_periods=st.integers(min_value=8, max_value=64),
+       samples_per_period=st.sampled_from([64, 96, 128]),
+       n_kicks=st.integers(min_value=1, max_value=30),
+       width_periods=st.floats(min_value=0.5, max_value=16.0))
+def test_quantum_run_from_the_beam_state_matches_the_bounce(K, alpha, phi, hbar_over_pi, window_periods,
+                                                            samples_per_period, n_kicks, width_periods):
+    # Started from the beam's own field, the quantum engine must give the beam
+    # engine's order ladders to rounding at every kick: their whole plane-wave
+    # gap is the beam's finite width. Limits: even samples per period only,
+    # since SpatialGrid rejects odd ones, and the continuous mirror only, since
+    # a quantized mirror's kick is not the quantum engine's kick.
+    import ratchet_lab.optics as optics
+    from ratchet_lab.evolution import KickedRunParams, WaveState, evolve
+
+    pot = RatchetPotential(K=K, alpha=alpha, phi=phi)
+    hbar = EffectivePlanck(hbar_over_pi * math.pi)
+    geom = OpticalGeometry(LAM, PERIOD, distance_for_hbar(hbar, LAM, PERIOD), 0.3, 0.95)
+    mirror = ratchet_mirror(pot, hbar_from_geometry(geom), LAM, PERIOD, samples_per_period)
+    beam = gaussian_beam(PERIOD, window_periods, samples_per_period, width_periods * PERIOD, LAM)
+    grid = SpatialGrid(window_periods, samples_per_period)
+    n = grid.n
+    amplitudes = np.roll(beam.samples, -n // 2)  # beam x = 0 sits at index n//2, the grid's at 0
+    amplitudes /= math.sqrt(np.sum(np.abs(amplitudes) ** 2) * grid.dx)
+    quantum = []
+    evolve(WaveState(grid, amplitudes), KickedRunParams(pot, hbar_from_geometry(geom), n_kicks),
+           lambda k, lad: quantum.append(lad))
+    (optical,) = bounce_ladders(geom, [mirror], beam, n_kicks, loss_accounting=False)
+    orders, idx = optics._order_map(n, window_periods)
+    assert len(quantum) == len(optical) == n_kicks
+    for q, o in zip(quantum, optical):
+        assert np.array_equal(o.orders, orders)
+        assert np.max(np.abs(optics._bin_orders(q.probabilities[None], idx)[0] - o.probabilities)) <= 1e-12
+
+
 @pytest.mark.parametrize("m", [1, 3, 7])
 @pytest.mark.parametrize("n", [256, 585, 8192, 65536])
 def test_batched_in_place_fft_equals_per_row_bitwise(n, m):

@@ -2,8 +2,11 @@
 
 import importlib.util
 import math
+import platform
 import re
 from pathlib import Path
+
+import numpy as np
 
 from ratchet_lab.config import parse_config
 from ratchet_lab.experiments import quantum_kick_ladders
@@ -43,3 +46,16 @@ def test_artifact_digests_lines_repeat():
     assert [re.fullmatch(rf"[0-9a-f]{{64}}  {label}/([\w.]+)", line)[1] for line in lines] == [
         "run_manifest", "spectra.ndjson", "stats.csv"]
     assert digests.digest_lines(argvs) == lines
+
+
+def test_artifacts_match_golden_digests():
+    # regenerate with: PYTHONPATH=src python scripts/artifact_digests.py > tests/golden_digests.txt
+    digests = load_script("artifact_digests")
+    golden = (Path(__file__).resolve().parent / "golden_digests.txt").read_text().splitlines()
+    header = [line for line in golden if line.startswith("#")]
+    made_with = dict(line[2:].split(" ", 1) for line in header)
+    assert made_with["numpy"] == np.__version__, (
+        f"golden digests were made with numpy {made_with['numpy']}, this is numpy {np.__version__}; "
+        "check the artifacts by hand and regenerate")
+    assert digests.digest_lines() == golden[len(header):], (
+        f"artifact bytes moved (golden made on {made_with['machine']}, this is {platform.machine()})")
