@@ -7,9 +7,12 @@ flight as an exact diagonal parameter instead of a grid offset.
 
 `_split_step` is the one propagation core of both engines: it runs batches
 of runs in place, in chunks, through the kick/FFT/tap/flight/IFFT loop, and
-holds the drift guard that names a failing run. `evolve` and `scan_ladders`
-feed it the kick and flight factors; `optics` feeds it the mirror reflection
-and the Fresnel kernel.
+holds the drift guard that names a failing run. `evolve` and
+`scan_probabilities` feed it the kick and flight factors; `optics` feeds it
+the mirror reflection and the Fresnel kernel. The resonance scan works out
+its probabilities per chunk, as array operations on the core's buffers, and
+builds no per-run ladder. Single runs go through `evolve`; the figure
+pipeline makes the two that fig 2 and fig 3 share only once.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "free_step",
     "momentum_spectrum",
     "evolve",
+    "scan_probabilities",
     "scan_ladders",
     "ladder_record",
 ]
@@ -132,16 +136,22 @@ class MomentumLadder:
         object.__setattr__(self, "probabilities", probs)
         if orders.shape != probs.shape:
             raise ValueError("orders and probabilities must have matching shapes")
-        if not np.all(probs >= -1e-12):  # NaN fails too
-            raise ValueError("probabilities must be non-negative")
-        total = float(probs.sum())
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
+        _check_probabilities(probs)
 
     @property
     def ladder_values(self) -> np.ndarray:
         """Momentum in potential-order units, q_n = n/periods + beta."""
         return self.orders / self.grid_periods + self.beta
+
+
+def _check_probabilities(probs: np.ndarray) -> None:
+    """Raise ValueError unless every row (last axis) of probs is non-negative and sums to 1."""
+    if not probs.min(initial=0.0) >= -1e-12:  # NaN fails too
+        raise ValueError("probabilities must be non-negative")
+    totals = probs.sum(axis=-1)
+    ok = abs(totals - 1.0) <= 1e-10  # NaN fails too
+    if not ok.all():
+        raise ValueError(f"probabilities must sum to 1, got {float(np.ravel(totals)[np.argmin(ok)])!r}")
 
 
 @dataclass(frozen=True)
@@ -175,19 +185,23 @@ def state_from_orders(grid: SpatialGrid, order_amps: dict[int, complex], beta: f
     return WaveState(grid=grid, amplitudes=u, beta=beta)
 
 
-def _kick_factor(pot: RatchetPotential, hbar: EffectivePlanck, grid: SpatialGrid) -> np.ndarray:
-    """Flash factor exp(-i*K*v(x)/hbar_eff) on the grid points."""
-    return np.exp(1j * kick_phase_profile(pot, hbar, grid.x))
+def _kick_factor(pot: RatchetPotential, hbar: EffectivePlanck, x: np.ndarray) -> np.ndarray:
+    """Flash factor exp(-i*K*v(x)/hbar_eff) on the grid points x."""
+    return np.exp(1j * kick_phase_profile(pot, hbar, x))
 
 
-def _flight_factor(grid: SpatialGrid, beta: float, hbar: EffectivePlanck) -> np.ndarray:
+def _ladder_values(grid: SpatialGrid, beta: float) -> np.ndarray:
+    """FFT-ordered ladder values q = m/periods + beta of the grid's modes."""
+    return grid.mode_numbers / grid.periods + beta
+
+
+def _flight_factor(q: np.ndarray, hbar: EffectivePlanck) -> np.ndarray:
     """Free-flight factor exp(-i*hbar_eff*q^2/2) per FFT-ordered ladder value q.
 
     The phase is accumulated in units of pi and reduced mod 2 before the
     complex exponential, so rational multiples of pi (the resonant cases)
     evaluate to exact unimodular factors.
     """
-    q = grid.mode_numbers / grid.periods + beta
     half_turns = np.mod((hbar.hbar_eff / math.pi) * 0.5 * q * q, 2.0)
     return np.exp(-1j * math.pi * half_turns)
 
@@ -201,12 +215,10 @@ def _orders(grid: SpatialGrid) -> np.ndarray:
 
 def _ladder(spectrum: np.ndarray, orders: np.ndarray, grid: SpatialGrid, beta: float,
             hbar: EffectivePlanck | None) -> MomentumLadder:
-    probs = np.abs(spectrum) ** 2
-    probs /= probs.sum()
     return MomentumLadder(
         beta=beta,
         orders=orders,
-        probabilities=np.fft.fftshift(probs),
+        probabilities=_probabilities(spectrum, np.empty(spectrum.shape)),
         hbar=hbar,
         grid_periods=grid.periods,
     )
@@ -214,19 +226,42 @@ def _ladder(spectrum: np.ndarray, orders: np.ndarray, grid: SpatialGrid, beta: f
 
 def kick_step(state: WaveState, pot: RatchetPotential, hbar: EffectivePlanck) -> WaveState:
     """Multiply by the flash factor exp(-i*K*v(x)/hbar_eff); norm preserved."""
-    return replace(state, amplitudes=state.amplitudes * _kick_factor(pot, hbar, state.grid))
+    return replace(state, amplitudes=state.amplitudes * _kick_factor(pot, hbar, state.grid.x))
 
 
 def free_step(state: WaveState, hbar: EffectivePlanck) -> WaveState:
     """One unit of free flight: ladder value q picks up exp(-i*hbar_eff*q^2/2)."""
     spectrum = np.fft.fft(state.amplitudes)
-    spectrum *= _flight_factor(state.grid, state.beta, hbar)
+    spectrum *= _flight_factor(_ladder_values(state.grid, state.beta), hbar)
     return replace(state, amplitudes=np.fft.ifft(spectrum))
 
 
 def momentum_spectrum(state: WaveState, hbar: EffectivePlanck | None = None) -> MomentumLadder:
     """Ladder probabilities |c_n|^2 from the discrete Fourier coefficients."""
     return _ladder(np.fft.fft(state.amplitudes), _orders(state.grid), state.grid, state.beta, hbar)
+
+
+def _shifted_power(spectrum: np.ndarray, power: np.ndarray) -> None:
+    """Fill power with |fftshift(spectrum)|^2 along the last axis, zero order at column n//2."""
+    n = spectrum.shape[-1]
+    h = n // 2  # the last h columns move to the front
+    np.abs(spectrum[..., n - h:], out=power[..., :h])
+    np.abs(spectrum[..., :n - h], out=power[..., h:])
+    np.square(power, out=power)
+
+
+def _probabilities(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Ladder probabilities of each spectrum row (last axis) into out, which is returned.
+
+    Each row is |spectrum|^2 divided by its sum taken in FFT order, and
+    fftshifted, so ladder order j - n//2 lands in column j.
+    """
+    np.abs(spectrum, out=out)
+    np.square(out, out=out)
+    sums = out.sum(axis=-1, keepdims=True)
+    _shifted_power(spectrum, out)
+    out /= sums
+    return out
 
 
 def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], np.ndarray],
@@ -254,7 +289,6 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
     text name(run) + drift_message.format(relative drift, kick).
     """
     n = start.size
-    h = n // 2
     size = min(len(runs), max(1, BATCH_CELLS // n))
     field = np.empty((size, n), dtype=complex)
     position = np.empty_like(field)
@@ -273,10 +307,7 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
             # u stays the left operand: complex SIMD multiply is not bitwise commutative
             np.multiply(u, pos, out=u)
             np.fft.fft(u, out=u)
-            # |fftshift(u)|^2 along the last axis only: the last h columns move to the front
-            np.abs(u[:, n - h:], out=p[:, :h])
-            np.abs(u[:, :n - h], out=p[:, h:])
-            np.square(p, out=p)
+            _shifted_power(u, p)
             totals = p.sum(axis=1)
             drift = np.abs(totals * dx / n - norm)
             bad = np.flatnonzero(~(drift <= tol))  # NaN fails too
@@ -305,8 +336,8 @@ def evolve(
     orders = _orders(grid)
     kicks = range(state.kick_count + 1, state.kick_count + params.n_kicks + 1)
     for _lo, k, u, _power, _totals in _split_step(
-            state.amplitudes, [params], lambda run: _kick_factor(run.potential, run.hbar, grid),
-            _flight_factor(grid, state.beta, params.hbar), kicks, grid.dx, 1.0, _NORM_DRIFT,
+            state.amplitudes, [params], lambda run: _kick_factor(run.potential, run.hbar, grid.x),
+            _flight_factor(_ladder_values(grid, state.beta), params.hbar), kicks, grid.dx, 1.0, _NORM_DRIFT,
             lambda _run: "", flight_after_last=True):
         if record is not None:
             record(k, _ladder(u[0], orders, grid, state.beta, params.hbar))
@@ -314,25 +345,40 @@ def evolve(
     return replace(state, amplitudes=u[0], kick_count=kicks[-1])
 
 
-def scan_ladders(grid: SpatialGrid, beta: float, runs: Sequence[tuple[RatchetPotential, EffectivePlanck]],
-                 kicks_at: Iterable[int]) -> Iterator[tuple[int, int, MomentumLadder]]:
-    """(run index, kick, ladder) of each (potential, hbar) run from the plane wave, at kicks_at.
+def scan_probabilities(grid: SpatialGrid, beta: float,
+                       runs: Sequence[tuple[RatchetPotential, EffectivePlanck]],
+                       kicks_at: Iterable[int]) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(index of the chunk's first run, kick, probabilities) of (potential, hbar) runs from the plane wave.
 
-    Each ladder is bitwise the one `evolve` records for that run alone. The
-    runs propagate as the rows of one batch, in chunks of at most
-    BATCH_CELLS rows x grid points, and each ladder is yielded as soon as its
-    kick is tapped. A drifting row raises NumericalFailure naming its
-    hbar_eff, K and the kick.
+    The runs propagate as the rows of one batch, in chunks of at most
+    BATCH_CELLS rows x grid points. At each kick of kicks_at the chunk's
+    ladder probabilities are yielded as one (rows, n) array, one row per run,
+    with ladder order j - n//2 in column j (the ascending orders of a
+    MomentumLadder). Each row is bitwise the ladder `evolve` records for that
+    run alone and passes MomentumLadder's checks. The array is the core's
+    reused power buffer: the consumer copies what it keeps and may overwrite
+    it. A drifting row raises NumericalFailure naming its hbar_eff, K and the
+    kick.
     """
     wanted = set(kicks_at)
-    orders = _orders(grid)
-    for lo, k, spectrum, _power, _totals in _split_step(
-            plane_wave(grid, beta).amplitudes, runs, lambda run: _kick_factor(*run, grid),
-            lambda run: _flight_factor(grid, beta, run[1]), range(1, max(wanted) + 1), grid.dx, 1.0,
+    x = grid.x
+    q = _ladder_values(grid, beta)
+    for lo, k, spectrum, power, _totals in _split_step(
+            plane_wave(grid, beta).amplitudes, runs, lambda run: _kick_factor(*run, x),
+            lambda run: _flight_factor(q, run[1]), range(1, max(wanted) + 1), grid.dx, 1.0,
             _NORM_DRIFT, lambda run: f"scan run hbar_eff={run[1].hbar_eff!r} K={run[0].K!r}: "):
         if k in wanted:
-            for i, row in enumerate(spectrum):
-                yield lo + i, k, _ladder(row, orders, grid, beta, runs[lo + i][1])
+            _check_probabilities(_probabilities(spectrum, power))
+            yield lo, k, power
+
+
+def scan_ladders(grid: SpatialGrid, beta: float, runs: Sequence[tuple[RatchetPotential, EffectivePlanck]],
+                 kicks_at: Iterable[int]) -> Iterator[tuple[int, int, MomentumLadder]]:
+    """(run index, kick, ladder) of each row of `scan_probabilities`, the ladders sharing one orders array."""
+    orders = _orders(grid)
+    for lo, k, probs in scan_probabilities(grid, beta, runs, kicks_at):
+        for i, row in enumerate(probs, start=lo):
+            yield i, k, MomentumLadder(beta, orders, row.copy(), runs[i][1], grid.periods)
 
 
 def ladder_record(kick: int, ladder: MomentumLadder) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -19,9 +19,10 @@ from .evolution import (
     EffectivePlanck,
     KickedRunParams,
     MomentumLadder,
+    SpatialGrid,
     evolve,
     plane_wave,
-    scan_ladders,
+    scan_probabilities,
 )
 from .fileio import write_csv, write_pgm
 from .model import MirrorProfile, RatchetPotential
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 FIG2_HBARS = ((0.5, "a"), (0.35, "b"))  # hbar_eff in units of pi, panel label
+FIG3_TAGS = ("res", "offres")  # fig 3's runs, at fig 2's two hbar_eff values in order
 
 
 def quantum_kick_ladders(cfg: RunConfig, hbar_eff: float, n_kicks: int) -> list[MomentumLadder]:
@@ -120,21 +122,31 @@ def write_panel(csv_path: Path, pgm_path: Path, image: FarFieldImage, ladders: l
     write_pgm(pgm_path, render_ccd(crop_image(image, cfg.max_order), cfg.gamma))
 
 
+def _quantum_runs(cfg: RunConfig) -> list[list[MomentumLadder]]:
+    """Per-kick quantum ladders at fig 2's two hbar_eff values, the runs fig 3 also reads."""
+    return [quantum_kick_ladders(cfg, hpi * math.pi, cfg.n_kicks) for hpi, _label in FIG2_HBARS]
+
+
 def run_fig2(cfg: RunConfig, out_dir: str | Path) -> dict:
     """Per-kick far-field panels at hbar_eff = 0.5*pi and 0.35*pi.
 
     Writes fig2_{a,b}.pgm and fig2_{a,b}.csv from the quantum engine and
     fig2_{a,b}_optical.{pgm,csv} from the beam engine when it is enabled.
     """
+    return _fig2(cfg, out_dir, _quantum_runs(cfg) if cfg.engine in ("quantum", "both") else [])
+
+
+def _fig2(cfg: RunConfig, out_dir: str | Path, quantum: list[list[MomentumLadder]]) -> dict:
+    """`run_fig2` with its quantum runs given; they are read only when the quantum engine is on."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results: dict = {}
     comments = ["columns kick,order,probability", f"n_kicks={cfg.n_kicks}"]
-    for hpi, label in FIG2_HBARS:
+    for i, (hpi, label) in enumerate(FIG2_HBARS):
         hbar_eff = hpi * math.pi
         panel: dict = {"hbar_eff": hbar_eff}
         if cfg.engine in ("quantum", "both"):
-            ladders = quantum_kick_ladders(cfg, hbar_eff, cfg.n_kicks)
+            ladders = quantum[i]
             panel["quantum"] = ladders
             # one column per ladder rung, rung 0 at the centre column like a focal-plane image
             image = FarFieldImage(rows=np.stack([lad.probabilities for lad in ladders]),
@@ -158,14 +170,18 @@ def run_fig3(cfg: RunConfig, out_dir: str | Path) -> dict:
     Writes fig3_stats_{res,offres}.csv, fig3_fits.csv, and the kick-n_kicks
     distributions fig3_dist22_{res,offres}.csv.
     """
+    return _fig3(cfg, out_dir, _quantum_runs(cfg))
+
+
+def _fig3(cfg: RunConfig, out_dir: str | Path, quantum: list[list[MomentumLadder]]) -> dict:
+    """`run_fig3` with its two quantum runs given."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_comments = [ln for ln in serialize_config(cfg).splitlines() if not ln.startswith("#")]
     results: dict = {}
     fit_rows = []
-    for hpi, tag in ((0.5, "res"), (0.35, "offres")):
+    for (hpi, _label), tag, ladders in zip(FIG2_HBARS, FIG3_TAGS, quantum):
         hbar_eff = hpi * math.pi
-        ladders = quantum_kick_ladders(cfg, hbar_eff, cfg.n_kicks)
         stats = [obs.stats_from_ladder(k, lad) for k, lad in enumerate(ladders, start=1)]
         write_csv(out / f"fig3_stats_{tag}.csv",
                   ["kick", "mean_p", "mean_p2", "participation"],
@@ -199,13 +215,28 @@ class ScanPoint:
     is_local_max: bool = False
 
 
+def _scan_abs_mean_p(grid: SpatialGrid, beta: float, runs: Sequence[tuple[RatchetPotential, EffectivePlanck]],
+                     kicks_at: Sequence[int]) -> Iterator[tuple[int, int, float]]:
+    """(run index, kick, |<p>|) of every scan run, each chunk's |<p>| taken in one reduction.
+
+    Each value is bitwise abs(mean_momentum(ladder)) of the run's ladder.
+    """
+    # the ladder value n/periods + beta of each probability column, as MomentumLadder.ladder_values
+    ladder_values = np.fft.fftshift(grid.mode_numbers) / grid.periods + beta
+    for lo, kick, probs in scan_probabilities(grid, beta, runs, kicks_at):
+        means = np.abs(obs._first_moment(ladder_values, probs, out=probs)).tolist()
+        for run, value in enumerate(means, start=lo):
+            yield run, kick, value
+
+
 def run_fig4(cfg: RunConfig, out_dir: str | Path) -> list[ScanPoint]:
     """|mean momentum| scan over the hbar_eff grid at the configured kick counts.
 
     fixed-k mode holds the kick strength K constant across the scan;
     fixed-kick-phase holds K/hbar_eff constant (a fixed etched mirror);
     mode `both` emits both. Local maxima are flagged per (mode, kicks) series.
-    Every (mode, hbar_eff) run is one row of a batched propagation.
+    Every (mode, hbar_eff) run is one row of a batched propagation, and each
+    chunk's |<p>| is taken in one reduction over its probabilities.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -215,8 +246,8 @@ def run_fig4(cfg: RunConfig, out_dir: str | Path) -> list[ScanPoint]:
     runs = [(RatchetPotential(K=anchor * h, alpha=cfg.alpha, phi=cfg.phi)
              if mode == "fixed-kick-phase" else cfg.potential(), EffectivePlanck(h))
             for mode in modes for h in hbars]
-    values = {(*divmod(run, len(hbars)), kick): abs(obs.mean_momentum(ladder))
-              for run, kick, ladder in scan_ladders(cfg.grid(), cfg.beta, runs, cfg.scan_kicks_at)}
+    values = {(*divmod(run, len(hbars)), kick): value
+              for run, kick, value in _scan_abs_mean_p(cfg.grid(), cfg.beta, runs, cfg.scan_kicks_at)}
     # keys (mode, hbar, kicks) sort as the CSV rows, since `modes` is in name order;
     # local maxima (plateau-tolerant) are flagged within each (mode, kicks) series
     points: list[ScanPoint] = []
@@ -284,12 +315,16 @@ def write_manifest(cfg: RunConfig, out_dir: str | Path) -> None:
 
 
 def run_figs(cfg: RunConfig, out_dir: str | Path) -> dict:
-    """End-to-end figure pipeline: fig2 + fig3 + fig4 artifacts plus manifest."""
+    """End-to-end figure pipeline: fig2 + fig3 + fig4 artifacts plus manifest.
+
+    Fig 2 and fig 3 share one pair of quantum runs.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(cfg, out)
+    quantum = _quantum_runs(cfg)
     return {
-        "fig2": run_fig2(cfg, out),
-        "fig3": run_fig3(cfg, out),
+        "fig2": _fig2(cfg, out, quantum),
+        "fig3": _fig3(cfg, out, quantum),
         "fig4": run_fig4(cfg, out),
     }

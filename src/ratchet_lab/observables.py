@@ -51,9 +51,15 @@ class FitResult:
             raise ValueError(f"r_squared must lie in [0, 1], got {self.r_squared!r}")
 
 
+def _first_moment(values: np.ndarray, probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum(values * probs) along the last axis, per row of probs; the products go to `out`,
+    which may be probs itself."""
+    return np.multiply(values, probs, out=out).sum(axis=-1)
+
+
 def mean_momentum(ladder: MomentumLadder) -> float:
     """Ladder-order mean sum((n/periods + beta) * P(n))."""
-    return float(np.sum(ladder.ladder_values * ladder.probabilities))
+    return float(_first_moment(ladder.ladder_values, ladder.probabilities))
 
 
 def mean_square_momentum(ladder: MomentumLadder) -> float:

@@ -186,12 +186,15 @@ def window_periods_of(field: BeamField, period_m: float) -> int:
 
 
 def _reflection_factor(field: BeamField, mirror: MirrorProfile) -> np.ndarray:
-    """Mirror factor exp(i*4*pi*d(x)/lambda), the profile looked up at the nearest sample."""
+    """Mirror factor exp(i*4*pi*d(x)/lambda), the profile looked up at the nearest sample.
+
+    The factor is computed once per mirror sample, then gathered onto the field grid.
+    """
     window_periods_of(field, mirror.period_m)
     n_mirror = mirror.depth_samples.size
     step = mirror.period_m / n_mirror
     idx = np.mod(np.rint(field.x / step).astype(int), n_mirror)
-    return np.exp(1j * phase_from_depth(mirror, field.wavelength_m)[idx])
+    return np.exp(1j * phase_from_depth(mirror, field.wavelength_m))[idx]
 
 
 def _fresnel_kernel(field: BeamField, distance: float) -> np.ndarray:
@@ -439,9 +442,9 @@ def render_ccd(image: FarFieldImage, gamma: float = 1.0) -> np.ndarray:
     """8-bit grayscale raster, one row per kick, per-row max mapped to 255."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
-    out = np.zeros(image.rows.shape, dtype=np.uint8)
-    for i, row in enumerate(image.rows):
-        peak = row.max()
-        if peak > 0:
-            out[i] = np.rint(255.0 * (row / peak) ** gamma).astype(np.uint8)
-    return out
+    peak = image.rows.max(axis=1, keepdims=True)
+    # rows without a positive peak stay 0, and are never divided; one buffer, scaled in place
+    scaled = np.divide(image.rows, peak, out=np.zeros(image.rows.shape), where=peak > 0)
+    scaled **= gamma
+    scaled *= 255.0
+    return np.rint(scaled, out=scaled).astype(np.uint8)

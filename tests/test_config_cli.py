@@ -220,7 +220,7 @@ def test_cli_bad_scan_step_exits_2_before_output(tmp_path, monkeypatch, capsys, 
     def no_scan(*args, **kwargs):
         raise AssertionError("scan started for a rejected config")
 
-    monkeypatch.setattr(experiments, "scan_ladders", no_scan)
+    monkeypatch.setattr(experiments, "scan_probabilities", no_scan)
     out = tmp_path / "scan"
     assert main(["scan", "--hbar=0.5pi", *extra, f"--scan_hbar_step={step}", "--out", str(out)]) == 2
     assert "scan_hbar_step" in capsys.readouterr().err

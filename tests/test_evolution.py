@@ -22,9 +22,12 @@ from ratchet_lab.evolution import (
     momentum_spectrum,
     plane_wave,
     scan_ladders,
+    scan_probabilities,
     state_from_orders,
 )
+from ratchet_lab.experiments import _scan_abs_mean_p
 from ratchet_lab.model import EffectivePlanck, RatchetPotential, kick_phase_profile
+from ratchet_lab.observables import mean_momentum
 
 
 GRID = SpatialGrid(1, 256)
@@ -233,14 +236,18 @@ def test_scan_rows_equal_single_runs_bitwise(grid, runs, alpha, phi, beta, kicks
     runs = [(RatchetPotential(K=k, alpha=alpha, phi=phi), EffectivePlanck(h)) for k, h in runs]
     with mock.patch("ratchet_lab.evolution.BATCH_CELLS", rows * grid.n):
         batched = list(scan_ladders(grid, beta, runs, kicks_at))
+        # the per-chunk reduction run_fig4 writes to fig4_scan.csv
+        abs_mean_p = {(run, kick): value for run, kick, value in _scan_abs_mean_p(grid, beta, runs, kicks_at)}
     assert sorted((run, kick) for run, kick, _ in batched) == sorted(
         (run, kick) for run in range(len(runs)) for kick in set(kicks_at))
+    assert sorted(abs_mean_p) == sorted((run, kick) for run, kick, _ in batched)
     for run, kick, ladder in batched:
         pot, hbar = runs[run]
         single = []
         evolve(plane_wave(grid, beta=beta), KickedRunParams(pot, hbar, kick),
                lambda k, lad: single.append(lad))
         assert np.array_equal(ladder.probabilities, single[-1].probabilities)
+        assert abs_mean_p[run, kick] == abs(mean_momentum(single[-1]))
         assert np.array_equal(ladder.orders, single[-1].orders)
         assert (ladder.beta, ladder.hbar, ladder.grid_periods) == (beta, hbar, grid.periods)
 
@@ -261,6 +268,41 @@ def test_scan_norm_guard_names_the_row(pot, monkeypatch, rows):
     expected = rf"^scan run hbar_eff={re.escape(repr(lossy_hbar))} K=1\.0: norm drifted by .* at kick 1$"
     with pytest.raises(NumericalFailure, match=expected):
         list(scan_ladders(GRID, 0.0, runs, (5,)))
+
+
+@pytest.mark.parametrize("n", [34, 100, 256, 585])
+def test_probabilities_equal_the_per_row_formula_bitwise(n):
+    # each row divided by its sum in FFT order, then fftshifted: the formula every ladder used
+    import ratchet_lab.evolution as evolution
+
+    rng = np.random.default_rng(n)
+    spectra = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+    batched = evolution._probabilities(spectra, np.empty(spectra.shape))
+    for spectrum, row in zip(spectra, batched):
+        power = np.abs(spectrum) ** 2
+        assert row.tobytes() == np.fft.fftshift(power / power.sum()).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-9, 0.5])
+def test_scan_rows_get_the_ladder_checks(pot, hbar_res, monkeypatch, bad):
+    # a corrupted entry in the last row fails as MomentumLadder fails it, with the same message
+    import ratchet_lab.evolution as evolution
+
+    probabilities = evolution._probabilities
+    rows = []
+
+    def corrupted(spectrum, out):
+        probabilities(spectrum, out)
+        out[-1, GRID.n // 2] += bad
+        rows.append(out[-1].copy())
+        return out
+
+    monkeypatch.setattr(evolution, "_probabilities", corrupted)
+    with pytest.raises(ValueError) as scanned:
+        list(scan_probabilities(GRID, 0.0, [(pot, hbar_res)] * 3, (2,)))
+    with pytest.raises(ValueError) as single:
+        MomentumLadder(beta=0.0, orders=np.arange(GRID.n), probabilities=rows[-1])
+    assert str(scanned.value) == str(single.value)
 
 
 def test_scan_yields_each_chunk_before_the_next_runs(pot, monkeypatch):

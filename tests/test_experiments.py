@@ -16,6 +16,7 @@ from ratchet_lab.experiments import (
     run_figs,
 )
 from ratchet_lab.cli import main
+from ratchet_lab.evolution import evolve
 from ratchet_lab.fileio import read_pgm
 from ratchet_lab.optics import FarFieldImage, bounce_ladders, render_ccd
 from ratchet_lab.observables import mean_momentum, mean_square_momentum
@@ -197,6 +198,35 @@ def test_fig4_csv_independent_of_chunking(tmp_path, monkeypatch, fft_calls, rows
     assert fft_calls["fft"] == 5 + 5 * math.ceil(22 / rows)
     batch = (tmp_path / "batch" / "fig4_scan.csv").read_bytes()
     assert (tmp_path / "chunked" / "fig4_scan.csv").read_bytes() == batch
+
+
+# --- figs pipeline ---------------------------------------------------------------
+
+def test_figs_shares_the_quantum_runs_of_fig2_and_fig3(tmp_path, monkeypatch):
+    import ratchet_lab.experiments as experiments
+
+    runs = []
+
+    def counted(state, params, record=None):
+        runs.append(params.hbar.hbar_eff)
+        return evolve(state, params, record)
+
+    monkeypatch.setattr(experiments, "evolve", counted)
+    run_figs(cfg_with(), tmp_path)
+    # fig 2's and fig 3's runs at 0.5pi and 0.35pi; the fig 4 scan runs as one batch
+    assert runs == [0.5 * math.pi, 0.35 * math.pi]
+
+
+@pytest.mark.parametrize("engine", ["both", "optical"])
+def test_figs_fig3_artifacts_equal_run_fig3_alone(tmp_path, engine):
+    cfg = cfg_with(engine=engine)
+    run_figs(cfg, tmp_path / "figs")
+    run_fig3(cfg, tmp_path / "fig3")
+    names = sorted(path.name for path in (tmp_path / "fig3").iterdir())
+    assert names == ["fig3_dist22_offres.csv", "fig3_dist22_res.csv", "fig3_fits.csv",
+                     "fig3_stats_offres.csv", "fig3_stats_res.csv"]
+    for name in names:
+        assert (tmp_path / "figs" / name).read_bytes() == (tmp_path / "fig3" / name).read_bytes(), name
 
 
 # --- engine comparison ---------------------------------------------------------

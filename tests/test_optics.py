@@ -560,6 +560,51 @@ def test_render_ccd_uniform_and_two_peak_rows():
         render_ccd(img2, gamma=0.0)
 
 
+def per_row_render_ccd(image, gamma):
+    """render_ccd as a loop over rows, the reference for the array form."""
+    out = np.zeros(image.rows.shape, dtype=np.uint8)
+    for i, row in enumerate(image.rows):
+        peak = row.max()
+        if peak > 0:
+            out[i] = np.rint(255.0 * (row / peak) ** gamma).astype(np.uint8)
+    return out
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5, 2.2])
+def test_render_ccd_equals_per_row_loop_bitwise(gamma):
+    rng = np.random.default_rng(7)
+    rows = rng.random((12, 129)) ** 3
+    rows[3] = 0.0  # zero-peak rows stay 0, with no RuntimeWarning (an error under pytest)
+    rows[7, ::2] = 0.0
+    rows[9] *= 1e-300
+    image = FarFieldImage(rows=rows, window_periods=2, hbar_eff=1.0)
+    raster = render_ccd(image, gamma)
+    assert raster.dtype == np.uint8
+    assert not raster[3].any()
+    assert raster.tobytes() == per_row_render_ccd(image, gamma).tobytes()
+
+
+def per_sample_reflection_factor(field, mirror):
+    """Mirror factor with exp taken after the nearest-sample gather, the reference for the gathered form."""
+    n_mirror = mirror.depth_samples.size
+    idx = np.mod(np.rint(field.x / (mirror.period_m / n_mirror)).astype(int), n_mirror)
+    return np.exp(1j * phase_from_depth(mirror, field.wavelength_m)[idx])
+
+
+@pytest.mark.parametrize("window_periods, samples_per_period, mirror_samples",
+                         [(512, 128, 128), (9, 65, 65), (16, 96, 128)])
+def test_reflection_factor_equals_exp_after_gather_bitwise(pot, window_periods, samples_per_period,
+                                                           mirror_samples):
+    from ratchet_lab.optics import _reflection_factor
+
+    geom, _, beam = bounce_case(0.5 * math.pi, window_periods, samples_per_period, pot=pot)
+    for n_levels in ("continuous", 2, 4, 8, 16, 32, 64):
+        mirror = ratchet_mirror(pot, hbar_from_geometry(geom), LAM, PERIOD, mirror_samples, n_levels)
+        got = _reflection_factor(beam, mirror)
+        assert got.shape == beam.samples.shape
+        assert got.tobytes() == per_sample_reflection_factor(beam, mirror).tobytes(), n_levels
+
+
 def test_quantized_mirror_converges_monotone_16_vs_8(pot, hbar_res):
     distance = distance_for_hbar(hbar_res, LAM, PERIOD)
     geom = OpticalGeometry(LAM, PERIOD, distance, 0.3, 0.95)
