@@ -19,9 +19,6 @@ from .evolution import (
     SpatialGrid,
     WaveState,
     evolve,
-    free_step,
-    kick_step,
-    momentum_spectrum,
     plane_wave,
 )
 

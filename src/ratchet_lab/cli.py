@@ -107,13 +107,10 @@ def main(argv: list[str] | None = None) -> int:
             compare_engines(cfg, out)
         elif args.command == "figs":
             run_figs(cfg, out)
-    except ConfigError as exc:
-        print(f"ratchet-lab: configuration error: {exc}", file=sys.stderr)
-        return 2
     except NumericalFailure as exc:
         print(f"ratchet-lab: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"ratchet-lab: configuration error: {exc}", file=sys.stderr)
         return 2
     return 0

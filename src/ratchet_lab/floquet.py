@@ -1,8 +1,9 @@
 """One-period propagator in a truncated momentum basis.
 
 Independent of the split-step engine: the kick enters as a Toeplitz matrix of
-Fourier coefficients and the free flight as a diagonal, so repeated matrix
-application gives ground-truth trajectories for cross-validation.
+Fourier coefficients, gathered by one index expression from the kick's FFT,
+and the free flight as a diagonal, so repeated matrix application gives
+ground-truth trajectories for cross-validation.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .evolution import MomentumLadder, NumericalFailure
 from .model import EffectivePlanck, RatchetPotential, eval_potential
@@ -35,24 +35,20 @@ class FloquetMatrix:
 
 
 def _kick_coefficients(pot: RatchetPotential, hbar: EffectivePlanck, n_max: int) -> np.ndarray:
-    """Fourier coefficients c_d of exp(-i*K*v(x)/hbar_eff) for |d| <= 2*n_max."""
+    """Fourier coefficients of exp(-i*K*v(x)/hbar_eff), c_d at index d mod len for |d| <= 2*n_max."""
     n_samples = 1 << max(10, (16 * n_max - 1).bit_length())
     x = 2.0 * math.pi * np.arange(n_samples) / n_samples
     f = np.exp(-1j * (pot.K / hbar.hbar_eff) * np.asarray(eval_potential(pot, x)))
-    coeff = np.fft.fft(f) / n_samples  # coeff[d] = (1/2pi) * integral f * exp(-i d x)
-    d = np.arange(-2 * n_max, 2 * n_max + 1)
-    return coeff[np.mod(d, n_samples)]
+    return np.fft.fft(f) / n_samples  # coeff[d] = (1/2pi) * integral f * exp(-i d x)
 
 
 def build_kick_matrix(pot: RatchetPotential, hbar: EffectivePlanck, n_max: int) -> np.ndarray:
-    """Toeplitz kick matrix, entry (n, m) = c_{n-m} of exp(-i*K*v/hbar_eff)."""
+    """Toeplitz kick matrix, entry (n, m) = c_{n-m} of exp(-i*K*v/hbar_eff), by one index gather."""
     if n_max < 8:
         raise ValueError(f"n_max must be >= 8, got {n_max}")
     coeff = _kick_coefficients(pot, hbar, n_max)
-    zero = 2 * n_max  # index of c_0 in coeff
-    col = coeff[zero:]        # c_0, c_1, ... (n - m >= 0)
-    row = coeff[zero::-1]     # c_0, c_-1, ..., c_{-2*n_max}
-    return toeplitz(col, row)
+    i = np.arange(2 * n_max + 1)
+    return coeff[(i[:, None] - i[None, :]) % coeff.size]
 
 
 def _free_phases(hbar: EffectivePlanck, beta: float, n_max: int) -> np.ndarray:

@@ -4,6 +4,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,13 @@ def test_benchmark_traced_names_resolve():
     fileio = importlib.import_module("ratchet_lab.fileio")
     for writer in ("write_csv", "write_pgm", "write_ndjson"):
         assert "path" in inspect.signature(getattr(fileio, writer)).parameters
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as an independent reference
+    code = ("import sys, ratchet_lab, ratchet_lab.cli, ratchet_lab.floquet; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

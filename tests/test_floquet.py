@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 from scipy.special import jv
 
 from ratchet_lab.evolution import (
@@ -11,7 +14,7 @@ from ratchet_lab.evolution import (
     evolve,
     plane_wave,
 )
-from ratchet_lab.floquet import FloquetMatrix, build_floquet, build_kick_matrix, propagate
+from ratchet_lab.floquet import FloquetMatrix, _kick_coefficients, build_floquet, build_kick_matrix, propagate
 from ratchet_lab.model import EffectivePlanck, RatchetPotential
 
 
@@ -37,6 +40,22 @@ def test_kick_matrix_bessel_magnitudes():
 def test_kick_matrix_toeplitz_exact(pot, hbar_res):
     mat = build_kick_matrix(pot, hbar_res, 16)
     assert np.array_equal(mat[:-1, :-1], mat[1:, 1:])
+
+
+@settings(max_examples=6, deadline=None)
+@given(k=st.floats(min_value=0.0, max_value=5.0),
+       alpha=st.floats(min_value=0.0, max_value=1.0),
+       phi=st.floats(min_value=0.0, max_value=2 * math.pi),
+       hbar_eff=st.floats(min_value=0.1, max_value=4 * math.pi))
+@example(k=0.0, alpha=0.3, phi=0.0, hbar_eff=0.5 * math.pi)
+def test_kick_matrix_equals_scipy_toeplitz_bitwise(k, alpha, phi, hbar_eff):
+    pot, hbar = RatchetPotential(k, alpha, phi), EffectivePlanck(hbar_eff)
+    for n_max in (8, 40, 128):
+        coeff = _kick_coefficients(pot, hbar, n_max)
+        d = np.arange(2 * n_max + 1)
+        col = coeff[d]                 # c_0, c_1, ..., c_{2*n_max}
+        row = coeff[-d % coeff.size]   # c_0, c_-1, ..., c_{-2*n_max}
+        assert build_kick_matrix(pot, hbar, n_max).tobytes() == toeplitz(col, row).tobytes()
 
 
 def test_kick_matrix_requires_n_max(pot, hbar_res):
