@@ -23,7 +23,7 @@ from ratchet_lab.cli import main as cli_main
 
 ARGVS = (
     ("figs", "--hbar=0.5pi"),
-    ("scan", "--hbar=0.5pi", "--fixed-kick-phase"),
+    ("scan", "--hbar=0.5pi", "--scan_mode=fixed-kick-phase"),
     ("scan", "--hbar=0.5pi", "--scan_mode=both"),
     ("compare", "--hbar=0.5pi"),
     ("evolve", "--distance=0.169172", "--n_kicks=22"),

@@ -40,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value configuration file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--fixed-kick-phase", action="store_true",
-                       help="hold K/hbar_eff fixed across scans instead of K")
     return parser
 
 
@@ -88,8 +86,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if code != 0 else 0
     try:
         overrides = _collect_overrides(extras)
-        if args.fixed_kick_phase:
-            overrides.setdefault("scan_mode", "fixed-kick-phase")
         cfg = (parse_config_file(args.config, overrides) if args.config
                else parse_config("", overrides))
         out = Path(args.out)

@@ -21,7 +21,6 @@ from .optics import OpticalGeometry, distance_for_hbar, hbar_from_geometry
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file", "serialize_config"]
 
 ENGINES = ("quantum", "optical", "both")
-NORMALIZATIONS = ("per_row", "loss")
 SCAN_MODES = ("fixed-k", "fixed-kick-phase", "both")
 
 # Largest hbar_eff scan accepted; the default scan has 100 points.
@@ -108,8 +107,6 @@ class RunConfig:
     hbar_given: bool = True
     wavelength: float = _key(532e-9, _POSITIVE, name="lambda")
     period: float = _key(600e-6, _POSITIVE)
-    focal: float = _key(0.3, _POSITIVE)
-    reflectivity: float = _key(0.95, _number("lie in (0, 1]", lambda v: 0.0 < v <= 1.0))
     periods: int = _key(1, _integer("be >= 1", lambda n: n >= 1))
     points_per_period: int = _key(256, _integer("be an even integer >= 32",
                                                 lambda n: n >= 32 and n % 2 == 0))
@@ -119,7 +116,6 @@ class RunConfig:
     beta: float = _key(0.0, _number("lie in [0, 1)", lambda v: 0.0 <= v < 1.0))
     n_kicks: int = _key(22, _integer("be >= 1", lambda n: n >= 1))
     n_levels: int | str = _key("continuous", _levels)
-    normalization: str = _key("per_row", _choice(NORMALIZATIONS))
     gamma: float = _key(1.0, _POSITIVE)
     max_order: int = _key(32, _integer("be >= 8", lambda n: n >= 8))
     scan_hbar_min: float = _key(0.02 * math.pi, _number(pi=True))
@@ -143,8 +139,6 @@ class RunConfig:
             wavelength_m=self.wavelength,
             period_m=self.period,
             distance_m=self.distance if distance is None else distance,
-            focal_m=self.focal,
-            reflectivity=self.reflectivity,
         )
 
     def scan_hbar_values(self) -> tuple[float, ...]:

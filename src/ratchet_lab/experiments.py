@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import observables as obs
-from .config import RunConfig, serialize_config
+from .config import ConfigError, RunConfig, serialize_config
 from .evolution import (
     EffectivePlanck,
     KickedRunParams,
@@ -58,6 +58,9 @@ __all__ = [
 
 FIG2_HBARS = ((0.5, "a"), (0.35, "b"))  # hbar_eff in units of pi, panel label
 FIG3_TAGS = ("res", "offres")  # fig 3's runs, at fig 2's two hbar_eff values in order
+# fig 3 fits mean_p over kicks 2..n (degree 1) and mean_p2 over 1..n (degree 2),
+# each on at least degree + 2 points
+FIG3_MIN_KICKS = 4
 
 
 def quantum_kick_ladders(cfg: RunConfig, hbar_eff: float, n_kicks: int) -> list[MomentumLadder]:
@@ -87,8 +90,7 @@ def bounce_image(cfg: RunConfig, hbar_eff: float, n_kicks: int,
                  n_levels: int | str | None = None) -> FarFieldImage:
     """Beam-bounce run at the distance realizing hbar_eff, standard Gaussian beam."""
     geom, (mirror,), beam = _bounce_setup(cfg, hbar_eff, [cfg.n_levels if n_levels is None else n_levels])
-    return bounce_simulation(geom, mirror, beam, n_kicks,
-                             loss_accounting=cfg.normalization == "loss")
+    return bounce_simulation(geom, mirror, beam, n_kicks)
 
 
 def optical_kick_ladders(cfg: RunConfig, hbar_eff: float, n_kicks: int,
@@ -170,7 +172,13 @@ def run_fig3(cfg: RunConfig, out_dir: str | Path) -> dict:
     Writes fig3_stats_{res,offres}.csv, fig3_fits.csv, and the kick-n_kicks
     distributions fig3_dist22_{res,offres}.csv.
     """
+    _check_fig3_kicks(cfg)
     return _fig3(cfg, out_dir, _quantum_runs(cfg))
+
+
+def _check_fig3_kicks(cfg: RunConfig) -> None:
+    if cfg.n_kicks < FIG3_MIN_KICKS:
+        raise ConfigError(f"n_kicks: fig 3's fits need n_kicks >= {FIG3_MIN_KICKS}, got {cfg.n_kicks}")
 
 
 def _fig3(cfg: RunConfig, out_dir: str | Path, quantum: list[list[MomentumLadder]]) -> dict:
@@ -278,8 +286,7 @@ def compare_engines(cfg: RunConfig, out_dir: str | Path) -> dict:
     n_kicks = cfg.n_kicks
     quantum = quantum_kick_ladders(cfg, cfg.hbar, n_kicks)
     geom, mirrors, beam = _bounce_setup(cfg, cfg.hbar, ("continuous", *QUANTIZATION_SWEEP))
-    optical, *quantized = bounce_ladders(geom, mirrors, beam, n_kicks,
-                                         loss_accounting=cfg.normalization == "loss")
+    optical, *quantized = bounce_ladders(geom, mirrors, beam, n_kicks)
     rows = []
     per_kick_linf = []
     per_kick_tv = []
@@ -319,6 +326,7 @@ def run_figs(cfg: RunConfig, out_dir: str | Path) -> dict:
 
     Fig 2 and fig 3 share one pair of quantum runs.
     """
+    _check_fig3_kicks(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(cfg, out)

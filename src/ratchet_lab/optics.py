@@ -55,21 +55,20 @@ MIN_REGION_SAMPLES = 64  # narrowest constant-gradient region deflection_check p
 
 @dataclass(frozen=True)
 class OpticalGeometry:
-    """Wavelength, mirror period, mirror-lens gap, focal length, reflectivity."""
+    """Wavelength, mirror period and mirror-lens gap, the lengths that set hbar_eff.
+
+    A focal length only scales the focal plane; `far_field` and `deflection_check` take it.
+    """
 
     wavelength_m: float
     period_m: float
     distance_m: float
-    focal_m: float
-    reflectivity: float
 
     def __post_init__(self) -> None:
-        for name in ("wavelength_m", "period_m", "distance_m", "focal_m"):
+        for name in ("wavelength_m", "period_m", "distance_m"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        if not 0.0 < self.reflectivity <= 1.0:
-            raise ValueError(f"reflectivity must lie in (0, 1], got {self.reflectivity!r}")
 
 
 def hbar_from_geometry(geom: OpticalGeometry) -> EffectivePlanck:
@@ -276,14 +275,13 @@ class FarFieldImage:
 
 
 def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField, n_kicks: int,
-            loss_accounting: bool, name: Callable[[MirrorProfile], str]
-            ) -> Iterator[tuple[int, int, np.ndarray]]:
+            name: Callable[[MirrorProfile], str]) -> Iterator[tuple[int, int, np.ndarray]]:
     """Bounce the beam n_kicks times off each mirror, one batch row per mirror.
 
     Yields (index of the chunk's first mirror, bounce k, rows) after each
-    bounce, with rows the chunk's scaled focal-plane intensities, zero order
-    at column n//2. The buffer is reused, so the consumer copies what it
-    keeps. The reflection table and the Fresnel kernel are built once, and the
+    bounce, with rows the chunk's focal-plane intensities, each scaled to unit
+    sum, zero order at column n//2. The buffer is reused, so the consumer
+    copies what it keeps. The reflection table and the Fresnel kernel are built once, and the
     focal-plane transform is also the forward transform of the flight. A row
     whose tapped power (by Parseval) drifts from the input power by more than
     1e-8 relative, or is not finite, raises NumericalFailure with text
@@ -296,24 +294,18 @@ def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamF
             beam.samples, mirrors, lambda mirror: _reflection_factor(beam, mirror),
             _fresnel_kernel(beam, flight), range(1, n_kicks + 1), beam.dx, beam.power,
             "beam power drifted by {:.3e} (relative) at bounce {}", name):
-        if loss_accounting:
-            scale = geom.reflectivity**k * 0.05 * beam.power / totals
-        else:
-            scale = 1.0 / totals
-        rows *= scale[:, None]
+        rows *= (1.0 / totals)[:, None]
         yield lo, k, rows
 
 
 def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamField,
-                      n_kicks: int, loss_accounting: bool = False) -> FarFieldImage:
+                      n_kicks: int) -> FarFieldImage:
     """Bounce the beam n_kicks times, tapping the far field after each mirror hit.
 
     Each cycle is: mirror reflection, focal-plane tap, then the kick-to-kick
     flight. The flight distance is calibrated so one flight reproduces the
     kinetic ladder phase exp(-i*hbar_eff*q^2/2) of the matched quantum run,
-    with hbar_eff read from the geometry. Rows are normalized to unit sum by
-    default; with loss_accounting the k-th row integrates to
-    reflectivity^k * 0.05 * input power.
+    with hbar_eff read from the geometry. Each row is normalized to unit sum.
 
     This is the batch of one of the bounce loop, so the reflection factor and
     the Fresnel kernel are built once per run and each bounce takes one FFT
@@ -322,7 +314,7 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     relative, or is not finite.
     """
     image = None
-    for _lo, k, rows in _bounce(geom, [mirror], beam, n_kicks, loss_accounting, lambda _mirror: ""):
+    for _lo, k, rows in _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: ""):
         if image is None:  # allocated once _bounce has checked n_kicks
             image = np.empty((n_kicks, rows.shape[1]))
         image[k - 1] = rows[0]
@@ -331,12 +323,8 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
 
 
 def _ladders(orders: np.ndarray, probs: np.ndarray, hbar: EffectivePlanck) -> list[MomentumLadder]:
-    """One ladder per row of binned probabilities, all sharing `orders`.
-
-    Each row is divided by its (ulp-off) sum once more, as row_order_ladder
-    always did; the optical artifacts keep their bytes through this division.
-    """
-    probs /= probs.sum(axis=1, keepdims=True)
+    """One ladder per row of binned probabilities (each row already divided by its sum),
+    all sharing `orders`."""
     return [MomentumLadder(beta=0.0, orders=orders, probabilities=row, hbar=hbar, grid_periods=1)
             for row in probs]
 
@@ -349,7 +337,7 @@ def image_ladders(image: FarFieldImage) -> list[MomentumLadder]:
 
 
 def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField,
-                   n_kicks: int, loss_accounting: bool) -> list[list[MomentumLadder]]:
+                   n_kicks: int) -> list[list[MomentumLadder]]:
     """Per-kick order ladders of one bounce run per mirror, in mirror order.
 
     Each ladder is bitwise the one `image_ladders(bounce_simulation(...))`
@@ -364,7 +352,7 @@ def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam
     orders.flags.writeable = False
     hbar = hbar_from_geometry(geom)
     ladders: list[list[MomentumLadder]] = [[] for _ in mirrors]
-    for lo, _k, rows in _bounce(geom, mirrors, beam, n_kicks, loss_accounting,
+    for lo, _k, rows in _bounce(geom, mirrors, beam, n_kicks,
                                 lambda mirror: f"bounce run n_levels={mirror.n_levels}: "):
         for i, ladder in enumerate(_ladders(orders, _bin_orders(rows, idx), hbar)):
             ladders[lo + i].append(ladder)

@@ -216,7 +216,7 @@ def test_criterion_06_quantum_optical_correspondence():
 
 def test_criterion_07_geometry_arithmetic():
     t0 = time.perf_counter()
-    geom = OpticalGeometry(LAM, PERIOD, 0.169172, 0.3, 0.95)
+    geom = OpticalGeometry(LAM, PERIOD, 0.169172)
     hbar = hbar_from_geometry(geom)
     rel = abs(hbar.hbar_eff - 0.5 * math.pi) / (0.5 * math.pi)
     rng = np.random.default_rng(2)
@@ -224,7 +224,7 @@ def test_criterion_07_geometry_arithmetic():
     for _ in range(100):
         h = EffectivePlanck(rng.uniform(0.01, 4 * math.pi))
         length = distance_for_hbar(h, LAM, PERIOD)
-        back = hbar_from_geometry(OpticalGeometry(LAM, PERIOD, length, 0.3, 0.95))
+        back = hbar_from_geometry(OpticalGeometry(LAM, PERIOD, length))
         round_trip_worst = max(round_trip_worst, abs(back.hbar_eff - h.hbar_eff) / h.hbar_eff)
     lau_exact = all(
         lau_distance(4 * r, s, LAM, PERIOD)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratchet_lab.cli import main
+from ratchet_lab.cli import SUBCOMMANDS, main
 from ratchet_lab.config import ConfigError, parse_config, serialize_config
 from ratchet_lab.fileio import read_pgm
 from ratchet_lab.model import load_mirror_profile
@@ -24,8 +24,6 @@ def test_minimal_file_with_paper_defaults():
     assert cfg.K == 1.0
     assert cfg.wavelength == 532e-9
     assert cfg.period == 600e-6
-    assert cfg.reflectivity == 0.95
-    assert cfg.focal == 0.3
 
 
 def test_exactly_one_of_hbar_distance():
@@ -56,8 +54,8 @@ def test_comments_and_blank_lines():
 def test_invalid_values_name_the_key():
     with pytest.raises(ConfigError, match="points_per_period"):
         parse_config("hbar=1\npoints_per_period=2\n")
-    with pytest.raises(ConfigError, match="reflectivity"):
-        parse_config("hbar=1\nreflectivity=1.5\n")
+    with pytest.raises(ConfigError, match="^K: must be >= 0"):
+        parse_config("hbar=1\nK=-1\n")
     with pytest.raises(ConfigError, match="engine"):
         parse_config("hbar=1\nengine=warp\n")
     with pytest.raises(ConfigError, match="n_levels"):
@@ -75,8 +73,8 @@ def test_invalid_values_name_the_key():
         parse_config("hbar=1\nscan_hbar_min=1.0\nscan_hbar_max=0.5\n")
 
 
-@pytest.mark.parametrize("key", ["K", "alpha", "phi", "hbar", "lambda", "period", "focal",
-                                 "reflectivity", "beam_width", "beta", "gamma",
+@pytest.mark.parametrize("key", ["K", "alpha", "phi", "hbar", "lambda", "period",
+                                 "beam_width", "beta", "gamma",
                                  "scan_hbar_min", "scan_hbar_max", "scan_hbar_step"])
 def test_non_finite_values_rejected(key):
     base = "" if key == "hbar" else "hbar=1\n"
@@ -108,7 +106,7 @@ def test_derived_distance_round_trips():
 
 def test_manifest_round_trip_targeted():
     for text in ("hbar=0.5pi\nK=2\nalpha=0.1\nn_levels=16\nscan_kicks_at=7,3\n",
-                 "distance=0.2\nengine=optical\nnormalization=loss\nbeam_periods=32\n"):
+                 "distance=0.2\nengine=optical\ngamma=0.5\nbeam_periods=32\n"):
         cfg = parse_config(text)
         again = parse_config(serialize_config(cfg))
         assert again == cfg
@@ -122,8 +120,6 @@ phi=0.0
 hbar=1.5707963267948966
 lambda=5.32e-07
 period=0.0006
-focal=0.3
-reflectivity=0.95
 periods=1
 points_per_period=256
 beam_periods=64
@@ -132,7 +128,6 @@ beam_width=0.003
 beta=0.0
 n_kicks=22
 n_levels=continuous
-normalization=per_row
 gamma=1.0
 max_order=32
 scan_hbar_min=0.06283185307179587
@@ -152,7 +147,7 @@ def test_manifest_golden_text():
 def test_readme_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     keys = re.findall(r"^(\w+)=", serialize_config(parse_config("hbar=0.5pi\n")), re.M)
-    assert len(keys) == 25
+    assert len(keys) == 22
     missing = [key for key in keys + ["distance"] if f"`{key}`" not in readme]
     assert not missing
 
@@ -173,6 +168,77 @@ def test_manifest_round_trip_hypothesis(k, alpha, hbar, n_kicks, use_distance):
         overrides["hbar"] = repr(hbar)
     cfg = parse_config("", overrides)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+# Overrides of a tiny `figs` and `mirror` run; MOVED gives each key another valid
+# value, set one key at a time (`distance` in place of `hbar`).
+TINY_RUN = {"hbar": "0.5pi", "n_kicks": "4", "points_per_period": "64", "beam_periods": "8",
+            "beam_points_per_period": "64", "scan_hbar_min": "0.4pi", "scan_hbar_max": "0.6pi",
+            "scan_hbar_step": "0.1pi"}
+MOVED = {"engine": "quantum", "K": "1.5", "alpha": "0.5", "phi": "0.3", "hbar": "0.35pi",
+         "distance": "0.1", "lambda": "600e-9", "period": "500e-6", "periods": "2",
+         "points_per_period": "128", "beam_periods": "16", "beam_points_per_period": "128",
+         "beam_width": "1e-3", "beta": "0.25", "n_kicks": "5", "n_levels": "16", "gamma": "0.5",
+         "max_order": "8", "scan_hbar_min": "0.3pi", "scan_hbar_max": "0.7pi",
+         "scan_hbar_step": "0.05pi", "scan_kicks_at": "3", "scan_mode": "fixed-kick-phase"}
+
+
+def _artifacts(out: Path, overrides: dict[str, str]) -> dict[str, object]:
+    """Every artifact of a `figs` and a `mirror` run but run_manifest: a PGM's bytes, or
+    a text file's rows without its `#` lines, each row a list of fields."""
+    artifacts: dict[str, object] = {}
+    for command in ("figs", "mirror"):
+        flags = [f"--{key}={value}" for key, value in overrides.items()]
+        assert main([command, *flags, "--out", str(out / command)]) == 0
+        for path in sorted((out / command).iterdir()):
+            if path.name == "run_manifest":
+                continue
+            if path.suffix == ".pgm":
+                artifacts[f"{command}/{path.name}"] = path.read_bytes()
+            else:
+                lines = path.read_text(encoding="utf-8").splitlines()
+                artifacts[f"{command}/{path.name}"] = [ln.split(",") for ln in lines
+                                                       if not ln.startswith("#")]
+    return artifacts
+
+
+def _field_moved(a: str, b: str) -> bool:
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return a != b
+    return abs(x - y) > 1e-12 * max(abs(x), abs(y))
+
+
+def _artifacts_moved(base: dict[str, object], other: dict[str, object]) -> bool:
+    """True if a file or row appears or goes, a PGM byte differs, or a number moves by
+    more than 1e-12 relative."""
+    if base.keys() != other.keys():
+        return True
+    for name, rows in base.items():
+        other_rows = other[name]
+        if isinstance(rows, bytes) or len(rows) != len(other_rows):
+            if rows != other_rows:
+                return True
+        elif any(len(row) != len(other_row) or any(map(_field_moved, row, other_row))
+                 for row, other_row in zip(rows, other_rows)):
+            return True
+    return False
+
+
+def test_every_config_key_reaches_an_artifact(tmp_path):
+    keys = re.findall(r"^(\w+)=", serialize_config(parse_config("hbar=0.5pi\n")), re.M)
+    assert set(MOVED) == {*keys, "distance"}
+    base = _artifacts(tmp_path / "base", TINY_RUN)
+    unread = []
+    for key, value in MOVED.items():
+        overrides = {**TINY_RUN, key: value}
+        if key == "distance":
+            del overrides["hbar"]
+        assert parse_config("", overrides) != parse_config("", TINY_RUN), key
+        if not _artifacts_moved(base, _artifacts(tmp_path / key, overrides)):
+            unread.append(key)
+    assert not unread, f"keys that move no artifact: {unread}"
 
 
 # --- CLI -------------------------------------------------------------------
@@ -225,6 +291,26 @@ def test_cli_bad_scan_step_exits_2_before_output(tmp_path, monkeypatch, capsys, 
     assert main(["scan", "--hbar=0.5pi", *extra, f"--scan_hbar_step={step}", "--out", str(out)]) == 2
     assert "scan_hbar_step" in capsys.readouterr().err
     assert not (out / "run_manifest").exists()
+
+
+@pytest.mark.parametrize("n_kicks", [1, 3])
+def test_cli_figs_too_few_kicks_exits_2_before_output(tmp_path, monkeypatch, capsys, n_kicks):
+    import ratchet_lab.experiments as experiments
+    from ratchet_lab.experiments import run_fig3
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve started for a rejected config")
+
+    monkeypatch.setattr(experiments, "evolve", no_run)
+    out = tmp_path / "figs"
+    assert main(["figs", "--hbar=0.5pi", f"--n_kicks={n_kicks}", "--out", str(out)]) == 2
+    assert "n_kicks: fig 3's fits need n_kicks >= 4" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["run_manifest"]
+    with pytest.raises(ConfigError, match="^n_kicks: "):
+        run_fig3(parse_config("", {"hbar": "0.5pi", "n_kicks": str(n_kicks)}), tmp_path / "fig3")
+    assert not (tmp_path / "fig3").exists()
+    monkeypatch.undo()
+    assert main(["evolve", "--hbar=0.5pi", f"--n_kicks={n_kicks}", "--out", str(tmp_path / "evolve")]) == 0
 
 
 def test_scan_grid_separable_at_parse():
@@ -328,9 +414,31 @@ def test_cli_scan_nan_norm_names_the_row(tmp_path, capsys):
     assert not (tmp_path / "fig4_scan.csv").exists()
 
 
+REMOVED_KEYS = {"focal": "0.3", "reflectivity": "0.95", "normalization": "per_row"}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+def test_removed_keys_exit_2_before_output(tmp_path, capsys, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"hbar=0.5pi\n{key}={REMOVED_KEYS[key]}\n")
+    out = tmp_path / "out"
+    for argv in (["--config", str(config)], ["--hbar=0.5pi", f"--{key}={REMOVED_KEYS[key]}"]):
+        assert main(["figs", *argv, "--out", str(out)]) == 2
+        assert f"unknown key: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_cli_fixed_kick_phase_alias_exits_2_before_output(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--hbar=0.5pi", "--fixed-kick-phase", "--out", str(out)]) == 2
+    assert "'--fixed-kick-phase'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_fixed_kick_phase_flag(tmp_path):
     out = tmp_path / "fkp"
-    code = main(["scan", "--hbar=0.5pi", "--fixed-kick-phase", "--scan_hbar_min=0.4pi",
+    code = main(["scan", "--hbar=0.5pi", "--scan_mode=fixed-kick-phase", "--scan_hbar_min=0.4pi",
                  "--scan_hbar_max=0.6pi", "--scan_hbar_step=0.2pi", "--scan_kicks_at=2",
                  "--out", str(out)])
     assert code == 0

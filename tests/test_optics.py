@@ -35,7 +35,7 @@ from ratchet_lab.optics import (
 
 LAM = 532e-9
 PERIOD = 600e-6
-PAPER_GEOM = OpticalGeometry(LAM, PERIOD, 0.169172, 0.3, 0.95)
+PAPER_GEOM = OpticalGeometry(LAM, PERIOD, 0.169172)
 
 
 # --- geometry arithmetic -------------------------------------------------------
@@ -46,7 +46,7 @@ def test_hbar_from_paper_geometry():
 
 
 def test_hbar_scales_with_distance():
-    near = OpticalGeometry(LAM, PERIOD, 1e-9, 0.3, 0.95)
+    near = OpticalGeometry(LAM, PERIOD, 1e-9)
     assert hbar_from_geometry(near).hbar_eff < 1e-4
 
 
@@ -66,7 +66,7 @@ def test_distance_round_trip():
     for _ in range(100):
         hbar = EffectivePlanck(rng.uniform(0.01, 4 * math.pi))
         length = distance_for_hbar(hbar, LAM, PERIOD)
-        geom = OpticalGeometry(LAM, PERIOD, length, 0.3, 0.95)
+        geom = OpticalGeometry(LAM, PERIOD, length)
         assert hbar_from_geometry(geom).hbar_eff == pytest.approx(hbar.hbar_eff, rel=1e-15)
 
 
@@ -194,17 +194,8 @@ def test_bounce_flat_mirror_single_kick_preserves_far_field():
     beam = gaussian_beam(PERIOD, 16, 64, 3 * PERIOD, LAM)
     flat = depth_from_phase(np.zeros(64), LAM, PERIOD)
     image = bounce_simulation(PAPER_GEOM, flat, beam, 1)
-    raw, _ = far_field(beam, PAPER_GEOM.focal_m)
+    raw, _ = far_field(beam, 0.3)
     assert np.allclose(image.rows[0], raw / raw.sum(), atol=1e-15)
-
-
-def test_bounce_loss_accounting_bookkeeping():
-    beam = gaussian_beam(PERIOD, 16, 64, 3 * PERIOD, LAM, power=2.5)
-    mirror = ratchet_mirror(RatchetPotential(), hbar_from_geometry(PAPER_GEOM), LAM, PERIOD, 64)
-    image = bounce_simulation(PAPER_GEOM, mirror, beam, 5, loss_accounting=True)
-    for k in range(1, 6):
-        expected = PAPER_GEOM.reflectivity**k * 0.05 * 2.5
-        assert image.rows[k - 1].sum() == pytest.approx(expected, rel=1e-12)
 
 
 def test_bounce_rows_normalized_by_default(pot, hbar_res):
@@ -214,25 +205,21 @@ def test_bounce_rows_normalized_by_default(pot, hbar_res):
     assert np.allclose(image.rows.sum(axis=1), 1.0, atol=1e-12)
 
 
-def stepwise_rows(geom, mirror, beam, n_kicks, loss_accounting):
+def stepwise_rows(geom, mirror, beam, n_kicks):
     """Rows of bounce_simulation built from the public single-step functions."""
     flight = distance_for_hbar(hbar_from_geometry(geom), geom.wavelength_m, geom.period_m)
     rows = []
-    for k in range(1, n_kicks + 1):
+    for _ in range(n_kicks):
         beam = apply_mirror(beam, mirror)
-        intensity, _ = far_field(beam, geom.focal_m)
-        if loss_accounting:
-            scale = geom.reflectivity**k * 0.05 * beam.power / intensity.sum()
-        else:
-            scale = 1.0 / intensity.sum()
-        rows.append(intensity * scale)
+        intensity, _ = far_field(beam, 0.3)
+        rows.append(intensity * (1.0 / intensity.sum()))
         beam = propagate_fresnel(beam, flight)
     return np.stack(rows)
 
 
 def bounce_case(hbar_eff, window_periods, samples_per_period, n_levels="continuous", pot=RatchetPotential()):
     hbar = EffectivePlanck(hbar_eff)
-    geom = OpticalGeometry(LAM, PERIOD, distance_for_hbar(hbar, LAM, PERIOD), 0.3, 0.95)
+    geom = OpticalGeometry(LAM, PERIOD, distance_for_hbar(hbar, LAM, PERIOD))
     mirror = ratchet_mirror(pot, hbar_from_geometry(geom), LAM, PERIOD, samples_per_period, n_levels)
     beam = gaussian_beam(PERIOD, window_periods, samples_per_period,
                          window_periods / 4 * PERIOD, LAM, power=1.5)
@@ -244,14 +231,13 @@ def bounce_case(hbar_eff, window_periods, samples_per_period, n_levels="continuo
        window_periods=st.integers(min_value=8, max_value=96),
        samples_per_period=st.sampled_from([64, 96, 128]),
        n_levels=st.sampled_from(["continuous", 4, 16]),
-       n_kicks=st.integers(min_value=1, max_value=12),
-       loss_accounting=st.booleans())
+       n_kicks=st.integers(min_value=1, max_value=12))
 def test_bounce_equals_step_composition_bitwise(hbar_over_pi, window_periods, samples_per_period,
-                                                n_levels, n_kicks, loss_accounting):
+                                                n_levels, n_kicks):
     geom, mirror, beam = bounce_case(hbar_over_pi * math.pi, window_periods, samples_per_period, n_levels)
     assert beam.samples.size < 16384
-    image = bounce_simulation(geom, mirror, beam, n_kicks, loss_accounting)
-    assert np.array_equal(image.rows, stepwise_rows(geom, mirror, beam, n_kicks, loss_accounting))
+    image = bounce_simulation(geom, mirror, beam, n_kicks)
+    assert np.array_equal(image.rows, stepwise_rows(geom, mirror, beam, n_kicks))
 
 
 def test_bounce_matches_step_composition_at_65536_samples():
@@ -260,7 +246,7 @@ def test_bounce_matches_step_composition_at_65536_samples():
     # commutative, so the large beam agrees to rounding only.
     geom, mirror, beam = bounce_case(0.5 * math.pi, 512, 128)
     image = bounce_simulation(geom, mirror, beam, 22)
-    assert np.max(np.abs(image.rows - stepwise_rows(geom, mirror, beam, 22, False))) < 1e-14
+    assert np.max(np.abs(image.rows - stepwise_rows(geom, mirror, beam, 22))) < 1e-14
 
 
 @pytest.mark.parametrize("n_kicks", [1, 4])
@@ -310,7 +296,7 @@ def test_cli_optical_odd_window_equals_step_composition_bytes(tmp_path):
     beam = gaussian_beam(cfg.period, cfg.beam_periods, cfg.beam_points_per_period, cfg.beam_width,
                          cfg.wavelength)
     assert beam.samples.size == 585
-    image = FarFieldImage(rows=stepwise_rows(geom, mirror, beam, cfg.n_kicks, False),
+    image = FarFieldImage(rows=stepwise_rows(geom, mirror, beam, cfg.n_kicks),
                           window_periods=9, hbar_eff=hbar_from_geometry(geom).hbar_eff)
     ref = tmp_path / "ref"
     ref.mkdir()
@@ -328,21 +314,20 @@ def test_cli_optical_odd_window_equals_step_composition_bytes(tmp_path):
        window_periods=st.integers(min_value=8, max_value=40),
        samples_per_period=st.sampled_from([64, 65, 96, 128]),
        n_kicks=st.integers(min_value=1, max_value=8),
-       loss_accounting=st.booleans(),
        rows=st.integers(min_value=1, max_value=8))
 def test_bounce_ladders_equal_single_runs_bitwise(K, alpha, phi, levels, window_periods, samples_per_period,
-                                                  n_kicks, loss_accounting, rows):
+                                                  n_kicks, rows):
     pot = RatchetPotential(K=K, alpha=alpha, phi=phi)
     geom, _, beam = bounce_case(0.5 * math.pi, window_periods, samples_per_period, pot=pot)
     mirrors = [ratchet_mirror(pot, hbar_from_geometry(geom), LAM, PERIOD, samples_per_period, n_levels)
                for n_levels in levels]
     # chunks of `rows` mirrors: one row, uneven tails, or the whole batch
     with mock.patch("ratchet_lab.evolution.BATCH_CELLS", rows * beam.samples.size):
-        batched = bounce_ladders(geom, mirrors, beam, n_kicks, loss_accounting)
+        batched = bounce_ladders(geom, mirrors, beam, n_kicks)
     assert len(batched) == len(mirrors)
     assert not batched[0][0].orders.flags.writeable
     for mirror, ladders in zip(mirrors, batched):
-        single = image_ladders(bounce_simulation(geom, mirror, beam, n_kicks, loss_accounting))
+        single = image_ladders(bounce_simulation(geom, mirror, beam, n_kicks))
         assert len(ladders) == n_kicks
         for got, want in zip(ladders, single):
             assert got.orders is batched[0][0].orders
@@ -368,7 +353,7 @@ def test_bounce_batch_guard_names_the_row(monkeypatch, tmp_path, capsys, rows):
                for n_levels in ("continuous", 4, 16, 64)]
     expected = r"^bounce run n_levels=16: beam power drifted by .* \(relative\) at bounce 1$"
     with pytest.raises(NumericalFailure, match=expected):
-        bounce_ladders(geom, mirrors, beam, 3, loss_accounting=False)
+        bounce_ladders(geom, mirrors, beam, 3)
     out = tmp_path / "compare"
     assert main(["compare", "--hbar=0.5pi", "--n_kicks=3", "--beam_periods=16",
                  "--beam_points_per_period=64", "--out", str(out)]) == 3
@@ -397,7 +382,7 @@ def test_quantum_run_from_the_beam_state_matches_the_bounce(K, alpha, phi, hbar_
 
     pot = RatchetPotential(K=K, alpha=alpha, phi=phi)
     hbar = EffectivePlanck(hbar_over_pi * math.pi)
-    geom = OpticalGeometry(LAM, PERIOD, distance_for_hbar(hbar, LAM, PERIOD), 0.3, 0.95)
+    geom = OpticalGeometry(LAM, PERIOD, distance_for_hbar(hbar, LAM, PERIOD))
     mirror = ratchet_mirror(pot, hbar_from_geometry(geom), LAM, PERIOD, samples_per_period)
     beam = gaussian_beam(PERIOD, window_periods, samples_per_period, width_periods * PERIOD, LAM)
     grid = SpatialGrid(window_periods, samples_per_period)
@@ -407,7 +392,7 @@ def test_quantum_run_from_the_beam_state_matches_the_bounce(K, alpha, phi, hbar_
     quantum = []
     evolve(WaveState(grid, amplitudes), KickedRunParams(pot, hbar_from_geometry(geom), n_kicks),
            lambda k, lad: quantum.append(lad))
-    (optical,) = bounce_ladders(geom, [mirror], beam, n_kicks, loss_accounting=False)
+    (optical,) = bounce_ladders(geom, [mirror], beam, n_kicks)
     orders, idx = optics._order_map(n, window_periods)
     assert len(quantum) == len(optical) == n_kicks
     for q, o in zip(quantum, optical):
@@ -434,7 +419,7 @@ def test_bounce_correspondence_moderate_beam(pot, hbar_res):
     from ratchet_lab.evolution import KickedRunParams, evolve
 
     distance = distance_for_hbar(hbar_res, LAM, PERIOD)
-    geom = OpticalGeometry(LAM, PERIOD, distance, 0.3, 0.95)
+    geom = OpticalGeometry(LAM, PERIOD, distance)
     mirror = ratchet_mirror(pot, hbar_from_geometry(geom), LAM, PERIOD, 128)
     beam = gaussian_beam(PERIOD, 256, 128, 32 * PERIOD, LAM)
     image = bounce_simulation(geom, mirror, beam, 22)
@@ -479,8 +464,7 @@ def test_image_ladders_match_per_row_binning_bitwise(kicks, window_periods, n, s
         orders, probs = per_row_bin_orders(rows[k - 1], window_periods)
         assert ladder.orders is ladders[0].orders
         assert ladder.orders.dtype == orders.dtype and ladder.orders.tobytes() == orders.tobytes()
-        # the ladder renormalizes the binned row once more, as row_order_ladder always did
-        assert ladder.probabilities.tobytes() == (probs / probs.sum()).tobytes()
+        assert ladder.probabilities.tobytes() == probs.tobytes()
         assert (ladder.beta, ladder.hbar, ladder.grid_periods) == (0.0, EffectivePlanck(hbar_eff), 1)
         one_orders, one_probs = row_order_probabilities(image, k)
         assert one_orders.tobytes() == orders.tobytes() and one_probs.tobytes() == probs.tobytes()
@@ -607,7 +591,7 @@ def test_reflection_factor_equals_exp_after_gather_bitwise(pot, window_periods, 
 
 def test_quantized_mirror_converges_monotone_16_vs_8(pot, hbar_res):
     distance = distance_for_hbar(hbar_res, LAM, PERIOD)
-    geom = OpticalGeometry(LAM, PERIOD, distance, 0.3, 0.95)
+    geom = OpticalGeometry(LAM, PERIOD, distance)
     beam = gaussian_beam(PERIOD, 32, 128, 5 * PERIOD, LAM)
     dists = {}
     base = bounce_simulation(geom, ratchet_mirror(pot, hbar_res, LAM, PERIOD, 128), beam, 10)
