@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .config import ConfigError, RunConfig, parse_config, parse_config_file
 from .evolution import NumericalFailure, ladder_record
@@ -23,21 +24,20 @@ from .experiments import (
     run_figs,
     write_manifest,
     write_panel,
+    write_stats,
 )
-from .fileio import write_csv, write_ndjson
+from .fileio import write_ndjson
 from .model import save_mirror_profile
-from .observables import stats_from_ladder
 from .optics import image_ladders, ratchet_mirror
-
-SUBCOMMANDS = ("evolve", "optical", "scan", "mirror", "compare", "figs")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ratchet-lab",
-                                     description="Delta-kicked ratchet simulator")
+    # no abbreviations: --config and --out have one spelling each
+    parser = argparse.ArgumentParser(prog="ratchet-lab", description="Delta-kicked ratchet simulator",
+                                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None, help="key=value configuration file")
         p.add_argument("--out", required=True, help="output directory")
     return parser
@@ -57,10 +57,7 @@ def _cmd_evolve(cfg: RunConfig, out: Path) -> None:
     ladders = quantum_kick_ladders(cfg, cfg.hbar, cfg.n_kicks)
     write_ndjson(out / "spectra.ndjson",
                  (ladder_record(k, lad) for k, lad in enumerate(ladders, start=1)))
-    stats = [stats_from_ladder(k, lad) for k, lad in enumerate(ladders, start=1)]
-    write_csv(out / "stats.csv", ["kick", "mean_p", "mean_p2", "participation"],
-              [(s.kick, s.mean_p, s.mean_p2, s.participation) for s in stats],
-              comments=[f"hbar={cfg.hbar!r} beta={cfg.beta!r} n_kicks={cfg.n_kicks}"])
+    write_stats(out / "stats.csv", ladders, [f"hbar={cfg.hbar!r} beta={cfg.beta!r} n_kicks={cfg.n_kicks}"])
 
 
 def _cmd_optical(cfg: RunConfig, out: Path) -> None:
@@ -74,6 +71,16 @@ def _cmd_mirror(cfg: RunConfig, out: Path) -> None:
                             cfg.period, samples_per_period=cfg.beam_points_per_period,
                             n_levels=cfg.n_levels)
     save_mirror_profile(mirror, out / "mirror.txt")
+
+
+SUBCOMMANDS: dict[str, Callable[[RunConfig, Path], object]] = {
+    "evolve": _cmd_evolve,
+    "optical": _cmd_optical,
+    "scan": run_fig4,
+    "mirror": _cmd_mirror,
+    "compare": compare_engines,
+    "figs": run_figs,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,18 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_manifest(cfg, out)
-        if args.command == "evolve":
-            _cmd_evolve(cfg, out)
-        elif args.command == "optical":
-            _cmd_optical(cfg, out)
-        elif args.command == "scan":
-            run_fig4(cfg, out)
-        elif args.command == "mirror":
-            _cmd_mirror(cfg, out)
-        elif args.command == "compare":
-            compare_engines(cfg, out)
-        elif args.command == "figs":
-            run_figs(cfg, out)
+        SUBCOMMANDS[args.command](cfg, out)
     except NumericalFailure as exc:
         print(f"ratchet-lab: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -7,12 +7,14 @@ flight as an exact diagonal parameter instead of a grid offset.
 
 `_split_step` is the one propagation core of both engines: it runs batches
 of runs in place, in chunks, through the kick/FFT/tap/flight/IFFT loop, and
-holds the drift guard that names a failing run. `evolve` and
-`scan_probabilities` feed it the kick and flight factors; `optics` feeds it
-the mirror reflection and the Fresnel kernel. The resonance scan works out
-its probabilities per chunk, as array operations on the core's buffers, and
-builds no per-run ladder. Single runs go through `evolve`; the figure
-pipeline makes the two that fig 2 and fig 3 share only once.
+holds the drift guard that names a failing run. At every tap it hands out
+each row's fftshifted |spectrum|^2 scaled to unit sum, the one place a tap
+becomes a probability row. `evolve` and `scan_probabilities` feed it the
+kick and flight factors; `optics` feeds it the mirror reflection and the
+Fresnel kernel. The resonance scan works out its statistics per chunk, as
+array operations on the core's rows, and builds no per-run ladder. Single
+runs go through `evolve`; the figure pipeline makes the two that fig 2 and
+fig 3 share only once.
 """
 
 from __future__ import annotations
@@ -213,17 +215,6 @@ def _orders(grid: SpatialGrid) -> np.ndarray:
     return orders
 
 
-def _ladder(spectrum: np.ndarray, orders: np.ndarray, grid: SpatialGrid, beta: float,
-            hbar: EffectivePlanck | None) -> MomentumLadder:
-    return MomentumLadder(
-        beta=beta,
-        orders=orders,
-        probabilities=_probabilities(spectrum, np.empty(spectrum.shape)),
-        hbar=hbar,
-        grid_periods=grid.periods,
-    )
-
-
 def kick_step(state: WaveState, pot: RatchetPotential, hbar: EffectivePlanck) -> WaveState:
     """Multiply by the flash factor exp(-i*K*v(x)/hbar_eff); norm preserved."""
     return replace(state, amplitudes=state.amplitudes * _kick_factor(pot, hbar, state.grid.x))
@@ -237,8 +228,12 @@ def free_step(state: WaveState, hbar: EffectivePlanck) -> WaveState:
 
 
 def momentum_spectrum(state: WaveState, hbar: EffectivePlanck | None = None) -> MomentumLadder:
-    """Ladder probabilities |c_n|^2 from the discrete Fourier coefficients."""
-    return _ladder(np.fft.fft(state.amplitudes), _orders(state.grid), state.grid, state.beta, hbar)
+    """Ladder probabilities |c_n|^2 from the discrete Fourier coefficients, scaled as the core's taps."""
+    spectrum = np.fft.fft(state.amplitudes)
+    probs = np.empty(spectrum.shape)
+    _shifted_power(spectrum, probs)
+    probs *= 1.0 / probs.sum()
+    return MomentumLadder(state.beta, _orders(state.grid), probs, hbar, state.grid.periods)
 
 
 def _shifted_power(spectrum: np.ndarray, power: np.ndarray) -> None:
@@ -250,24 +245,10 @@ def _shifted_power(spectrum: np.ndarray, power: np.ndarray) -> None:
     np.square(power, out=power)
 
 
-def _probabilities(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Ladder probabilities of each spectrum row (last axis) into out, which is returned.
-
-    Each row is |spectrum|^2 divided by its sum taken in FFT order, and
-    fftshifted, so ladder order j - n//2 lands in column j.
-    """
-    np.abs(spectrum, out=out)
-    np.square(out, out=out)
-    sums = out.sum(axis=-1, keepdims=True)
-    _shifted_power(spectrum, out)
-    out /= sums
-    return out
-
-
 def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], np.ndarray],
                 flight: np.ndarray | Callable[[_Run], np.ndarray], kicks: range, dx: float, norm: float,
                 drift_message: str, name: Callable[[_Run], str], flight_after_last: bool = False
-                ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+                ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Kick/flight periods of every run from the field `start`, one batch row per run.
 
     Each period multiplies by the run's position-space factor `kick(run)`,
@@ -276,17 +257,19 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
     every run or, like `kick`, built per run. The runs propagate in chunks of
     at most BATCH_CELLS rows x samples, and the buffers are built once and
     reused by every chunk. At each tap the core yields (index of the chunk's
-    first run, kick, spectrum, power, totals): the spectrum is the chunk's
-    field itself, power its fftshifted |spectrum|^2 (zero order at column
-    n//2) and totals the row sums of power. The spectrum and power buffers
-    are reused, so the consumer copies what it keeps. Control returns at
-    every tap, so no chunk's results pile up. The flight after the last tap
-    is skipped, as nothing reads the field, unless `flight_after_last`; then
-    the last yielded spectrum holds the final field once the generator ends.
+    first run, kick, spectrum, probabilities): the spectrum is the chunk's
+    field itself, and each row of probabilities is that row's fftshifted
+    |spectrum|^2 (zero order at column n//2) times the reciprocal of its sum,
+    taken in that order. The spectrum and probability buffers are reused, so
+    the consumer copies what it keeps. Control returns at every tap, so no
+    chunk's results pile up. The flight after the last tap is skipped, as
+    nothing reads the field, unless `flight_after_last`; then the last
+    yielded spectrum holds the final field once the generator ends.
 
-    A row whose power, totals * dx / n by Parseval, drifts from `norm` by more
-    than NORM_TOL relative, or is not finite, raises NumericalFailure with
-    text name(run) + drift_message.format(relative drift, kick).
+    Before the scaling, a row whose power, its sum * dx / n by Parseval,
+    drifts from `norm` by more than NORM_TOL relative, or is not finite,
+    raises NumericalFailure with text name(run) +
+    drift_message.format(relative drift, kick).
     """
     n = start.size
     size = min(len(runs), max(1, BATCH_CELLS // n))
@@ -313,7 +296,8 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
             bad = np.flatnonzero(~(drift <= tol))  # NaN fails too
             if bad.size:
                 raise NumericalFailure(name(chunk[bad[0]]) + drift_message.format(drift[bad[0]] / norm, k))
-            yield lo, k, u, p, totals
+            p *= (1.0 / totals)[:, None]
+            yield lo, k, u, p
             if k != kicks[-1] or flight_after_last:
                 np.multiply(u, mom, out=u)
                 np.fft.ifft(u, out=u)
@@ -335,12 +319,12 @@ def evolve(
     grid = state.grid
     orders = _orders(grid)
     kicks = range(state.kick_count + 1, state.kick_count + params.n_kicks + 1)
-    for _lo, k, u, _power, _totals in _split_step(
+    for _lo, k, u, probs in _split_step(
             state.amplitudes, [params], lambda run: _kick_factor(run.potential, run.hbar, grid.x),
             _flight_factor(_ladder_values(grid, state.beta), params.hbar), kicks, grid.dx, 1.0, _NORM_DRIFT,
             lambda _run: "", flight_after_last=True):
         if record is not None:
-            record(k, _ladder(u[0], orders, grid, state.beta, params.hbar))
+            record(k, MomentumLadder(state.beta, orders, probs[0].copy(), params.hbar, grid.periods))
     # the flight after the last kick left the final field in u
     return replace(state, amplitudes=u[0], kick_count=kicks[-1])
 
@@ -356,20 +340,20 @@ def scan_probabilities(grid: SpatialGrid, beta: float,
     with ladder order j - n//2 in column j (the ascending orders of a
     MomentumLadder). Each row is bitwise the ladder `evolve` records for that
     run alone and passes MomentumLadder's checks. The array is the core's
-    reused power buffer: the consumer copies what it keeps and may overwrite
-    it. A drifting row raises NumericalFailure naming its hbar_eff, K and the
-    kick.
+    reused probability buffer: the consumer copies what it keeps and may
+    overwrite it. A drifting row raises NumericalFailure naming its hbar_eff,
+    K and the kick.
     """
     wanted = set(kicks_at)
     x = grid.x
     q = _ladder_values(grid, beta)
-    for lo, k, spectrum, power, _totals in _split_step(
+    for lo, k, _spectrum, probs in _split_step(
             plane_wave(grid, beta).amplitudes, runs, lambda run: _kick_factor(*run, x),
             lambda run: _flight_factor(q, run[1]), range(1, max(wanted) + 1), grid.dx, 1.0,
             _NORM_DRIFT, lambda run: f"scan run hbar_eff={run[1].hbar_eff!r} K={run[0].K!r}: "):
         if k in wanted:
-            _check_probabilities(_probabilities(spectrum, power))
-            yield lo, k, power
+            _check_probabilities(probs)
+            yield lo, k, probs
 
 
 def scan_ladders(grid: SpatialGrid, beta: float, runs: Sequence[tuple[RatchetPotential, EffectivePlanck]],

@@ -48,6 +48,7 @@ __all__ = [
     "crop_image",
     "ladder_csv_rows",
     "write_panel",
+    "write_stats",
     "run_fig2",
     "run_fig3",
     "run_fig4",
@@ -124,6 +125,15 @@ def write_panel(csv_path: Path, pgm_path: Path, image: FarFieldImage, ladders: l
     write_pgm(pgm_path, render_ccd(crop_image(image, cfg.max_order), cfg.gamma))
 
 
+def write_stats(path: Path, ladders: list[MomentumLadder], comments: list[str]) -> list[obs.StepStats]:
+    """Write the per-kick moments of `ladders` (kick 1 first) as a kick,mean_p,mean_p2,participation
+    CSV, and return them."""
+    stats = [obs.stats_from_ladder(k, lad) for k, lad in enumerate(ladders, start=1)]
+    write_csv(path, ["kick", "mean_p", "mean_p2", "participation"],
+              [(s.kick, s.mean_p, s.mean_p2, s.participation) for s in stats], comments=comments)
+    return stats
+
+
 def _quantum_runs(cfg: RunConfig) -> list[list[MomentumLadder]]:
     """Per-kick quantum ladders at fig 2's two hbar_eff values, the runs fig 3 also reads."""
     return [quantum_kick_ladders(cfg, hpi * math.pi, cfg.n_kicks) for hpi, _label in FIG2_HBARS]
@@ -190,11 +200,8 @@ def _fig3(cfg: RunConfig, out_dir: str | Path, quantum: list[list[MomentumLadder
     fit_rows = []
     for (hpi, _label), tag, ladders in zip(FIG2_HBARS, FIG3_TAGS, quantum):
         hbar_eff = hpi * math.pi
-        stats = [obs.stats_from_ladder(k, lad) for k, lad in enumerate(ladders, start=1)]
-        write_csv(out / f"fig3_stats_{tag}.csv",
-                  ["kick", "mean_p", "mean_p2", "participation"],
-                  [(s.kick, s.mean_p, s.mean_p2, s.participation) for s in stats],
-                  comments=[f"hbar={hbar_eff!r}"] + manifest_comments)
+        stats = write_stats(out / f"fig3_stats_{tag}.csv", ladders,
+                            [f"hbar={hbar_eff!r}"] + manifest_comments)
         kicks = [s.kick for s in stats]
         p_fit = obs.polynomial_fit(kicks[1:], [s.mean_p for s in stats[1:]], 1)
         p2_fit = obs.polynomial_fit(kicks, [s.mean_p2 for s in stats], 2)

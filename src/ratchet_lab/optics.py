@@ -275,27 +275,27 @@ class FarFieldImage:
 
 
 def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField, n_kicks: int,
-            name: Callable[[MirrorProfile], str]) -> Iterator[tuple[int, int, np.ndarray]]:
+            name: Callable[[MirrorProfile], str]) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Bounce the beam n_kicks times off each mirror, one batch row per mirror.
 
-    Yields (index of the chunk's first mirror, bounce k, rows) after each
-    bounce, with rows the chunk's focal-plane intensities, each scaled to unit
-    sum, zero order at column n//2. The buffer is reused, so the consumer
-    copies what it keeps. The reflection table and the Fresnel kernel are built once, and the
-    focal-plane transform is also the forward transform of the flight. A row
-    whose tapped power (by Parseval) drifts from the input power by more than
-    1e-8 relative, or is not finite, raises NumericalFailure with text
-    name(mirror) + the drift and the bounce.
+    The split-step core's generator: it yields (index of the chunk's first
+    mirror, bounce k, spectrum, rows) after each bounce, with rows the
+    chunk's focal-plane intensities as the core scales them, to unit sum,
+    zero order at column n//2. The buffers are reused, so the consumer copies
+    what it keeps. n_kicks is checked at the call. The reflection table and
+    the Fresnel kernel are built once, and the focal-plane transform is also
+    the forward transform of the flight. A row whose tapped power (by
+    Parseval) drifts from the input power by more than 1e-8 relative, or is
+    not finite, raises NumericalFailure with text name(mirror) + the drift
+    and the bounce.
     """
     if n_kicks < 1:
         raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
     flight = distance_for_hbar(hbar_from_geometry(geom), geom.wavelength_m, geom.period_m)
-    for lo, k, _spectrum, rows, totals in evolution._split_step(
-            beam.samples, mirrors, lambda mirror: _reflection_factor(beam, mirror),
-            _fresnel_kernel(beam, flight), range(1, n_kicks + 1), beam.dx, beam.power,
-            "beam power drifted by {:.3e} (relative) at bounce {}", name):
-        rows *= (1.0 / totals)[:, None]
-        yield lo, k, rows
+    return evolution._split_step(
+        beam.samples, mirrors, lambda mirror: _reflection_factor(beam, mirror),
+        _fresnel_kernel(beam, flight), range(1, n_kicks + 1), beam.dx, beam.power,
+        "beam power drifted by {:.3e} (relative) at bounce {}", name)
 
 
 def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamField,
@@ -305,7 +305,8 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     Each cycle is: mirror reflection, focal-plane tap, then the kick-to-kick
     flight. The flight distance is calibrated so one flight reproduces the
     kinetic ladder phase exp(-i*hbar_eff*q^2/2) of the matched quantum run,
-    with hbar_eff read from the geometry. Each row is normalized to unit sum.
+    with hbar_eff read from the geometry. Each row is the core's tap, scaled
+    to unit sum.
 
     This is the batch of one of the bounce loop, so the reflection factor and
     the Fresnel kernel are built once per run and each bounce takes one FFT
@@ -313,10 +314,9 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     power (by Parseval) drifts from the input power by more than 1e-8
     relative, or is not finite.
     """
-    image = None
-    for _lo, k, rows in _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: ""):
-        if image is None:  # allocated once _bounce has checked n_kicks
-            image = np.empty((n_kicks, rows.shape[1]))
+    taps = _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: "")
+    image = np.empty((n_kicks, beam.samples.size))
+    for _lo, k, _spectrum, rows in taps:
         image[k - 1] = rows[0]
     return FarFieldImage(rows=image, window_periods=window_periods_of(beam, geom.period_m),
                          hbar_eff=hbar_from_geometry(geom).hbar_eff)
@@ -352,8 +352,8 @@ def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam
     orders.flags.writeable = False
     hbar = hbar_from_geometry(geom)
     ladders: list[list[MomentumLadder]] = [[] for _ in mirrors]
-    for lo, _k, rows in _bounce(geom, mirrors, beam, n_kicks,
-                                lambda mirror: f"bounce run n_levels={mirror.n_levels}: "):
+    for lo, _k, _spectrum, rows in _bounce(geom, mirrors, beam, n_kicks,
+                                           lambda mirror: f"bounce run n_levels={mirror.n_levels}: "):
         for i, ladder in enumerate(_ladders(orders, _bin_orders(rows, idx), hbar)):
             ladders[lo + i].append(ladder)
     return ladders

@@ -22,13 +22,6 @@ def hbar_offres():
     return EffectivePlanck(0.35 * math.pi)
 
 
-PAPER_WAVELENGTH = 532e-9
-PAPER_PERIOD = 600e-6
-PAPER_FOCAL = 0.3
-PAPER_REFLECTIVITY = 0.95
-PAPER_DISTANCE_HALF_PI = 0.169172
-
-
 @pytest.fixture
 def fft_calls(monkeypatch):
     """Counts of np.fft.fft and np.fft.ifft calls made while the test runs."""

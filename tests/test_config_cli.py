@@ -388,7 +388,7 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(cfg, out):
         raise NumericalFailure("synthetic drift")
 
-    monkeypatch.setattr(cli, "run_fig4", boom)
+    monkeypatch.setitem(cli.SUBCOMMANDS, "scan", boom)
     assert cli.main(["scan", "--hbar=0.5pi", "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -428,11 +428,27 @@ def test_removed_keys_exit_2_before_output(tmp_path, capsys, key):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
 def test_cli_fixed_kick_phase_alias_exits_2_before_output(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main([command, "--hbar=0.5pi", "--fixed-kick-phase", "--out", str(out)]) == 2
     assert "'--fixed-kick-phase'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spelling, message", [
+    ("--o DIR", "required: --out"),
+    ("--ou=DIR", "required: --out"),
+    ("--conf FILE --out DIR", "unrecognized argument '--conf'"),
+])
+def test_cli_abbreviated_options_exit_2_before_output(tmp_path, capsys, spelling, message):
+    # --config and --out have one spelling each: a prefix is neither option
+    config = tmp_path / "run.cfg"
+    config.write_text("hbar=0.5pi\n")
+    out = tmp_path / "out"
+    tokens = spelling.replace("DIR", str(out)).replace("FILE", str(config)).split()
+    assert main(["evolve", "--hbar=0.5pi", "--n_kicks=2", *tokens]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

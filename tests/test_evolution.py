@@ -305,16 +305,25 @@ def test_scan_norm_guard_names_the_row(pot, monkeypatch, rows):
 
 
 @pytest.mark.parametrize("n", [34, 100, 256, 585])
-def test_probabilities_equal_the_per_row_formula_bitwise(n):
-    # each row divided by its sum in FFT order, then fftshifted: the formula every ladder used
+def test_core_rows_are_the_unit_sum_formula_bitwise(monkeypatch, n):
+    # every tapped row is fftshift(|spectrum|^2) times the reciprocal of its sum, in chunks of 2, 2 and 1 runs
     import ratchet_lab.evolution as evolution
 
+    monkeypatch.setattr(evolution, "BATCH_CELLS", 2 * n)
     rng = np.random.default_rng(n)
-    spectra = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
-    batched = evolution._probabilities(spectra, np.empty(spectra.shape))
-    for spectrum, row in zip(spectra, batched):
-        power = np.abs(spectrum) ** 2
-        assert row.tobytes() == np.fft.fftshift(power / power.sum()).tobytes()
+    start = rng.normal(size=n) + 1j * rng.normal(size=n)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(5, n))
+    flight = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=n))
+    taps = 0
+    for lo, _k, spectrum, probs in evolution._split_step(
+            start, range(5), lambda run: np.exp(1j * phases[run]), flight, range(1, 4), 1.0,
+            float(np.sum(np.abs(start) ** 2)), evolution._NORM_DRIFT, lambda _run: ""):
+        assert probs.shape == spectrum.shape == (min(2, 5 - lo), n)
+        for field, row in zip(spectrum, probs):
+            power = np.abs(np.fft.fftshift(field)) ** 2
+            assert row.tobytes() == (power * (1.0 / power.sum())).tobytes()
+            taps += 1
+    assert taps == 5 * 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1e-9, 0.5])
@@ -322,16 +331,16 @@ def test_scan_rows_get_the_ladder_checks(pot, hbar_res, monkeypatch, bad):
     # a corrupted entry in the last row fails as MomentumLadder fails it, with the same message
     import ratchet_lab.evolution as evolution
 
-    probabilities = evolution._probabilities
+    split_step = evolution._split_step
     rows = []
 
-    def corrupted(spectrum, out):
-        probabilities(spectrum, out)
-        out[-1, GRID.n // 2] += bad
-        rows.append(out[-1].copy())
-        return out
+    def corrupted(*args, **kwargs):
+        for lo, k, spectrum, probs in split_step(*args, **kwargs):
+            probs[-1, GRID.n // 2] += bad
+            rows.append(probs[-1].copy())
+            yield lo, k, spectrum, probs
 
-    monkeypatch.setattr(evolution, "_probabilities", corrupted)
+    monkeypatch.setattr(evolution, "_split_step", corrupted)
     with pytest.raises(ValueError) as scanned:
         list(scan_probabilities(GRID, 0.0, [(pot, hbar_res)] * 3, (2,)))
     with pytest.raises(ValueError) as single:
