@@ -32,11 +32,12 @@ class ConfigError(ValueError):
 
 
 def _number(rule: str = "", ok=None, pi: bool = False):
-    """Parser for a finite float satisfying `ok`; `pi` also accepts `0.5pi` literals."""
+    """Parser for a finite float satisfying `ok`; `pi` also accepts `0.5pi`, `pi` and `-pi` literals."""
     def parse(text: str) -> float:
         try:
             if pi and text.endswith("pi"):
-                value = (float(text[:-2]) if text[:-2] else 1.0) * math.pi
+                factor = text[:-2]
+                value = float(factor + "1" if factor in ("", "+", "-") else factor) * math.pi
             else:
                 value = float(text)
         except ValueError:

@@ -90,8 +90,9 @@ class SpatialGrid:
         return np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
 
 
-def _norm(amplitudes: np.ndarray, grid: SpatialGrid) -> float:
-    return float(np.sum(np.abs(amplitudes) ** 2) * grid.dx)
+def _norm(amplitudes: np.ndarray, dx: float) -> float:
+    """Sum of |amplitude|^2 * dx: a wave state's norm, and a beam's power (optics calls it too)."""
+    return float(np.sum(np.abs(amplitudes) ** 2) * dx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +119,7 @@ class WaveState:
 
     @property
     def norm(self) -> float:
-        return _norm(self.amplitudes, self.grid)
+        return _norm(self.amplitudes, self.grid.dx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +184,7 @@ def state_from_orders(grid: SpatialGrid, order_amps: dict[int, complex], beta: f
     u = np.zeros(grid.n, dtype=complex)
     for order, amp in order_amps.items():
         u += amp * np.exp(1j * (order / grid.periods) * grid.x)
-    u /= math.sqrt(_norm(u, grid))
+    u /= math.sqrt(_norm(u, grid.dx))
     return WaveState(grid=grid, amplitudes=u, beta=beta)
 
 

@@ -20,6 +20,7 @@ from .evolution import (
     KickedRunParams,
     MomentumLadder,
     SpatialGrid,
+    _orders,
     evolve,
     plane_wave,
     scan_probabilities,
@@ -236,8 +237,9 @@ def _scan_abs_mean_p(grid: SpatialGrid, beta: float, runs: Sequence[tuple[Ratche
 
     Each value is bitwise abs(mean_momentum(ladder)) of the run's ladder.
     """
-    # the ladder value n/periods + beta of each probability column, as MomentumLadder.ladder_values
-    ladder_values = np.fft.fftshift(grid.mode_numbers) / grid.periods + beta
+    # the ladder value n/periods + beta of each probability column: the orders of the run's
+    # MomentumLadder, through its ladder_values formula
+    ladder_values = _orders(grid) / grid.periods + beta
     for lo, kick, probs in scan_probabilities(grid, beta, runs, kicks_at):
         means = np.abs(obs._first_moment(ladder_values, probs, out=probs)).tolist()
         for run, value in enumerate(means, start=lo):

@@ -82,10 +82,11 @@ def stats_from_ladder(kick: int, ladder: MomentumLadder) -> StepStats:
 
 
 def polynomial_fit(xs, ys, degree: int) -> FitResult:
-    """Degree-1 or degree-2 least squares via normal equations.
+    """Degree-1 or degree-2 least squares through numpy's `polyfit`, always degree + 1 coefficients.
 
-    The abscissa is centered and scaled before solving, then coefficients are
-    mapped back to the original variable.
+    numpy.polynomial loads at the first fit, not with the package. An abscissa
+    whose design matrix has rank at most `degree` (fewer than degree + 1
+    distinct x values) raises ValueError.
     """
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
@@ -95,27 +96,11 @@ def polynomial_fit(xs, ys, degree: int) -> FitResult:
         raise ValueError("xs and ys must be 1-d with matching length")
     if x.size < degree + 2:
         raise ValueError(f"need at least {degree + 2} points for degree {degree}, got {x.size}")
-    center = float(x.mean())
-    scale = float(np.max(np.abs(x - center)))
-    if scale == 0.0:
-        raise ValueError("degenerate abscissa: all x values are equal")
-    t = (x - center) / scale
-    v = np.vander(t, degree + 1, increasing=True)
-    coeff_t = np.linalg.solve(v.T @ v, v.T @ y)
-    # Expand p(t) with t = (x - c)/s back into powers of x.
-    c, s = center, scale
-    if degree == 1:
-        a0, a1 = coeff_t
-        coeffs = (a0 - a1 * c / s, a1 / s)
-    else:
-        a0, a1, a2 = coeff_t
-        coeffs = (
-            a0 - a1 * c / s + a2 * c * c / (s * s),
-            a1 / s - 2.0 * a2 * c / (s * s),
-            a2 / (s * s),
-        )
-    fitted = v @ coeff_t
-    residuals = y - fitted
+    poly = np.polynomial.polynomial
+    coeffs, (_resid, rank, _sv, _rcond) = poly.polyfit(x, y, degree, full=True)
+    if rank <= degree:
+        raise ValueError(f"degenerate abscissa: rank {rank} for degree {degree}")
+    residuals = y - poly.polyval(x, coeffs)
     ss_res = float(np.sum(residuals**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
@@ -123,7 +108,7 @@ def polynomial_fit(xs, ys, degree: int) -> FitResult:
     else:
         r_squared = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
     return FitResult(
-        coefficients=tuple(float(cf) for cf in coeffs),
+        coefficients=tuple(coeffs.tolist()),
         r_squared=r_squared,
         residual_rms=math.sqrt(ss_res / x.size),
     )

@@ -142,7 +142,7 @@ class BeamField:
         return (np.arange(self.samples.size) - self.samples.size // 2) * self.dx
 
     def measured_power(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2) * self.dx)
+        return evolution._norm(self.samples, self.dx)
 
 
 def _make_field(amplitudes: np.ndarray, period_m: float, window_periods: int,
@@ -153,8 +153,7 @@ def _make_field(amplitudes: np.ndarray, period_m: float, window_periods: int,
         raise ValueError(f"need >= 64 samples per period, got {samples_per_period}")
     dx = period_m / samples_per_period
     window = window_periods * period_m
-    raw = float(np.sum(np.abs(amplitudes) ** 2) * dx)
-    amplitudes = amplitudes * math.sqrt(power / raw)
+    amplitudes = amplitudes * math.sqrt(power / evolution._norm(amplitudes, dx))
     return BeamField(samples=amplitudes, dx=dx, window_m=window, power=power,
                      wavelength_m=wavelength_m)
 
@@ -202,11 +201,6 @@ def _fresnel_kernel(field: BeamField, distance: float) -> np.ndarray:
     return np.exp(-1j * math.pi * field.wavelength_m * distance * fx * fx)
 
 
-def _focal_plane(spectrum: np.ndarray) -> np.ndarray:
-    """Focal-plane intensity of a field's spectrum, zero order at index n//2."""
-    return np.abs(np.fft.fftshift(spectrum)) ** 2
-
-
 def apply_mirror(field: BeamField, mirror: MirrorProfile) -> BeamField:
     """Reflect off the etched mirror: multiply by exp(i*4*pi*d(x)/lambda).
 
@@ -239,7 +233,9 @@ def far_field(field: BeamField, focal_m: float) -> tuple[np.ndarray, float]:
     """
     if focal_m <= 0:
         raise ValueError(f"focal_m must be positive, got {focal_m!r}")
-    return _focal_plane(np.fft.fft(field.samples)), field.wavelength_m * focal_m / field.window_m
+    intensity = np.empty(field.samples.size)
+    evolution._shifted_power(np.fft.fft(field.samples), intensity)
+    return intensity, field.wavelength_m * focal_m / field.window_m
 
 
 def _order_map(n: int, window_periods: int) -> tuple[np.ndarray, np.ndarray]:
@@ -402,6 +398,8 @@ def deflection_check(mirror: MirrorProfile, wavelength_m: float, focal_m: float)
             start = i
     regions.append((start, slopes.size))
     x = np.arange(n) * step
+    pos = wavelength_m * focal_m * np.fft.fftshift(np.fft.fftfreq(n, d=step))
+    intensity = np.empty(n)
     results = []
     for lo, hi in regions:
         if hi - lo < MIN_REGION_SAMPLES:
@@ -410,10 +408,7 @@ def deflection_check(mirror: MirrorProfile, wavelength_m: float, focal_m: float)
         width = length / 6.0
         center = (x[lo] + x[hi - 1]) / 2.0
         probe = np.exp(-((x - center) ** 2) / width**2) * np.exp(1j * phase[: n])
-        spectrum = np.fft.fftshift(np.fft.fft(probe))
-        intensity = np.abs(spectrum) ** 2
-        fx = np.fft.fftshift(np.fft.fftfreq(n, d=step))
-        pos = wavelength_m * focal_m * fx
+        evolution._shifted_power(np.fft.fft(probe), intensity)
         centroid = float(np.sum(pos * intensity) / np.sum(intensity))
         grad = float(slopes[lo])
         predicted = wavelength_m * focal_m / (2.0 * math.pi) * grad

@@ -39,6 +39,12 @@ def test_pi_literals():
     assert cfg.phi == math.pi
     cfg = parse_config("hbar=2pi\n")
     assert cfg.hbar == 2 * math.pi
+    # a bare sign in front of pi stands for +-1
+    assert parse_config("hbar=1\nphi=-pi\n").phi == -math.pi
+    assert parse_config("hbar=1\nphi=+pi\n").phi == math.pi
+    assert parse_config("hbar=+pi\n").hbar == math.pi
+    with pytest.raises(ConfigError, match="^hbar: must be positive"):
+        parse_config("hbar=-pi\n")
 
 
 def test_unknown_key_named_in_error():

@@ -131,6 +131,17 @@ def test_fig3_outputs_and_fits(tmp_path):
     assert res_p2_final > 5.0 * off_p2_final
 
 
+def test_figs_zero_strength_fits_keep_their_degree(tmp_path):
+    # with K=0 every moment is exactly 0; each fit still reports degree + 1 coefficients
+    assert main(["figs", "--hbar=0.5pi", "--K=0", "--engine=quantum", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "fig3_fits.csv").read_text().splitlines()
+    rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+    assert [(row[0], row[1]) for row in rows] == [
+        ("res_mean_p_linear", "1"), ("res_mean_p2_quadratic", "2"),
+        ("offres_mean_p_linear", "1"), ("offres_mean_p2_quadratic", "2")]
+    assert all(row[2:5] == ["0.0", "0.0", "0.0"] for row in rows)
+
+
 def test_fig3_stats_csv_parses_back(tmp_path):
     cfg = cfg_with(engine="quantum", n_kicks=6)
     result = run_fig3(cfg, tmp_path)

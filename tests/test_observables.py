@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,8 +109,53 @@ def test_fit_validation():
         polynomial_fit([1, 2], [1, 2], 1)
     with pytest.raises(ValueError):
         polynomial_fit([2, 2, 2, 2], [1, 2, 3, 4], 1)
+    # two distinct x values cannot pin a parabola: the design matrix has rank 2
+    with pytest.raises(ValueError, match="degenerate abscissa"):
+        polynomial_fit([1, 1, 2, 2], [1.0, 2.0, 3.0, 4.0], 2)
     with pytest.raises(ValueError):
         FitResult(coefficients=(0.0,), r_squared=1.5, residual_rms=0.0)
+
+
+def _exact_fitted(xs, ys, degree):
+    """Least-squares fitted values, the normal equations solved in exact rationals."""
+    x = [Fraction(v) for v in xs]
+    y = [Fraction(v) for v in ys]
+    m = degree + 1
+    a = [[sum(xi ** (i + j) for xi in x) for j in range(m)] + [sum(yi * xi**i for xi, yi in zip(x, y))]
+         for i in range(m)]
+    for col in range(m):
+        for r in range(m):
+            if r != col:
+                f = a[r][col] / a[col][col]
+                a[r] = [u - f * v for u, v in zip(a[r], a[col])]
+    coeffs = [a[i][m] / a[i][i] for i in range(m)]
+    return [float(sum(c * xi**k for k, c in enumerate(coeffs))) for xi in x]
+
+
+def _micros(bound):
+    """Noisy values in [-bound, bound] on a 1e-6 grid, clear of the subnormal range."""
+    return st.integers(-bound * 10**6, bound * 10**6).map(lambda k: k / 10**6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), degree=st.sampled_from([1, 2]))
+def test_fit_matches_exact_least_squares(data, degree):
+    xs = data.draw(st.lists(st.integers(0, 2000), min_size=degree + 2, max_size=30, unique=True))
+    trend = data.draw(st.lists(_micros(10), min_size=degree + 1, max_size=degree + 1))
+    noise = data.draw(st.lists(_micros(1), min_size=len(xs), max_size=len(xs)))
+    ys = [sum(c * x**k / 1000**k for k, c in enumerate(trend)) + e for x, e in zip(xs, noise)]
+    fit = polynomial_fit(xs, ys, degree)
+    assert len(fit.coefficients) == degree + 1
+    # Single coefficients are ill-conditioned; the fitted values are compared instead. Any
+    # float least-squares solve misses them by a few eps * cond of the column-scaled design
+    # matrix (worst seen 8.3 eps * cond), so the bound widens with cond past 64, i.e. for
+    # abscissas clustered far from zero; below that it is 1e-12 * max|y|.
+    x = np.asarray(xs, dtype=float)
+    v = np.vander(x, degree + 1, increasing=True)
+    cond = np.linalg.cond(v / np.linalg.norm(v, axis=0))
+    fitted = np.polynomial.polynomial.polyval(x, fit.coefficients)
+    exact = np.array(_exact_fitted(xs, ys, degree))
+    assert np.max(np.abs(fitted - exact)) <= 1e-12 * max(1.0, cond / 64) * max(abs(y) for y in ys)
 
 
 @settings(max_examples=100, deadline=None)
