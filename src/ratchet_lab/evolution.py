@@ -7,14 +7,17 @@ flight as an exact diagonal parameter instead of a grid offset.
 
 `_split_step` is the one propagation core of both engines: it runs batches
 of runs in place, in chunks, through the kick/FFT/tap/flight/IFFT loop, and
-holds the drift guard that names a failing run. At every tap it hands out
-each row's fftshifted |spectrum|^2 scaled to unit sum, the one place a tap
-becomes a probability row. `evolve` and `scan_probabilities` feed it the
-kick and flight factors; `optics` feeds it the mirror reflection and the
-Fresnel kernel. The resonance scan works out its statistics per chunk, as
-array operations on the core's rows, and builds no per-run ladder. Single
-runs go through `evolve`; the figure pipeline makes the two that fig 2 and
-fig 3 share only once.
+holds the drift guard that names a failing run. A run's field has a class
+axis: P quasimomentum classes of S samples, transformed along S. At every
+tap it hands out each row's fftshifted |spectrum|^2 over the whole window
+scaled to unit sum, the one place a tap becomes a probability row.
+`evolve` and `scan_probabilities` feed it one class and the kick and flight
+factors; `optics` feeds it the beam as one class per mirror period, one
+period of the mirror reflection and the Fresnel kernel in class layout. The
+resonance scan works out its statistics per chunk, as array operations on
+the core's rows, and builds no per-run ladder. Single runs go through
+`evolve`; the figure pipeline makes the two that fig 2 and fig 3 share only
+once.
 """
 
 from __future__ import annotations
@@ -246,26 +249,53 @@ def _shifted_power(spectrum: np.ndarray, power: np.ndarray) -> None:
     np.square(power, out=power)
 
 
+def _class_power(spectrum: np.ndarray, power: np.ndarray, squares: np.ndarray) -> None:
+    """Fill the (rows, n) power rows with the fftshifted |spectrum|^2 of (rows, P, S) class spectra.
+
+    Class r's line m is the window's spectral line k = r + P*m, so
+    power[(r + P*m + n//2) mod n] = |spectrum[r, m]|^2. The squares fill the
+    contiguous (rows, P, S) buffer `squares`, which is then copied transposed
+    into the power rows: the classes r < P - t move t columns on within the
+    period and m by q, the others t - P columns and m by q + 1, where
+    n//2 = q*P + t, so each group lands in two slices.
+    """
+    rows, p_classes, s = spectrum.shape
+    np.abs(spectrum, out=squares)
+    np.square(squares, out=squares)
+    q, t = divmod(p_classes * s // 2, p_classes)
+    lines = power.reshape(rows, s, p_classes)
+    for lo, hi, shift, column in ((0, p_classes - t, q, t), (p_classes - t, p_classes, q + 1, 0)):
+        src = squares[:, lo:hi].transpose(0, 2, 1)
+        dst = lines[..., column:column + hi - lo]
+        shift %= s
+        dst[:, shift:] = src[:, :s - shift]
+        dst[:, :shift] = src[:, s - shift:]
+
+
 def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], np.ndarray],
                 flight: np.ndarray | Callable[[_Run], np.ndarray], kicks: range, dx: float, norm: float,
                 drift_message: str, name: Callable[[_Run], str], flight_after_last: bool = False
                 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Kick/flight periods of every run from the field `start`, one batch row per run.
 
-    Each period multiplies by the run's position-space factor `kick(run)`,
-    takes the forward FFT, taps, multiplies by the momentum-space factor and
-    takes the inverse FFT, all in place. `flight` is one factor shared by
+    `start` is one run's field: an (n,) vector, or P quasimomentum classes of
+    S samples as a (P, S) array, n = P*S. A vector is one class (P = 1). Each
+    period multiplies by the run's position-space factor `kick(run)`, S
+    samples broadcast over the classes, takes the forward FFT along the last
+    axis, taps, multiplies by the momentum-space factor and takes the inverse
+    FFT, all in place. `flight` is one factor of `start`'s shape shared by
     every run or, like `kick`, built per run. The runs propagate in chunks of
-    at most BATCH_CELLS rows x samples, and the buffers are built once and
+    at most BATCH_CELLS rows x n samples, and the buffers are built once and
     reused by every chunk. At each tap the core yields (index of the chunk's
     first run, kick, spectrum, probabilities): the spectrum is the chunk's
-    field itself, and each row of probabilities is that row's fftshifted
-    |spectrum|^2 (zero order at column n//2) times the reciprocal of its sum,
-    taken in that order. The spectrum and probability buffers are reused, so
-    the consumer copies what it keeps. Control returns at every tap, so no
-    chunk's results pile up. The flight after the last tap is skipped, as
-    nothing reads the field, unless `flight_after_last`; then the last
-    yielded spectrum holds the final field once the generator ends.
+    field itself, one row of `start`'s shape per run, and each row of
+    probabilities is that run's fftshifted window power (zero order at column
+    n//2; class r's line m is the window's line r + P*m) times the reciprocal
+    of its sum, taken in that order. The spectrum and probability buffers are
+    reused, so the consumer copies what it keeps. Control returns at every
+    tap, so no chunk's results pile up. The flight after the last tap is
+    skipped, as nothing reads the field, unless `flight_after_last`; then the
+    last yielded spectrum holds the final field once the generator ends.
 
     Before the scaling, a row whose power, its sum * dx / n by Parseval,
     drifts from `norm` by more than NORM_TOL relative, or is not finite,
@@ -273,32 +303,39 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
     drift_message.format(relative drift, kick).
     """
     n = start.size
+    classes, s = (1, n) if start.ndim == 1 else start.shape
     size = min(len(runs), max(1, BATCH_CELLS // n))
-    field = np.empty((size, n), dtype=complex)
-    position = np.empty_like(field)
-    momentum = np.empty_like(field) if callable(flight) else np.broadcast_to(flight, field.shape)
-    power = np.empty(field.shape)
+    field = np.empty((size, classes, s), dtype=complex)
+    position = np.empty((size, 1, s), dtype=complex)
+    momentum = (np.empty_like(field) if callable(flight)
+                else np.broadcast_to(np.reshape(flight, (classes, s)), field.shape))
+    power = np.empty((size, n))
+    squares = np.empty(field.shape) if classes > 1 else None
     tol = NORM_TOL * norm
     for lo in range(0, len(runs), size):
         chunk = runs[lo:lo + size]
         for i, run in enumerate(chunk):
-            position[i] = kick(run)
+            position[i, 0] = kick(run)
             if callable(flight):
-                momentum[i] = flight(run)
+                momentum[i] = np.reshape(flight(run), (classes, s))
         u, pos, mom, p = (buffer[:len(chunk)] for buffer in (field, position, momentum, power))
-        u[:] = start
+        u[:] = np.reshape(start, (classes, s))
+        spectrum = u.reshape(len(chunk), *start.shape)
         for k in kicks:
             # u stays the left operand: complex SIMD multiply is not bitwise commutative
             np.multiply(u, pos, out=u)
             np.fft.fft(u, out=u)
-            _shifted_power(u, p)
+            if squares is None:
+                _shifted_power(u[:, 0], p)
+            else:
+                _class_power(u, p, squares[:len(chunk)])
             totals = p.sum(axis=1)
             drift = np.abs(totals * dx / n - norm)
             bad = np.flatnonzero(~(drift <= tol))  # NaN fails too
             if bad.size:
                 raise NumericalFailure(name(chunk[bad[0]]) + drift_message.format(drift[bad[0]] / norm, k))
             p *= (1.0 / totals)[:, None]
-            yield lo, k, u, p
+            yield lo, k, spectrum, p
             if k != kicks[-1] or flight_after_last:
                 np.multiply(u, mom, out=u)
                 np.fft.ifft(u, out=u)

@@ -4,6 +4,11 @@ A laser field bounces between an etched phase mirror and the coated flat of a
 cylindrical lens; each mirror encounter imprints the kick phase and a small
 tap of the field is imaged at the lens focal plane. Geometry arithmetic maps
 the mirror-lens distance to the effective Planck constant and back.
+
+The mirror is periodic, so a beam P mirror periods wide splits exactly into P
+quasimomentum classes of one period each, and the bounce loop propagates the
+classes side by side on the split-step core, each bounce transforming (P, S)
+fields along their S samples per period instead of the whole window at once.
 """
 
 from __future__ import annotations
@@ -270,6 +275,34 @@ class FarFieldImage:
     """Effective Planck constant of the run, carried into the order ladders."""
 
 
+def _mirror_periods(beam: BeamField, mirrors: Sequence[MirrorProfile], periods: int
+                    ) -> list[np.ndarray] | None:
+    """One period of each mirror's gathered reflection factor, or None unless every factor
+    repeats exactly over the `periods` mirror periods of the beam (and there are at least two)."""
+    if periods < 2 or beam.samples.size % periods:
+        return None
+    rows = []
+    for mirror in mirrors:
+        factor = _reflection_factor(beam, mirror).reshape(periods, -1)
+        if not (factor == factor[0]).all():
+            return None
+        rows.append(factor[0].copy())
+    return rows
+
+
+def _class_field(samples: np.ndarray, periods: int) -> np.ndarray:
+    """The beam's quasimomentum classes W[r, s] = exp(-2*pi*i*r*s/n) * F[r, s], with F the FFT
+    over the period axis of samples.reshape(periods, S).
+
+    The FFT of row r along s is the window spectrum's lines r + periods*m, m = 0..S-1, and an
+    S-periodic factor multiplies every row alike, so the classes propagate independently.
+    """
+    n = samples.size
+    field = np.fft.fft(samples.reshape(periods, -1), axis=0)
+    field *= np.exp((-2j * math.pi / n) * np.outer(np.arange(periods), np.arange(n // periods)))
+    return field
+
+
 def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField, n_kicks: int,
             name: Callable[[MirrorProfile], str]) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Bounce the beam n_kicks times off each mirror, one batch row per mirror.
@@ -278,20 +311,33 @@ def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamF
     mirror, bounce k, spectrum, rows) after each bounce, with rows the
     chunk's focal-plane intensities as the core scales them, to unit sum,
     zero order at column n//2. The buffers are reused, so the consumer copies
-    what it keeps. n_kicks is checked at the call. The reflection table and
-    the Fresnel kernel are built once, and the focal-plane transform is also
-    the forward transform of the flight. A row whose tapped power (by
-    Parseval) drifts from the input power by more than 1e-8 relative, or is
-    not finite, raises NumericalFailure with text name(mirror) + the drift
-    and the bounce.
+    what it keeps. n_kicks is checked at the call. The mirror is periodic, so
+    the beam of P mirror periods runs as P independent quasimomentum classes
+    of S = n/P samples (`_class_field`): each reflects off one period of the
+    mirror's factor, and each bounce transforms (P, S) fields along S. If
+    some mirror's gathered factor does not repeat exactly every S samples (a
+    mirror sampled off the beam grid), the beam runs as one class of n
+    samples. The reflection rows and the Fresnel kernel, gathered into class
+    layout, are built once, and the focal-plane transform is also the
+    forward transform of the flight. A row whose tapped power (by Parseval)
+    drifts from the input power by more than 1e-8 relative, or is not
+    finite, raises NumericalFailure with text name(mirror) + the drift and
+    the bounce.
     """
     if n_kicks < 1:
         raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
     flight = distance_for_hbar(hbar_from_geometry(geom), geom.wavelength_m, geom.period_m)
+    kernel = _fresnel_kernel(beam, flight)
+    periods = window_periods_of(beam, geom.period_m)
+    rows = _mirror_periods(beam, mirrors, periods)
+    if rows is None:
+        start, reflect = beam.samples, lambda i: _reflection_factor(beam, mirrors[i])
+    else:
+        start, reflect = _class_field(beam.samples, periods), rows.__getitem__
+        kernel = np.ascontiguousarray(kernel.reshape(-1, periods).T)
     return evolution._split_step(
-        beam.samples, mirrors, lambda mirror: _reflection_factor(beam, mirror),
-        _fresnel_kernel(beam, flight), range(1, n_kicks + 1), beam.dx, beam.power,
-        "beam power drifted by {:.3e} (relative) at bounce {}", name)
+        start, range(len(mirrors)), reflect, kernel, range(1, n_kicks + 1), beam.dx, beam.power,
+        "beam power drifted by {:.3e} (relative) at bounce {}", lambda i: name(mirrors[i]))
 
 
 def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamField,
@@ -304,10 +350,12 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     with hbar_eff read from the geometry. Each row is the core's tap, scaled
     to unit sum.
 
-    This is the batch of one of the bounce loop, so the reflection factor and
-    the Fresnel kernel are built once per run and each bounce takes one FFT
-    pair (none after the last tap). Raises NumericalFailure when the tapped
-    power (by Parseval) drifts from the input power by more than 1e-8
+    This is the batch of one of the bounce loop: the beam runs as one
+    quasimomentum class per mirror period, the reflection row and the Fresnel
+    kernel are built once per run, one FFT over the period axis splits the
+    beam into its classes, and each bounce then takes one FFT pair along the
+    class samples (none after the last tap). Raises NumericalFailure when the
+    tapped power (by Parseval) drifts from the input power by more than 1e-8
     relative, or is not finite.
     """
     taps = _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: "")

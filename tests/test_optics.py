@@ -217,6 +217,33 @@ def stepwise_rows(geom, mirror, beam, n_kicks):
     return np.stack(rows)
 
 
+def class_stepwise_rows(geom, mirror, beam, n_kicks):
+    """Rows of bounce_simulation as a class-basis step composition: the beam split once into its
+    quasimomentum classes, then per bounce the kick, the FFT, the tap, the class flight and the
+    inverse FFT."""
+    import ratchet_lab.optics as optics
+
+    n = beam.samples.size
+    periods = round(beam.window_m / geom.period_m)
+    s = n // periods
+    r, m = np.arange(periods)[:, None], np.arange(s)[None, :]
+    field = np.fft.fft(beam.samples.reshape(periods, s), axis=0)
+    field = field * np.exp((-2j * math.pi / n) * (r * m))
+    reflection = per_sample_reflection_factor(beam, mirror).reshape(periods, s)
+    assert np.array_equal(reflection, np.broadcast_to(reflection[0], reflection.shape))
+    flight = distance_for_hbar(hbar_from_geometry(geom), geom.wavelength_m, geom.period_m)
+    kernel = optics._fresnel_kernel(beam, flight).reshape(s, periods).T
+    rows = []
+    for _ in range(n_kicks):
+        field = field * reflection[0]
+        spectrum = np.fft.fft(field)
+        power = np.empty(n)
+        power[(r + periods * m + n // 2) % n] = np.abs(spectrum) ** 2
+        rows.append(power * (1.0 / power.sum()))
+        field = np.fft.ifft(spectrum * kernel)
+    return np.stack(rows)
+
+
 def bounce_case(hbar_eff, window_periods, samples_per_period, n_levels="continuous", pot=RatchetPotential()):
     hbar = EffectivePlanck(hbar_eff)
     geom = OpticalGeometry(LAM, PERIOD, distance_for_hbar(hbar, LAM, PERIOD))
@@ -229,15 +256,29 @@ def bounce_case(hbar_eff, window_periods, samples_per_period, n_levels="continuo
 @settings(max_examples=20, deadline=None)
 @given(hbar_over_pi=st.floats(min_value=0.1, max_value=2.0),
        window_periods=st.integers(min_value=8, max_value=96),
-       samples_per_period=st.sampled_from([64, 96, 128]),
+       samples_per_period=st.sampled_from([64, 65, 96, 128]),
        n_levels=st.sampled_from(["continuous", 4, 16]),
        n_kicks=st.integers(min_value=1, max_value=12))
 def test_bounce_equals_step_composition_bitwise(hbar_over_pi, window_periods, samples_per_period,
                                                 n_levels, n_kicks):
+    # bitwise against the class-basis composition; the plane composition transforms the whole
+    # window at once and rounds differently, so against it the bound is the 65,536-sample one
     geom, mirror, beam = bounce_case(hbar_over_pi * math.pi, window_periods, samples_per_period, n_levels)
     assert beam.samples.size < 16384
     image = bounce_simulation(geom, mirror, beam, n_kicks)
-    assert np.array_equal(image.rows, stepwise_rows(geom, mirror, beam, n_kicks))
+    assert np.array_equal(image.rows, class_stepwise_rows(geom, mirror, beam, n_kicks))
+    assert np.max(np.abs(image.rows - stepwise_rows(geom, mirror, beam, n_kicks))) < 1e-14
+
+
+def test_mirror_off_the_beam_grid_runs_as_one_class(fft_calls):
+    # a 64-sample mirror gathered onto 128 samples per period does not repeat exactly every
+    # period (the nearest-sample lookup rounds half-way points either way), so the beam is not
+    # split into classes and the bounce is the plane composition bit for bit
+    geom, _, beam = bounce_case(0.5 * math.pi, 16, 128)
+    mirror = ratchet_mirror(RatchetPotential(), hbar_from_geometry(geom), LAM, PERIOD, 64)
+    image = bounce_simulation(geom, mirror, beam, 5)
+    assert (fft_calls["fft"], fft_calls["ifft"]) == (5, 4)
+    assert np.array_equal(image.rows, stepwise_rows(geom, mirror, beam, 5))
 
 
 def test_bounce_matches_step_composition_at_65536_samples():
@@ -253,7 +294,8 @@ def test_bounce_matches_step_composition_at_65536_samples():
 def test_bounce_takes_one_fft_pair_per_bounce(n_kicks, fft_calls):
     geom, mirror, beam = bounce_case(0.5 * math.pi, 16, 64)
     bounce_simulation(geom, mirror, beam, n_kicks)
-    assert (fft_calls["fft"], fft_calls["ifft"]) == (n_kicks, n_kicks - 1)
+    # one more forward transform than bounces: the split into quasimomentum classes
+    assert (fft_calls["fft"], fft_calls["ifft"]) == (n_kicks + 1, n_kicks - 1)
 
 
 def test_bounce_power_guard(monkeypatch, tmp_path, capsys):
@@ -282,7 +324,8 @@ def test_bounce_nan_power_fails_the_guard(monkeypatch):
 
 
 def test_cli_optical_odd_window_equals_step_composition_bytes(tmp_path):
-    # 9 periods x 65 samples: an odd n, so the focal-plane half swap is uneven
+    # 9 periods x 65 samples: an odd n, so the focal-plane half swap is uneven, and n//2 is
+    # not a multiple of the 9 classes, so the classes' lines land in the window unevenly too
     from ratchet_lab.cli import main
     from ratchet_lab.config import parse_config
     from ratchet_lab.experiments import write_panel
@@ -296,7 +339,7 @@ def test_cli_optical_odd_window_equals_step_composition_bytes(tmp_path):
     beam = gaussian_beam(cfg.period, cfg.beam_periods, cfg.beam_points_per_period, cfg.beam_width,
                          cfg.wavelength)
     assert beam.samples.size == 585
-    image = FarFieldImage(rows=stepwise_rows(geom, mirror, beam, cfg.n_kicks),
+    image = FarFieldImage(rows=class_stepwise_rows(geom, mirror, beam, cfg.n_kicks),
                           window_periods=9, hbar_eff=hbar_from_geometry(geom).hbar_eff)
     ref = tmp_path / "ref"
     ref.mkdir()
@@ -361,6 +404,23 @@ def test_bounce_batch_guard_names_the_row(monkeypatch, tmp_path, capsys, rows):
     assert not (out / "compare_engines.csv").exists()
 
 
+def test_class_layout_batch_guard_names_the_row(monkeypatch):
+    import ratchet_lab.optics as optics
+
+    def lossy(mirror, wavelength_m):
+        phase = phase_from_depth(mirror, wavelength_m)
+        return phase + 1e-3j if mirror.n_levels == 16 else phase
+
+    monkeypatch.setattr(optics, "phase_from_depth", lossy)
+    geom, _, beam = bounce_case(0.5 * math.pi, 9, 65)
+    mirrors = [ratchet_mirror(RatchetPotential(), hbar_from_geometry(geom), LAM, PERIOD, 65, n_levels)
+               for n_levels in ("continuous", 4, 16, 64)]
+    assert [row.shape for row in optics._mirror_periods(beam, mirrors, 9)] == [(65,)] * 4
+    expected = r"^bounce run n_levels=16: beam power drifted by .* \(relative\) at bounce 1$"
+    with pytest.raises(NumericalFailure, match=expected):
+        bounce_ladders(geom, mirrors, beam, 3)
+
+
 @settings(max_examples=25, deadline=None)
 @given(K=st.floats(min_value=0.0, max_value=2.0),
        alpha=st.floats(min_value=0.0, max_value=1.0),
@@ -400,11 +460,15 @@ def test_quantum_run_from_the_beam_state_matches_the_bounce(K, alpha, phi, hbar_
         assert np.max(np.abs(optics._bin_orders(q.probabilities[None], idx)[0] - o.probabilities)) <= 1e-12
 
 
+CLASS_SHAPES = {65536: (512, 128), 585: (9, 65)}  # (P, S) of the compare beam and the odd beam
+
+
 @pytest.mark.parametrize("m", [1, 3, 7])
 @pytest.mark.parametrize("n", [256, 585, 8192, 65536])
 def test_batched_in_place_fft_equals_per_row_bitwise(n, m):
-    # the engines transform (rows, n) batches, the beam engine in place; a
-    # numpy upgrade that broke this equality would move artifact bits
+    # the engines transform (rows, n) batches in place, and the beam engine
+    # (rows, P, S) class batches along S; a numpy upgrade that broke this
+    # equality would move artifact bits
     rng = np.random.default_rng(n + m)
     a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     for transform in (np.fft.fft, np.fft.ifft):
@@ -413,6 +477,14 @@ def test_batched_in_place_fft_equals_per_row_bitwise(n, m):
         for batch in (transform(a), in_place):
             for row, ref in zip(batch, a):
                 assert row.tobytes() == transform(ref).tobytes()
+    if n in CLASS_SHAPES:
+        classes = a.reshape(m, *CLASS_SHAPES[n])
+        for transform in (np.fft.fft, np.fft.ifft):
+            in_place = classes.copy()
+            transform(in_place, out=in_place)
+            for batch, field in zip(in_place, classes):
+                for row, ref in zip(batch, field):
+                    assert row.tobytes() == transform(ref).tobytes()
 
 
 def test_bounce_correspondence_moderate_beam(pot, hbar_res):
