@@ -35,7 +35,6 @@ from .optics import (
     bounce_simulation,
     distance_for_hbar,
     gaussian_beam,
-    hbar_from_geometry,
     image_ladders,
     ratchet_mirror,
     render_ccd,
@@ -75,12 +74,12 @@ def quantum_kick_ladders(cfg: RunConfig, hbar_eff: float, n_kicks: int) -> list[
 
 def _bounce_setup(cfg: RunConfig, hbar_eff: float, levels: Sequence[int | str]
                   ) -> tuple[OpticalGeometry, list[MirrorProfile], BeamField]:
-    """Geometry at the distance realizing hbar_eff, one ratchet mirror per entry of
-    `levels`, and the standard Gaussian beam."""
+    """Geometry at the distance realizing hbar_eff, one ratchet mirror cut for hbar_eff per
+    entry of `levels`, and the standard Gaussian beam."""
     hbar = EffectivePlanck(hbar_eff)
     geom = cfg.geometry(distance=distance_for_hbar(hbar, cfg.wavelength, cfg.period))
     pot = cfg.potential()
-    mirrors = [ratchet_mirror(pot, hbar_from_geometry(geom), cfg.wavelength, cfg.period,
+    mirrors = [ratchet_mirror(pot, hbar, cfg.wavelength, cfg.period,
                               samples_per_period=cfg.beam_points_per_period, n_levels=n_levels)
                for n_levels in levels]
     beam = gaussian_beam(cfg.period, cfg.beam_periods, cfg.beam_points_per_period,

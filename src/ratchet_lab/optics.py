@@ -326,8 +326,7 @@ def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamF
     """
     if n_kicks < 1:
         raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
-    flight = distance_for_hbar(hbar_from_geometry(geom), geom.wavelength_m, geom.period_m)
-    kernel = _fresnel_kernel(beam, flight)
+    kernel = _fresnel_kernel(beam, geom.distance_m)
     periods = window_periods_of(beam, geom.period_m)
     rows = _mirror_periods(beam, mirrors, periods)
     if rows is None:
@@ -345,10 +344,10 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     """Bounce the beam n_kicks times, tapping the far field after each mirror hit.
 
     Each cycle is: mirror reflection, focal-plane tap, then the kick-to-kick
-    flight. The flight distance is calibrated so one flight reproduces the
-    kinetic ladder phase exp(-i*hbar_eff*q^2/2) of the matched quantum run,
-    with hbar_eff read from the geometry. Each row is the core's tap, scaled
-    to unit sum.
+    flight over the geometry's gap `distance_m`, which gives the kinetic
+    ladder phase exp(-i*hbar_eff*q^2/2) of the matched quantum run, with
+    hbar_eff read from the geometry. Each row is the core's tap, scaled to
+    unit sum.
 
     This is the batch of one of the bounce loop: the beam runs as one
     quasimomentum class per mirror period, the reflection row and the Fresnel

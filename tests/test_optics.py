@@ -207,13 +207,12 @@ def test_bounce_rows_normalized_by_default(pot, hbar_res):
 
 def stepwise_rows(geom, mirror, beam, n_kicks):
     """Rows of bounce_simulation built from the public single-step functions."""
-    flight = distance_for_hbar(hbar_from_geometry(geom), geom.wavelength_m, geom.period_m)
     rows = []
     for _ in range(n_kicks):
         beam = apply_mirror(beam, mirror)
         intensity, _ = far_field(beam, 0.3)
         rows.append(intensity * (1.0 / intensity.sum()))
-        beam = propagate_fresnel(beam, flight)
+        beam = propagate_fresnel(beam, geom.distance_m)
     return np.stack(rows)
 
 
@@ -231,8 +230,7 @@ def class_stepwise_rows(geom, mirror, beam, n_kicks):
     field = field * np.exp((-2j * math.pi / n) * (r * m))
     reflection = per_sample_reflection_factor(beam, mirror).reshape(periods, s)
     assert np.array_equal(reflection, np.broadcast_to(reflection[0], reflection.shape))
-    flight = distance_for_hbar(hbar_from_geometry(geom), geom.wavelength_m, geom.period_m)
-    kernel = optics._fresnel_kernel(beam, flight).reshape(s, periods).T
+    kernel = optics._fresnel_kernel(beam, geom.distance_m).reshape(s, periods).T
     rows = []
     for _ in range(n_kicks):
         field = field * reflection[0]
@@ -334,7 +332,7 @@ def test_cli_optical_odd_window_equals_step_composition_bytes(tmp_path):
     assert main(["optical", *(f"--{k}={v}" for k, v in flags.items()), "--out", str(tmp_path / "cli")]) == 0
     cfg = parse_config("", flags)
     geom = cfg.geometry(distance=distance_for_hbar(EffectivePlanck(cfg.hbar), cfg.wavelength, cfg.period))
-    mirror = ratchet_mirror(cfg.potential(), hbar_from_geometry(geom), cfg.wavelength, cfg.period,
+    mirror = ratchet_mirror(cfg.potential(), EffectivePlanck(cfg.hbar), cfg.wavelength, cfg.period,
                             cfg.beam_points_per_period, cfg.n_levels)
     beam = gaussian_beam(cfg.period, cfg.beam_periods, cfg.beam_points_per_period, cfg.beam_width,
                          cfg.wavelength)
