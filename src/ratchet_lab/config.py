@@ -26,6 +26,14 @@ SCAN_MODES = ("fixed-k", "fixed-kick-phase", "both")
 # Largest hbar_eff scan accepted; the default scan has 100 points.
 MAX_SCAN_POINTS = 10_000
 
+# Most propagation work a config may ask of one batch, in sample-kicks (kicks x samples
+# per run x runs). The largest documented run, a 10,000-point `scan --scan_mode=both`,
+# needs 1.1e8; 2e9 is about a minute of bouncing at the 3e-8 s per sample-kick that
+# `compare` takes on a 2-vCPU x86-64 machine.
+WORK_BUDGET = 2 * 10**9
+# Runs in `compare`'s bounce batch: the continuous mirror and experiments.QUANTIZATION_SWEEP.
+COMPARE_MIRRORS = 7
+
 
 class ConfigError(ValueError):
     """Invalid, missing, or unknown configuration key."""
@@ -201,7 +209,28 @@ def parse_config(text: str = "", overrides: dict[str, str] | None = None) -> Run
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(f"scan_hbar_step: {cfg.scan_hbar_step!r} is too small to separate "
                           f"scan points near {scan_max!r} in floating point")
+    work, keys, terms = max(_batch_work(cfg, len(values)))
+    if work > WORK_BUDGET:
+        raise ConfigError(f"{keys}: {terms} is {work:.3g} sample-kicks, over the work budget "
+                          f"of {WORK_BUDGET:.3g}")
     return cfg
+
+
+def _batch_work(cfg: RunConfig, scan_points: int) -> list[tuple[int, str, str]]:
+    """(sample-kicks, the keys that set them, the product spelled out) of each batch a
+    subcommand may run: a quantum run, the resonance scan and `compare`'s mirror batch."""
+    grid = cfg.periods * cfg.points_per_period
+    beam = cfg.beam_periods * cfg.beam_points_per_period
+    scan_kicks = max(cfg.scan_kicks_at)
+    scan_rows = scan_points * (2 if cfg.scan_mode == "both" else 1)
+    return [
+        (cfg.n_kicks * grid, "n_kicks, periods, points_per_period",
+         f"{cfg.n_kicks} kicks x {grid} grid points"),
+        (scan_kicks * grid * scan_rows, "scan_kicks_at, periods, points_per_period, scan_hbar_step",
+         f"{scan_kicks} kicks x {grid} grid points x {scan_rows} scan rows"),
+        (cfg.n_kicks * beam * COMPARE_MIRRORS, "n_kicks, beam_periods, beam_points_per_period",
+         f"{cfg.n_kicks} kicks x {beam} beam samples x {COMPARE_MIRRORS} mirrors"),
+    ]
 
 
 def parse_config_file(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:

@@ -319,6 +319,64 @@ def test_cli_figs_too_few_kicks_exits_2_before_output(tmp_path, monkeypatch, cap
     assert main(["evolve", "--hbar=0.5pi", f"--n_kicks={n_kicks}", "--out", str(tmp_path / "evolve")]) == 0
 
 
+# ROADMAP item 5's absurd requests, each as the key it names and the flags that set it
+OVER_BUDGET = {"n_kicks": ["--n_kicks=1000000000"], "beam_periods": ["--beam_periods=10000000"],
+               "points_per_period": ["--periods=4096", "--points_per_period=1048576"]}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("key", sorted(OVER_BUDGET))
+def test_cli_work_over_budget_exits_2_before_output(tmp_path, monkeypatch, capsys, key, command):
+    import ratchet_lab.experiments as experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("propagation started for a rejected config")
+
+    for name in ("evolve", "scan_probabilities", "bounce_simulation", "bounce_ladders"):
+        monkeypatch.setattr(experiments, name, no_run)
+    out = tmp_path / command
+    assert main([command, "--hbar=0.5pi", *OVER_BUDGET[key], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "over the work budget" in err and key in err.split(":")[2]
+    assert not (out / "run_manifest").exists()
+
+
+def documented_configs():
+    """(label, overrides) of every run the README, the scripts, the benchmark and the
+    largest tests make through a config."""
+    import importlib.util
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    for line in re.findall(r"^ratchet-lab (\w+ .*) --out", (root / "README.md").read_text(), re.M):
+        if "<" not in line:
+            yield line, dict(token[2:].split("=", 1) for token in line.split()[1:])
+    spec = importlib.util.spec_from_file_location("bench_workloads", root / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in range(10):
+            yield f"benchmark {name} seed {seed}", workload.overrides(seed)
+    # scripts/beam_width_study.py's widest window; test_criterion_06's beam
+    yield "beam_width_study", {"hbar": "0.5pi", "beam_periods": "1024", "beam_points_per_period": "128"}
+    yield "criterion 06", {"hbar": "0.5pi", "beam_periods": "512", "beam_points_per_period": "128"}
+    yield "10,000-point scan, both modes", {"hbar": "1", "scan_hbar_min": "1", "scan_hbar_max": "10000",
+                                            "scan_hbar_step": "1", "scan_mode": "both"}
+
+
+def test_documented_configs_fit_the_work_budget_tenfold():
+    from ratchet_lab import config
+
+    labels = []
+    for label, overrides in documented_configs():
+        cfg = parse_config("", overrides)
+        work, _keys, terms = max(config._batch_work(cfg, len(cfg.scan_hbar_values())))
+        assert 10 * work <= config.WORK_BUDGET, (label, terms)
+        labels.append(label)
+    assert len(labels) == 4 + 30 + 3
+
+
 def test_scan_grid_separable_at_parse():
     with pytest.raises(ConfigError, match="^scan_hbar_step: .* too small to separate"):
         parse_config("hbar=1\nscan_hbar_min=1e12\nscan_hbar_max=1000000000000.4\nscan_hbar_step=6e-5\n")

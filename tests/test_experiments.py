@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ratchet_lab.config import parse_config
+from ratchet_lab.config import COMPARE_MIRRORS, parse_config
 from ratchet_lab.experiments import (
     QUANTIZATION_SWEEP,
     compare_engines,
@@ -254,8 +254,9 @@ def test_compare_engines_report(tmp_path, monkeypatch, fft_calls):
     monkeypatch.setattr(experiments, "bounce_ladders", counted)
     cfg = cfg_with(beam_periods=256, beam_width=32 * 600e-6, n_kicks=22)
     report = compare_engines(cfg, tmp_path)
-    # one batch: the continuous mirror, then one row per level
+    # one batch: the continuous mirror, then one row per level, as the work budget counts it
     assert batches == [["continuous", *QUANTIZATION_SWEEP]]
+    assert len(batches[0]) == COMPARE_MIRRORS
     # 22 kicks of the quantum run (22 + 22), 22 bounces of the batch (22 + 21), and one
     # forward transform that splits the beam into its quasimomentum classes
     assert (fft_calls["fft"], fft_calls["ifft"]) == (45, 43)
