@@ -4,7 +4,9 @@
 
 Subcommands: evolve, optical, scan, mirror, compare, figs. Any configuration
 key can be overridden with --key=value. Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.
+error (a bad option or key, an unreadable config file, an unusable output
+directory, or a subcommand's own check of the config), 3 numerical failure.
+Any other error during a run propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -98,11 +100,15 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_manifest(cfg, out)
+    except (ConfigError, OSError) as exc:  # OSError: the config file or the output directory
+        print(f"ratchet-lab: configuration error: {exc}", file=sys.stderr)
+        return 2
+    try:
         SUBCOMMANDS[args.command](cfg, out)
     except NumericalFailure as exc:
         print(f"ratchet-lab: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+    except ConfigError as exc:  # a subcommand's own check, as fig 3's kick count
         print(f"ratchet-lab: configuration error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -191,10 +191,15 @@ def parse_config(text: str = "", overrides: dict[str, str] | None = None) -> Run
         got = "both" if "hbar" in raw else "neither"
         raise ConfigError(f"exactly one of hbar / distance must be supplied, got {got}")
     cfg = RunConfig(hbar_given="hbar" in raw, **values)
-    if cfg.hbar_given:
-        cfg = replace(cfg, distance=distance_for_hbar(cfg.effective_planck(), cfg.wavelength, cfg.period))
-    else:
-        cfg = replace(cfg, hbar=hbar_from_geometry(cfg.geometry()).hbar_eff)
+    try:
+        if cfg.hbar_given:
+            cfg = replace(cfg, distance=distance_for_hbar(cfg.effective_planck(), cfg.wavelength, cfg.period))
+        else:
+            cfg = replace(cfg, hbar=hbar_from_geometry(cfg.geometry()).hbar_eff)
+        cfg.geometry()  # a derived distance must be positive and finite, as a given one is
+    except (ValueError, ArithmeticError) as exc:  # the derived value, or period**2, over- or underflowed
+        derived = "distance" if cfg.hbar_given else "hbar"
+        raise ConfigError(f"{derived}: cannot be derived from the other keys: {exc}") from None
 
     scan_min, scan_max = cfg.scan_hbar_min, cfg.scan_hbar_max
     if not 0 < scan_min <= scan_max:

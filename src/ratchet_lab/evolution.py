@@ -9,15 +9,18 @@ flight as an exact diagonal parameter instead of a grid offset.
 of runs in place, in chunks, through the kick/FFT/tap/flight/IFFT loop, and
 holds the drift guard that names a failing run. A run's field has a class
 axis: P quasimomentum classes of S samples, transformed along S. At every
-tap it hands out each row's fftshifted |spectrum|^2 over the whole window
-scaled to unit sum, the one place a tap becomes a probability row.
-`evolve` and `scan_probabilities` feed it one class and the kick and flight
-factors; `optics` feeds it the beam as one class per mirror period, one
-period of the mirror reflection and the Fresnel kernel in class layout. The
-resonance scan works out its statistics per chunk, as array operations on
-the core's rows, and builds no per-run ladder. Single runs go through
-`evolve`; the figure pipeline makes the two that fig 2 and fig 3 share only
-once.
+tap a tap function reduces the chunk's spectrum into the rows the consumer
+reads and returns each row's total power; the core guards that total and
+scales the rows to unit sum, the one place a tap becomes probabilities.
+`evolve` and `scan_probabilities` feed it one class, the kick and flight
+factors and the fftshifted-power tap `_shifted_power`; `optics` feeds it
+the beam as one class per mirror period, one period of the mirror
+reflection, the Fresnel kernel in class layout, and a tap that squares the
+class spectra and makes full focal-plane rows of them or sums them straight
+into diffraction orders. The resonance scan works out its statistics per chunk,
+as array operations on the core's rows, and builds no per-run ladder.
+Single runs go through `evolve`; the figure pipeline makes the two that
+fig 2 and fig 3 share only once.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ _Run = TypeVar("_Run")
 
 
 class NumericalFailure(RuntimeError):
-    """Norm drift or basis-truncation breach during propagation."""
+    """Norm drift or basis-truncation breach during propagation, or a kick phase that overflows."""
 
 
 @dataclass(frozen=True)
@@ -235,46 +238,29 @@ def momentum_spectrum(state: WaveState, hbar: EffectivePlanck | None = None) -> 
     """Ladder probabilities |c_n|^2 from the discrete Fourier coefficients, scaled as the core's taps."""
     spectrum = np.fft.fft(state.amplitudes)
     probs = np.empty(spectrum.shape)
-    _shifted_power(spectrum, probs)
-    probs *= 1.0 / probs.sum()
+    probs *= 1.0 / _shifted_power(spectrum, probs)
     return MomentumLadder(state.beta, _orders(state.grid), probs, hbar, state.grid.periods)
 
 
-def _shifted_power(spectrum: np.ndarray, power: np.ndarray) -> None:
-    """Fill power with |fftshift(spectrum)|^2 along the last axis, zero order at column n//2."""
+def _shifted_power(spectrum: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """Fill power with |fftshift(spectrum)|^2 along the last axis, zero order at column n//2,
+    and return its sums along that axis.
+
+    This is the quantum engine's tap: the core hands it a (rows, n) chunk of one-class spectra.
+    """
     n = spectrum.shape[-1]
     h = n // 2  # the last h columns move to the front
     np.abs(spectrum[..., n - h:], out=power[..., :h])
     np.abs(spectrum[..., :n - h], out=power[..., h:])
     np.square(power, out=power)
-
-
-def _class_power(spectrum: np.ndarray, power: np.ndarray, squares: np.ndarray) -> None:
-    """Fill the (rows, n) power rows with the fftshifted |spectrum|^2 of (rows, P, S) class spectra.
-
-    Class r's line m is the window's spectral line k = r + P*m, so
-    power[(r + P*m + n//2) mod n] = |spectrum[r, m]|^2. The squares fill the
-    contiguous (rows, P, S) buffer `squares`, which is then copied transposed
-    into the power rows: the classes r < P - t move t columns on within the
-    period and m by q, the others t - P columns and m by q + 1, where
-    n//2 = q*P + t, so each group lands in two slices.
-    """
-    rows, p_classes, s = spectrum.shape
-    np.abs(spectrum, out=squares)
-    np.square(squares, out=squares)
-    q, t = divmod(p_classes * s // 2, p_classes)
-    lines = power.reshape(rows, s, p_classes)
-    for lo, hi, shift, column in ((0, p_classes - t, q, t), (p_classes - t, p_classes, q + 1, 0)):
-        src = squares[:, lo:hi].transpose(0, 2, 1)
-        dst = lines[..., column:column + hi - lo]
-        shift %= s
-        dst[:, shift:] = src[:, :s - shift]
-        dst[:, :shift] = src[:, s - shift:]
+    return power.sum(axis=-1)
 
 
 def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], np.ndarray],
                 flight: np.ndarray | Callable[[_Run], np.ndarray], kicks: range, dx: float, norm: float,
-                drift_message: str, name: Callable[[_Run], str], flight_after_last: bool = False
+                drift_message: str, name: Callable[[_Run], str],
+                tap: Callable[[np.ndarray, np.ndarray], np.ndarray] = _shifted_power,
+                width: int | None = None, flight_after_last: bool = False
                 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Kick/flight periods of every run from the field `start`, one batch row per run.
 
@@ -286,18 +272,22 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
     FFT, all in place. `flight` is one factor of `start`'s shape shared by
     every run or, like `kick`, built per run. The runs propagate in chunks of
     at most BATCH_CELLS rows x n samples, and the buffers are built once and
-    reused by every chunk. At each tap the core yields (index of the chunk's
-    first run, kick, spectrum, probabilities): the spectrum is the chunk's
-    field itself, one row of `start`'s shape per run, and each row of
-    probabilities is that run's fftshifted window power (zero order at column
-    n//2; class r's line m is the window's line r + P*m) times the reciprocal
-    of its sum, taken in that order. The spectrum and probability buffers are
-    reused, so the consumer copies what it keeps. Control returns at every
-    tap, so no chunk's results pile up. The flight after the last tap is
-    skipped, as nothing reads the field, unless `flight_after_last`; then the
-    last yielded spectrum holds the final field once the generator ends.
+    reused by every chunk.
 
-    Before the scaling, a row whose power, its sum * dx / n by Parseval,
+    At each tap, `tap(spectrum, rows)` reduces the chunk's spectrum, one row
+    of `start`'s shape per run (class r's line m is the window's line
+    r + P*m), into `rows`, one row of `width` columns (n by default) per run,
+    and returns each row's total: the run's whole tapped power. The default
+    tap is `_shifted_power`, the fftshifted window power with the zero order
+    at column n//2. Each row is then scaled in place by the reciprocal of its
+    total, and the core yields (index of the chunk's first run, kick,
+    spectrum, rows). The spectrum and row buffers are reused, so the consumer
+    copies what it keeps. Control returns at every tap, so no chunk's results
+    pile up. The flight after the last tap is skipped, as nothing reads the
+    field, unless `flight_after_last`; then the last yielded spectrum holds
+    the final field once the generator ends.
+
+    Before the scaling, a row whose power, its total * dx / n by Parseval,
     drifts from `norm` by more than NORM_TOL relative, or is not finite,
     raises NumericalFailure with text name(run) +
     drift_message.format(relative drift, kick).
@@ -309,8 +299,7 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
     position = np.empty((size, 1, s), dtype=complex)
     momentum = (np.empty_like(field) if callable(flight)
                 else np.broadcast_to(np.reshape(flight, (classes, s)), field.shape))
-    power = np.empty((size, n))
-    squares = np.empty(field.shape) if classes > 1 else None
+    rows = np.empty((size, n if width is None else width))
     tol = NORM_TOL * norm
     for lo in range(0, len(runs), size):
         chunk = runs[lo:lo + size]
@@ -318,18 +307,14 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
             position[i, 0] = kick(run)
             if callable(flight):
                 momentum[i] = np.reshape(flight(run), (classes, s))
-        u, pos, mom, p = (buffer[:len(chunk)] for buffer in (field, position, momentum, power))
+        u, pos, mom, p = (buffer[:len(chunk)] for buffer in (field, position, momentum, rows))
         u[:] = np.reshape(start, (classes, s))
         spectrum = u.reshape(len(chunk), *start.shape)
         for k in kicks:
             # u stays the left operand: complex SIMD multiply is not bitwise commutative
             np.multiply(u, pos, out=u)
             np.fft.fft(u, out=u)
-            if squares is None:
-                _shifted_power(u[:, 0], p)
-            else:
-                _class_power(u, p, squares[:len(chunk)])
-            totals = p.sum(axis=1)
+            totals = tap(spectrum, p)
             drift = np.abs(totals * dx / n - norm)
             bad = np.flatnonzero(~(drift <= tol))  # NaN fails too
             if bad.size:

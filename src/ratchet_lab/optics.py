@@ -9,6 +9,10 @@ The mirror is periodic, so a beam P mirror periods wide splits exactly into P
 quasimomentum classes of one period each, and the bounce loop propagates the
 classes side by side on the split-step core, each bounce transforming (P, S)
 fields along their S samples per period instead of the whole window at once.
+The bounce taps work on the class squares: `bounce_simulation` copies them
+into full focal-plane rows for the CCD images, and `bounce_ladders` sums them
+straight into diffraction orders (`_order_sums`), the one order binning that
+the image ladders use too.
 """
 
 from __future__ import annotations
@@ -109,10 +113,15 @@ def ratchet_mirror(
 
     The kick phase is offset by a constant (a global phase on the beam) so the
     etch relief is one contiguous band starting at zero depth; quantization
-    then spreads its levels over the physically used range.
+    then spreads its levels over the physically used range. A kick phase
+    K*v(x)/hbar_eff that overflows raises NumericalFailure, as it does in the
+    quantum engine's first kick.
     """
     xs = 2.0 * math.pi * np.arange(samples_per_period) / samples_per_period
     phase = kick_phase_profile(pot, hbar, xs)
+    if not np.isfinite(phase).all():
+        raise evolution.NumericalFailure(
+            f"mirror kick phase is not finite for K={pot.K!r}, hbar_eff={hbar.hbar_eff!r}")
     phase = phase - phase.min()
     profile = depth_from_phase(phase, wavelength_m, period_m)
     if n_levels == "continuous":
@@ -243,24 +252,128 @@ def far_field(field: BeamField, focal_m: float) -> tuple[np.ndarray, float]:
     return intensity, field.wavelength_m * focal_m / field.window_m
 
 
-def _order_map(n: int, window_periods: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending orders of n focal-plane columns (zero order at column n//2) and the
-    fine-column -> order map, as each column's index into those orders."""
-    nearest = np.rint((np.arange(n) - n // 2) / window_periods).astype(int)
-    return np.arange(nearest[0], nearest[-1] + 1), nearest - nearest[0]
+def _squared(reduce: Callable[[np.ndarray, np.ndarray], np.ndarray]
+             ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """A bounce tap: |spectrum|^2 of the chunk's class spectra, squared into one buffer that
+    every tap of the run reuses (built at the first tap, whose chunk is the largest), then
+    `reduce(squares, rows)`, which fills the rows and returns their totals."""
+    buffer: list[np.ndarray] = []
+
+    def tap(spectrum: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if not buffer:
+            buffer.append(np.empty(spectrum.shape))
+        squares = buffer[0][:len(spectrum)]
+        np.abs(spectrum, out=squares)
+        np.square(squares, out=squares)
+        return reduce(squares, rows)
+
+    return tap
 
 
-def _bin_orders(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Per-row order probabilities of (kicks, n) focal-plane rows, summed through the map `idx`."""
-    sums = np.stack([np.bincount(idx, weights=row) for row in rows])
-    return sums / sums.sum(axis=1, keepdims=True)
+def _class_power(squares: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """Fill the (rows, n) power rows with the fftshifted window power of (rows, P, S) class
+    squares, and return each row's sum.
+
+    Class r's line m is the window's spectral line k = r + P*m, so
+    power[(r + P*m + n//2) mod n] = squares[r, m]: the squares are copied
+    transposed into the power rows, the classes r < P - t moving t columns on
+    within the period and m by q, the others t - P columns and m by q + 1,
+    where n//2 = q*P + t, so each group lands in two slices. One class
+    (P = 1) gives `evolution._shifted_power`'s row bit for bit.
+    """
+    rows, p_classes, s = squares.shape
+    q, t = divmod(p_classes * s // 2, p_classes)
+    lines = power.reshape(rows, s, p_classes)
+    for lo, hi, shift, column in ((0, p_classes - t, q, t), (p_classes - t, p_classes, q + 1, 0)):
+        src = squares[:, lo:hi].transpose(0, 2, 1)
+        dst = lines[..., column:column + hi - lo]
+        shift %= s
+        dst[:, shift:] = src[:, :s - shift]
+        dst[:, :shift] = src[:, s - shift:]
+    return power.sum(axis=-1)
+
+
+def _window_orders(n: int, periods: int) -> np.ndarray:
+    """Ascending diffraction orders rint(k/periods) of the lines k = -(n//2)..n-1-n//2 of an
+    n-line window `periods` mirror periods wide (rint rounds half to even)."""
+    return np.arange(round(-(n // 2) / periods), round((n - 1 - n // 2) / periods) + 1)
+
+
+def _order_sums(squares: np.ndarray, sums: np.ndarray, first: int = 0) -> np.ndarray:
+    """Sum (rows, P, S) class-layout line powers into the (rows, orders) buffer `sums`, orders
+    `_window_orders(P*S, P)`, and return each row's total. squares[:, r, j] is class r's line
+    (j + first) mod S.
+
+    Class r's line m is window line r + P*m: counted from the zero order, signed line m, or
+    m - S once the window wraps to negative frequencies, in order rint(m + r/P). So order o
+    sums, in this order:
+    - the classes r < P/2 at signed line o, one sum over the class axis (they wrap at
+      m = S - S//2);
+    - the classes r > P/2 at signed line o - 1, another sum (they wrap at S//2);
+    - for even P, the tie class r = P/2 (it wraps at S//2), whose signed line m goes to
+      rint(m + 0.5) = m + m mod 2, half to even: its lines o - 1, then o.
+    """
+    rows, p, s = squares.shape
+    lo = _window_orders(p * s, p)[0]
+
+    def signed(lines: np.ndarray, wrap: int) -> np.ndarray:
+        """(rows, S) lines of a class group in signed order, from signed line wrap - S up."""
+        start = (wrap - first) % s
+        return np.concatenate((lines[:, start:], lines[:, :start]), axis=1)
+
+    sums[:] = 0.0
+    sums[:, -(s // 2) - lo:s - s // 2 - lo] += signed(squares[:, :(p + 1) // 2].sum(axis=1), s - s // 2)
+    if p > 2:
+        sums[:, s // 2 - s + 1 - lo:s // 2 + 1 - lo] += signed(squares[:, p // 2 + 1:].sum(axis=1), s // 2)
+    if p % 2 == 0:
+        m = np.arange(s // 2 - s, s // 2)
+        np.add.at(sums, (slice(None), m + m % 2 - lo), signed(squares[:, p // 2], s // 2))
+    return sums.sum(axis=1)
+
+
+def _line_order_sums(lines: np.ndarray, periods: int, sums: np.ndarray) -> np.ndarray:
+    """`_order_sums` of (rows, n) line powers in FFT order (line k at column k mod n) of a
+    window `periods` mirror periods wide, into the orders `_window_orders(n, periods)`.
+
+    The lines seen as `reshape(S, periods).T` per row are already in class layout. When n is
+    not a whole number of periods, zero lines pad the window up to one, between its positive
+    and negative frequencies, and the padding's orders (all zero) are cut off.
+    """
+    rows, n = lines.shape
+    s = -(-n // periods)
+    if s * periods == n:
+        return _order_sums(lines.reshape(rows, s, periods).transpose(0, 2, 1), sums)
+    h = n // 2
+    padded = np.zeros((rows, s * periods))
+    padded[:, :n - h] = lines[:, :n - h]
+    padded[:, s * periods - h:] = lines[:, n - h:]
+    wide = np.empty((rows, _window_orders(s * periods, periods).size))
+    totals = _line_order_sums(padded, periods, wide)
+    first = _window_orders(n, periods)[0] - _window_orders(s * periods, periods)[0]
+    sums[:] = wide[:, first:first + sums.shape[1]]
+    return totals
+
+
+def _row_orders(rows: np.ndarray, periods: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending orders and per-row order probabilities of (kicks, n) focal-plane rows, zero
+    order at column n//2, a window `periods` mirror periods wide."""
+    n = rows.shape[1]
+    orders = _window_orders(n, periods)
+    probs = np.empty((rows.shape[0], orders.size))
+    if n % periods or n // 2 % periods:
+        totals = _line_order_sums(np.fft.ifftshift(rows, axes=1), periods, probs)
+    else:  # column j*P + r is class r's line j - n//2/P (mod S), so the rows are classes as they are
+        classes = rows.reshape(len(rows), -1, periods).transpose(0, 2, 1)
+        totals = _order_sums(classes, probs, -(n // 2 // periods))
+    probs *= (1.0 / totals)[:, None]
+    return orders, probs
 
 
 def order_probabilities(field: BeamField, period_m: float) -> tuple[np.ndarray, np.ndarray]:
     """Far-field probability per grating order (fine bins summed to nearest order)."""
     intensity, _ = far_field(field, 1.0)
-    orders, idx = _order_map(intensity.size, window_periods_of(field, period_m))
-    return orders, _bin_orders(intensity[None], idx)[0]
+    orders, probs = _row_orders(intensity[None], window_periods_of(field, period_m))
+    return orders, probs[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,25 +417,26 @@ def _class_field(samples: np.ndarray, periods: int) -> np.ndarray:
 
 
 def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField, n_kicks: int,
-            name: Callable[[MirrorProfile], str]) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+            name: Callable[[MirrorProfile], str], tap: Callable[[np.ndarray, np.ndarray], np.ndarray],
+            width: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Bounce the beam n_kicks times off each mirror, one batch row per mirror.
 
     The split-step core's generator: it yields (index of the chunk's first
-    mirror, bounce k, spectrum, rows) after each bounce, with rows the
-    chunk's focal-plane intensities as the core scales them, to unit sum,
-    zero order at column n//2. The buffers are reused, so the consumer copies
-    what it keeps. n_kicks is checked at the call. The mirror is periodic, so
-    the beam of P mirror periods runs as P independent quasimomentum classes
-    of S = n/P samples (`_class_field`): each reflects off one period of the
-    mirror's factor, and each bounce transforms (P, S) fields along S. If
-    some mirror's gathered factor does not repeat exactly every S samples (a
-    mirror sampled off the beam grid), the beam runs as one class of n
-    samples. The reflection rows and the Fresnel kernel, gathered into class
-    layout, are built once, and the focal-plane transform is also the
-    forward transform of the flight. A row whose tapped power (by Parseval)
-    drifts from the input power by more than 1e-8 relative, or is not
-    finite, raises NumericalFailure with text name(mirror) + the drift and
-    the bounce.
+    mirror, bounce k, spectrum, rows) after each bounce, with rows what
+    `tap` makes of the chunk's (rows, P, S) class spectra, `width` columns a
+    mirror, scaled by the core to unit sum. The buffers are reused, so the
+    consumer copies what it keeps. n_kicks is checked at the call. The
+    mirror is periodic, so the beam of P mirror periods runs as P
+    independent quasimomentum classes of S = n/P samples (`_class_field`):
+    each reflects off one period of the mirror's factor, and each bounce
+    transforms (P, S) fields along S. If some mirror's gathered factor does
+    not repeat exactly every S samples (a mirror sampled off the beam grid),
+    the beam runs as one class of n samples (P = 1). The reflection rows and
+    the Fresnel kernel, gathered into class layout, are built once, and the
+    focal-plane transform is also the forward transform of the flight. A row
+    whose tapped power (by Parseval) drifts from the input power by more than
+    1e-8 relative, or is not finite, raises NumericalFailure with text
+    name(mirror) + the drift and the bounce.
     """
     if n_kicks < 1:
         raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
@@ -330,13 +444,13 @@ def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamF
     periods = window_periods_of(beam, geom.period_m)
     rows = _mirror_periods(beam, mirrors, periods)
     if rows is None:
-        start, reflect = beam.samples, lambda i: _reflection_factor(beam, mirrors[i])
+        start, reflect = beam.samples[None], lambda i: _reflection_factor(beam, mirrors[i])
     else:
         start, reflect = _class_field(beam.samples, periods), rows.__getitem__
         kernel = np.ascontiguousarray(kernel.reshape(-1, periods).T)
     return evolution._split_step(
         start, range(len(mirrors)), reflect, kernel, range(1, n_kicks + 1), beam.dx, beam.power,
-        "beam power drifted by {:.3e} (relative) at bounce {}", lambda i: name(mirrors[i]))
+        "beam power drifted by {:.3e} (relative) at bounce {}", lambda i: name(mirrors[i]), tap, width)
 
 
 def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamField,
@@ -346,8 +460,9 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     Each cycle is: mirror reflection, focal-plane tap, then the kick-to-kick
     flight over the geometry's gap `distance_m`, which gives the kinetic
     ladder phase exp(-i*hbar_eff*q^2/2) of the matched quantum run, with
-    hbar_eff read from the geometry. Each row is the core's tap, scaled to
-    unit sum.
+    hbar_eff read from the geometry. Each row is the full fftshifted
+    focal-plane power (`_class_power`), scaled by the core to unit sum; the
+    CCD images are drawn from these rows.
 
     This is the batch of one of the bounce loop: the beam runs as one
     quasimomentum class per mirror period, the reflection row and the Fresnel
@@ -357,8 +472,9 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     tapped power (by Parseval) drifts from the input power by more than 1e-8
     relative, or is not finite.
     """
-    taps = _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: "")
-    image = np.empty((n_kicks, beam.samples.size))
+    n = beam.samples.size
+    taps = _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: "", _squared(_class_power), n)
+    image = np.empty((n_kicks, n))
     for _lo, k, _spectrum, rows in taps:
         image[k - 1] = rows[0]
     return FarFieldImage(rows=image, window_periods=window_periods_of(beam, geom.period_m),
@@ -366,46 +482,61 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
 
 
 def _ladders(orders: np.ndarray, probs: np.ndarray, hbar: EffectivePlanck) -> list[MomentumLadder]:
-    """One ladder per row of binned probabilities (each row already divided by its sum),
+    """One ladder per row of order probabilities (each row already scaled to unit sum),
     all sharing `orders`."""
     return [MomentumLadder(beta=0.0, orders=orders, probabilities=row, hbar=hbar, grid_periods=1)
             for row in probs]
 
 
 def image_ladders(image: FarFieldImage) -> list[MomentumLadder]:
-    """Order ladder of every row, in kick order; the ladders share one orders array."""
-    orders, idx = _order_map(image.rows.shape[1], image.window_periods)
+    """Order ladder of every row, in kick order; the ladders share one orders array.
+
+    Each row's fine columns are summed into orders as the bounce tap sums its class squares
+    (`_order_sums`), so a bounce image's ladders match `bounce_ladders` to rounding.
+    """
+    orders, probs = _row_orders(image.rows, image.window_periods)
     orders.flags.writeable = False
-    return _ladders(orders, _bin_orders(image.rows, idx), EffectivePlanck(image.hbar_eff))
+    return _ladders(orders, probs, EffectivePlanck(image.hbar_eff))
 
 
 def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField,
                    n_kicks: int) -> list[list[MomentumLadder]]:
     """Per-kick order ladders of one bounce run per mirror, in mirror order.
 
-    Each ladder is bitwise the one `image_ladders(bounce_simulation(...))`
-    gives for that mirror alone, and all of them share one read-only orders
-    array. The runs propagate as the rows of one batch, in chunks of at most
-    BATCH_CELLS rows x beam samples, and each kick's rows are binned at once
-    through one order map built per call, so no full-resolution image is kept.
-    A drifting row raises NumericalFailure naming its mirror's n_levels and
-    the bounce.
+    The tap sums each bounce's class squares straight into diffraction
+    orders (`_order_sums`), so no focal-plane row of n columns is built; a
+    beam that runs as one class (a mirror off the beam grid) is seen as
+    classes through `_line_order_sums`. The core scales the order sums to
+    unit sum. The runs propagate as the rows of one batch, in chunks of at
+    most BATCH_CELLS rows x beam samples, and each mirror's ladders are
+    bitwise the ones its run alone gives; they match
+    `image_ladders(bounce_simulation(...))` to rounding. All of them share
+    one read-only orders array. A drifting row raises NumericalFailure
+    naming its mirror's n_levels and the bounce.
     """
-    orders, idx = _order_map(beam.samples.size, window_periods_of(beam, geom.period_m))
+    periods = window_periods_of(beam, geom.period_m)
+    orders = _window_orders(beam.samples.size, periods)
     orders.flags.writeable = False
     hbar = hbar_from_geometry(geom)
+
+    def order_sums(squares: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        if squares.shape[1] == periods:  # the beam's quasimomentum classes
+            return _order_sums(squares, sums)
+        return _line_order_sums(squares[:, 0], periods, sums)
+
     ladders: list[list[MomentumLadder]] = [[] for _ in mirrors]
-    for lo, _k, _spectrum, rows in _bounce(geom, mirrors, beam, n_kicks,
-                                           lambda mirror: f"bounce run n_levels={mirror.n_levels}: "):
-        for i, ladder in enumerate(_ladders(orders, _bin_orders(rows, idx), hbar)):
-            ladders[lo + i].append(ladder)
+    for lo, _k, _spectrum, probs in _bounce(geom, mirrors, beam, n_kicks,
+                                            lambda mirror: f"bounce run n_levels={mirror.n_levels}: ",
+                                            _squared(order_sums), orders.size):
+        for i, ladder in enumerate(_ladders(orders, probs.copy(), hbar), start=lo):
+            ladders[i].append(ladder)
     return ladders
 
 
 def row_order_probabilities(image: FarFieldImage, kick: int) -> tuple[np.ndarray, np.ndarray]:
     """Order distribution of row `kick` (1-based, matching kick count)."""
-    orders, idx = _order_map(image.rows.shape[1], image.window_periods)
-    return orders, _bin_orders(image.rows[kick - 1:kick], idx)[0]
+    orders, probs = _row_orders(image.rows[kick - 1:kick], image.window_periods)
+    return orders, probs[0]
 
 
 def row_order_ladder(image: FarFieldImage, kick: int) -> MomentumLadder:

@@ -1,7 +1,9 @@
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratchet_lab.cli import SUBCOMMANDS, main
-from ratchet_lab.config import ConfigError, parse_config, serialize_config
+from ratchet_lab.config import _KEYS, ConfigError, parse_config, serialize_config
 from ratchet_lab.fileio import read_pgm
 from ratchet_lab.model import load_mirror_profile
 
@@ -445,6 +447,66 @@ def test_cli_scan_and_compare(tmp_path):
     assert (out2 / "compare_engines.csv").exists()
 
 
+@pytest.mark.parametrize("error", [ValueError, OSError])
+def test_cli_late_error_is_not_a_configuration_error(tmp_path, monkeypatch, capsys, error):
+    # an error raised once the run has started is a fault of the run, not of its config
+    import ratchet_lab.experiments as experiments
+
+    def broken(*args, **kwargs):
+        raise error("synthetic engine fault")
+
+    monkeypatch.setattr(experiments, "evolve", broken)
+    with pytest.raises(error, match="synthetic engine fault"):
+        main(["evolve", "--hbar=0.5pi", "--n_kicks=2", "--out", str(tmp_path)])
+    assert "configuration error" not in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run_manifest"]
+
+
+class _Reached(Exception):
+    """Raised by a patched subcommand: the config got past parsing and the output directory."""
+
+
+# values that parse for some key, fail for others, or fail everywhere
+_VALUE_WORDS = ["0", "1", "-1", "2", "7", "8", "31", "32", "64", "4096", "0.3", "0.5", "1e-9", "1e12",
+                "1e-300", "1e300", "1e308", "nan", "inf", "-inf", "0.5pi", "pi", "-pi", "2pi", "0.02pi",
+                "continuous", "quantum", "optical", "both", "fixed-k", "fixed-kick-phase", "21,5", "3,1", ",",
+                "", " 16 ", "x"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["evolve", "optical", "scan", "mirror", "compare", "figs"]),
+       start=st.sampled_from([{"hbar": "0.5pi"}, {"distance": "0.2"}, {"hbar": "pi", "distance": "0.2"}, {}]),
+       drawn=st.dictionaries(st.sampled_from(sorted(_KEYS) + ["bogus"]),
+                             st.sampled_from(_VALUE_WORDS) | st.integers(-10, 10**6).map(str)
+                             | st.floats().map(repr) | st.text(max_size=5), max_size=6))
+def test_cli_config_round_trip_property(command, start, drawn):
+    # every accepted config writes a run_manifest that reparses to an equal RunConfig, and every
+    # rejected one exits 2 and writes nothing; the subcommands are patched to stop at their
+    # call, so no drawn config builds a grid or a beam
+    import ratchet_lab.cli as cli
+
+    def reached(cfg, out):
+        raise _Reached(cfg)
+
+    overrides = {**start, **drawn}
+    argv = [command, *(f"--{key}={value}" for key, value in overrides.items())]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(cli.SUBCOMMANDS, {name: reached for name in cli.SUBCOMMANDS}):
+        out = Path(tmp) / "out"
+        try:
+            code = cli.main([*argv, "--out", str(out)])
+        except _Reached as exc:
+            (cfg,) = exc.args
+            assert cfg == parse_config("", overrides)
+            assert sorted(p.name for p in out.iterdir()) == ["run_manifest"]
+            assert parse_config((out / "run_manifest").read_text(encoding="utf-8")) == cfg
+        else:
+            assert code == 2
+            assert not out.exists()
+            with pytest.raises(ConfigError):
+                parse_config("", overrides)
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     import ratchet_lab.cli as cli
     from ratchet_lab.evolution import NumericalFailure
@@ -476,6 +538,33 @@ def test_cli_scan_nan_norm_names_the_row(tmp_path, capsys):
     first = parse_config("", {"hbar": "0.01", "K": "1e307"}).scan_hbar_values()[0]
     assert f"scan run hbar_eff={first!r} K=1e+307: norm drifted by nan at kick 1" in capsys.readouterr().err
     assert not (tmp_path / "fig4_scan.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["optical", "mirror"])
+def test_cli_nan_mirror_phase_exits_3_before_output(tmp_path, capsys, command):
+    # the mirror's kick phase overflows as the quantum engine's does, and fails as it does
+    with pytest.warns(RuntimeWarning):
+        code = main([command, *NAN_OVERRIDES, "--out", str(tmp_path)])
+    assert code == 3
+    assert "numerical failure: mirror kick phase is not finite for K=1e+307" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run_manifest"]
+
+
+# geometry keys whose derived distance or hbar_eff overflows (inf, or OverflowError from
+# period**2) or underflows (to 0, or period**2 to 0 in a divisor)
+OUT_OF_RANGE = [{"distance": "1e300", "lambda": "1e300"}, {"hbar": "1e300", "period": "1e300"},
+                {"distance": "1e-300", "lambda": "1e-300"}, {"hbar": "1e-300", "lambda": "1e300"},
+                {"distance": "0.2", "period": "1e-200"}]
+
+
+@pytest.mark.parametrize("overrides", OUT_OF_RANGE, ids=lambda o: " ".join(f"{k}={v}" for k, v in o.items()))
+def test_cli_derived_geometry_out_of_range_exits_2_before_output(tmp_path, capsys, overrides):
+    with pytest.raises(ConfigError, match=r"^(distance|hbar): cannot be derived from the other keys: "):
+        parse_config("", overrides)
+    out = tmp_path / "out"
+    assert main(["optical", *(f"--{k}={v}" for k, v in overrides.items()), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 REMOVED_KEYS = {"focal": "0.3", "reflectivity": "0.95", "normalization": "per_row"}

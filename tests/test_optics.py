@@ -347,6 +347,12 @@ def test_cli_optical_odd_window_equals_step_composition_bytes(tmp_path):
         assert (tmp_path / "cli" / name).read_bytes() == (ref / name).read_bytes(), name
 
 
+# image_ladders bins a bounce image's unit-sum fine rows, bounce_ladders its raw class squares;
+# both sum each order over at most window_periods / 2 + 2 terms a group, so for the windows
+# below (at most 40 periods) they agree to a few ulp of 1
+IMAGE_LADDER_BOUND = 4e-15
+
+
 @settings(max_examples=30, deadline=None)
 @given(K=st.floats(min_value=0.0, max_value=3.0),
        alpha=st.floats(min_value=0.0, max_value=1.0),
@@ -368,13 +374,103 @@ def test_bounce_ladders_equal_single_runs_bitwise(K, alpha, phi, levels, window_
     assert len(batched) == len(mirrors)
     assert not batched[0][0].orders.flags.writeable
     for mirror, ladders in zip(mirrors, batched):
-        single = image_ladders(bounce_simulation(geom, mirror, beam, n_kicks))
-        assert len(ladders) == n_kicks
-        for got, want in zip(ladders, single):
+        (single,) = bounce_ladders(geom, [mirror], beam, n_kicks)
+        image = image_ladders(bounce_simulation(geom, mirror, beam, n_kicks))
+        assert len(ladders) == len(image) == n_kicks
+        for got, want, fine in zip(ladders, single, image):
             assert got.orders is batched[0][0].orders
-            assert got.orders.tobytes() == want.orders.tobytes()
+            assert got.orders.tobytes() == want.orders.tobytes() == fine.orders.tobytes()
             assert got.probabilities.tobytes() == want.probabilities.tobytes()
+            assert np.max(np.abs(got.probabilities - fine.probabilities)) <= IMAGE_LADDER_BOUND
             assert (got.beta, got.hbar, got.grid_periods) == (want.beta, want.hbar, want.grid_periods)
+            assert (got.beta, got.hbar, got.grid_periods) == (fine.beta, fine.hbar, fine.grid_periods)
+
+
+def order_sums_reference(squares):
+    """Tests-only reference of the bounce tap's order sums of (rows, P, S) class-layout line
+    powers (class r's line m is window line r + P*m): every line's order is rint(k/P) of its
+    signed window line k, and each order adds, in this order, the classes below P/2 (one sum
+    over the class axis), the classes above P/2 (another), then the tie class's odd signed
+    line and its even one. Returns the ascending orders and the (rows, orders) sums."""
+    rows, p, s = squares.shape
+    n = p * s
+    r = np.arange(p)
+    k = r[:, None] + p * np.arange(s)[None, :]
+    k = np.where(k < n - n // 2, k, k - n)
+    order = np.rint(k / p).astype(int)
+    lo = order.min()
+    sums = np.zeros((rows, order.max() - lo + 1))
+    for group in (2 * r < p, 2 * r > p):
+        if group.any():
+            lines = order[group]
+            assert (lines == lines[0]).all() and np.unique(lines[0]).size == s  # one order a line
+            # a slice, not a mask: numpy's reduction order follows the memory layout
+            first, last = np.flatnonzero(group)[[0, -1]]
+            assert group[first:last + 1].all()
+            sums[:, lines[0] - lo] += squares[:, first:last + 1].sum(axis=1)
+    if p % 2 == 0:
+        tie = p // 2
+        signed = (k[tie] - tie) // p
+        for parity in (1, 0):
+            lines = signed % 2 == parity
+            sums[:, order[tie, lines] - lo] += squares[:, tie, lines]
+    return np.arange(lo, order.max() + 1), sums
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(min_value=1, max_value=3),
+       p_classes=st.integers(min_value=1, max_value=40),
+       s=st.integers(min_value=1, max_value=40),
+       first=st.integers(min_value=-40, max_value=40),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_order_sums_equal_reference_bitwise(rows, p_classes, s, first, seed):
+    # odd and even P (with and without the tie class) and odd and even S (where the classes
+    # wrap to negative frequencies at different lines); `first` rolls the lines along m
+    import ratchet_lab.optics as optics
+
+    squares = np.random.default_rng(seed).random((rows, p_classes, s))
+    orders, want = order_sums_reference(squares)
+    assert optics._window_orders(p_classes * s, p_classes).tobytes() == orders.tobytes()
+    for given, offset in ((squares, 0), (np.roll(squares, -first, axis=2), first)):
+        got = np.empty_like(want)
+        totals = optics._order_sums(given, got, offset)
+        assert got.tobytes() == want.tobytes()
+        assert totals.tobytes() == want.sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("window_periods, samples_per_period, mirror_samples",
+                         [(9, 65, 65), (8, 64, 64), (15, 64, 64), (12, 65, 65), (16, 128, 64)])
+def test_bounce_ladders_tap_is_the_order_sum_reference_bitwise(monkeypatch, window_periods,
+                                                                 samples_per_period, mirror_samples):
+    # every ladder is the reference sum of the tapped spectrum's class squares, scaled to unit
+    # sum; a 64-sample mirror on 128 samples a period is off the beam grid, so that beam runs
+    # as one class and the tap sees its lines as window_periods classes
+    import ratchet_lab.evolution as evolution
+
+    geom, _, beam = bounce_case(0.35 * math.pi, window_periods, samples_per_period)
+    hbar = hbar_from_geometry(geom)
+    mirrors = [ratchet_mirror(RatchetPotential(), hbar, LAM, PERIOD, mirror_samples, n_levels)
+               for n_levels in ("continuous", 4, 16)]
+    split_step = evolution._split_step
+    taps = []
+
+    def recorded(*args, **kwargs):
+        for lo, k, spectrum, probs in split_step(*args, **kwargs):
+            squares = np.abs(spectrum) ** 2
+            assert squares.shape[1] == (1 if mirror_samples != samples_per_period else window_periods)
+            if squares.shape[1] == 1:  # the same strided class view as the tap's, summed alike
+                squares = squares[:, 0].reshape(len(squares), -1, window_periods).transpose(0, 2, 1)
+            orders, sums = order_sums_reference(squares)
+            taps.append((orders, sums * (1.0 / sums.sum(axis=1))[:, None]))
+            yield lo, k, spectrum, probs
+
+    monkeypatch.setattr(evolution, "_split_step", recorded)
+    ladders = bounce_ladders(geom, mirrors, beam, 4)
+    assert len(taps) == 4
+    for mirror, runs in enumerate(ladders):
+        for ladder, (orders, probs) in zip(runs, taps):
+            assert ladder.orders.tobytes() == orders.tobytes()
+            assert ladder.probabilities.tobytes() == probs[mirror].tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 4])
@@ -451,11 +547,11 @@ def test_quantum_run_from_the_beam_state_matches_the_bounce(K, alpha, phi, hbar_
     evolve(WaveState(grid, amplitudes), KickedRunParams(pot, hbar_from_geometry(geom), n_kicks),
            lambda k, lad: quantum.append(lad))
     (optical,) = bounce_ladders(geom, [mirror], beam, n_kicks)
-    orders, idx = optics._order_map(n, window_periods)
     assert len(quantum) == len(optical) == n_kicks
     for q, o in zip(quantum, optical):
+        orders, probs = optics._row_orders(q.probabilities[None], window_periods)
         assert np.array_equal(o.orders, orders)
-        assert np.max(np.abs(optics._bin_orders(q.probabilities[None], idx)[0] - o.probabilities)) <= 1e-12
+        assert np.max(np.abs(probs[0] - o.probabilities)) <= 1e-12
 
 
 CLASS_SHAPES = {65536: (512, 128), 585: (9, 65)}  # (P, S) of the compare beam and the odd beam
@@ -521,7 +617,10 @@ def per_row_bin_orders(intensity_shifted, window_periods):
        seed=st.integers(min_value=0, max_value=2**32 - 1),
        scale=st.floats(min_value=1e-12, max_value=1e6),
        hbar_eff=st.floats(min_value=1e-2, max_value=4 * math.pi))
-def test_image_ladders_match_per_row_binning_bitwise(kicks, window_periods, n, seed, scale, hbar_eff):
+def test_image_ladders_match_per_row_binning(kicks, window_periods, n, seed, scale, hbar_eff):
+    # any width, a whole number of periods or not; the fine columns are summed into orders in
+    # class layout, not column by column, so the probabilities agree to rounding (at most
+    # 2.2e-16 seen), and the one-row paths are bitwise the image's
     rng = np.random.default_rng(seed)
     rows = rng.random((kicks, n)) * scale
     rows[:, rng.random(n) < 0.3] = 0.0  # dark columns, as between diffraction orders
@@ -534,10 +633,11 @@ def test_image_ladders_match_per_row_binning_bitwise(kicks, window_periods, n, s
         orders, probs = per_row_bin_orders(rows[k - 1], window_periods)
         assert ladder.orders is ladders[0].orders
         assert ladder.orders.dtype == orders.dtype and ladder.orders.tobytes() == orders.tobytes()
-        assert ladder.probabilities.tobytes() == probs.tobytes()
+        assert np.max(np.abs(ladder.probabilities - probs)) <= 1e-15
         assert (ladder.beta, ladder.hbar, ladder.grid_periods) == (0.0, EffectivePlanck(hbar_eff), 1)
         one_orders, one_probs = row_order_probabilities(image, k)
-        assert one_orders.tobytes() == orders.tobytes() and one_probs.tobytes() == probs.tobytes()
+        assert one_orders.tobytes() == orders.tobytes()
+        assert one_probs.tobytes() == ladder.probabilities.tobytes()
         single = row_order_ladder(image, k)
         assert single.probabilities.tobytes() == ladder.probabilities.tobytes()
 
