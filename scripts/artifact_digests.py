@@ -28,6 +28,7 @@ ARGVS = (
     ("compare", "--hbar=0.5pi"),
     ("evolve", "--distance=0.169172", "--n_kicks=22"),
     ("optical", "--hbar=0.35pi", "--n_levels=16"),
+    ("optical", "--hbar=0.35pi", "--beam_periods=9", "--beam_points_per_period=65"),
 )
 
 

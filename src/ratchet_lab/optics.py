@@ -6,13 +6,15 @@ tap of the field is imaged at the lens focal plane. Geometry arithmetic maps
 the mirror-lens distance to the effective Planck constant and back.
 
 The mirror is periodic, so a beam P mirror periods wide splits exactly into P
-quasimomentum classes of one period each, and the bounce loop propagates the
+quasimomentum classes of one period each, and every bounce run propagates the
 classes side by side on the split-step core, each bounce transforming (P, S)
 fields along their S samples per period instead of the whole window at once.
-The bounce taps work on the class squares: `bounce_simulation` copies them
-into full focal-plane rows for the CCD images, and `bounce_ladders` sums them
-straight into diffraction orders (`_order_sums`), the one order binning that
-the image ladders use too.
+The mirror is looked up once, on the window's first period, so a window must
+hold a whole number of samples per period (ValueError otherwise). The bounce
+taps work on the class squares: `bounce_simulation` copies them into full
+focal-plane rows for the CCD images, and `bounce_ladders` sums them straight
+into diffraction orders (`_order_sums`), the one order binning that the image
+ladders use too, on rows put back into class layout.
 """
 
 from __future__ import annotations
@@ -189,23 +191,27 @@ def plane_wave_beam(period_m: float, window_periods: int, samples_per_period: in
 
 
 def window_periods_of(field: BeamField, period_m: float) -> int:
-    """Number of mirror periods spanned; raises if not commensurate."""
+    """Number P of mirror periods spanned; raises unless P is a whole number and the n samples
+    split into P periods of whole samples."""
     ratio = field.window_m / period_m
     periods = round(ratio)
     if periods < 1 or abs(ratio - periods) > 1e-9:
         raise ValueError(f"window {field.window_m!r} m is not an integer number of periods {period_m!r} m")
+    if field.samples.size % periods:
+        raise ValueError(f"{field.samples.size} samples do not split into {periods} periods of whole samples")
     return periods
 
 
 def _reflection_factor(field: BeamField, mirror: MirrorProfile) -> np.ndarray:
-    """Mirror factor exp(i*4*pi*d(x)/lambda), the profile looked up at the nearest sample.
+    """One period of the mirror factor exp(i*4*pi*d(x)/lambda) on the field grid: the profile
+    looked up at the nearest sample of the window's first S = n/P samples.
 
-    The factor is computed once per mirror sample, then gathered onto the field grid.
+    The factor is computed once per mirror sample, then gathered onto the period's samples.
     """
-    window_periods_of(field, mirror.period_m)
+    periods = window_periods_of(field, mirror.period_m)
     n_mirror = mirror.depth_samples.size
     step = mirror.period_m / n_mirror
-    idx = np.mod(np.rint(field.x / step).astype(int), n_mirror)
+    idx = np.mod(np.rint(field.x[:field.samples.size // periods] / step).astype(int), n_mirror)
     return np.exp(1j * phase_from_depth(mirror, field.wavelength_m))[idx]
 
 
@@ -218,10 +224,12 @@ def _fresnel_kernel(field: BeamField, distance: float) -> np.ndarray:
 def apply_mirror(field: BeamField, mirror: MirrorProfile) -> BeamField:
     """Reflect off the etched mirror: multiply by exp(i*4*pi*d(x)/lambda).
 
-    The staircase profile is resampled onto the field grid by nearest-sample
-    lookup. Power is unchanged (unimodular factor).
+    The staircase profile is resampled onto the window's first period by
+    nearest-sample lookup and repeated over every period. Power is unchanged
+    (unimodular factor).
     """
-    return replace(field, samples=field.samples * _reflection_factor(field, mirror))
+    factor = _reflection_factor(field, mirror)
+    return replace(field, samples=field.samples * np.tile(factor, field.samples.size // factor.size))
 
 
 def propagate_fresnel(field: BeamField, distance: float) -> BeamField:
@@ -230,8 +238,8 @@ def propagate_fresnel(field: BeamField, distance: float) -> BeamField:
     Spatial frequency f_x picks up exp(-i*pi*lambda*z*f_x^2); the constant
     piston phase is dropped. Power is conserved.
     """
-    if distance < 0:
-        raise ValueError(f"distance must be >= 0, got {distance!r}")
+    if not (math.isfinite(distance) and distance >= 0):
+        raise ValueError(f"distance must be finite and >= 0, got {distance!r}")
     if distance == 0.0:
         return field
     spectrum = np.fft.fft(field.samples) * _fresnel_kernel(field, distance)
@@ -245,8 +253,8 @@ def far_field(field: BeamField, focal_m: float) -> tuple[np.ndarray, float]:
     X = lambda*focal*f_x, so grating orders land at spacing lambda*focal/l.
     Returns (intensity, pixel pitch in meters) with the zero order at index n//2.
     """
-    if focal_m <= 0:
-        raise ValueError(f"focal_m must be positive, got {focal_m!r}")
+    if not (math.isfinite(focal_m) and focal_m > 0):
+        raise ValueError(f"focal_m must be finite and positive, got {focal_m!r}")
     intensity = np.empty(field.samples.size)
     evolution._shifted_power(np.fft.fft(field.samples), intensity)
     return intensity, field.wavelength_m * focal_m / field.window_m
@@ -274,22 +282,15 @@ def _class_power(squares: np.ndarray, power: np.ndarray) -> np.ndarray:
     """Fill the (rows, n) power rows with the fftshifted window power of (rows, P, S) class
     squares, and return each row's sum.
 
-    Class r's line m is the window's spectral line k = r + P*m, so
-    power[(r + P*m + n//2) mod n] = squares[r, m]: the squares are copied
-    transposed into the power rows, the classes r < P - t moving t columns on
-    within the period and m by q, the others t - P columns and m by q + 1,
-    where n//2 = q*P + t, so each group lands in two slices. One class
-    (P = 1) gives `evolution._shifted_power`'s row bit for bit.
+    Class r's line m is the window's spectral line k = r + P*m, so the squares transposed to
+    (rows, S, P) are the window lines in FFT order; two slice copies fftshift them, line k to
+    column (k + n//2) mod n. One class (P = 1) gives `evolution._shifted_power`'s row bit for bit.
     """
-    rows, p_classes, s = squares.shape
-    q, t = divmod(p_classes * s // 2, p_classes)
-    lines = power.reshape(rows, s, p_classes)
-    for lo, hi, shift, column in ((0, p_classes - t, q, t), (p_classes - t, p_classes, q + 1, 0)):
-        src = squares[:, lo:hi].transpose(0, 2, 1)
-        dst = lines[..., column:column + hi - lo]
-        shift %= s
-        dst[:, shift:] = src[:, :s - shift]
-        dst[:, :shift] = src[:, s - shift:]
+    n = power.shape[1]
+    h = n // 2  # the last h lines move to the front
+    lines = squares.transpose(0, 2, 1).reshape(len(power), n)
+    power[:, :h] = lines[:, n - h:]
+    power[:, h:] = lines[:, :n - h]
     return power.sum(axis=-1)
 
 
@@ -299,10 +300,9 @@ def _window_orders(n: int, periods: int) -> np.ndarray:
     return np.arange(round(-(n // 2) / periods), round((n - 1 - n // 2) / periods) + 1)
 
 
-def _order_sums(squares: np.ndarray, sums: np.ndarray, first: int = 0) -> np.ndarray:
+def _order_sums(squares: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """Sum (rows, P, S) class-layout line powers into the (rows, orders) buffer `sums`, orders
-    `_window_orders(P*S, P)`, and return each row's total. squares[:, r, j] is class r's line
-    (j + first) mod S.
+    `_window_orders(P*S, P)`, and return each row's total. squares[:, r, m] is class r's line m.
 
     Class r's line m is window line r + P*m: counted from the zero order, signed line m, or
     m - S once the window wraps to negative frequencies, in order rint(m + r/P). So order o
@@ -318,7 +318,7 @@ def _order_sums(squares: np.ndarray, sums: np.ndarray, first: int = 0) -> np.nda
 
     def signed(lines: np.ndarray, wrap: int) -> np.ndarray:
         """(rows, S) lines of a class group in signed order, from signed line wrap - S up."""
-        start = (wrap - first) % s
+        start = wrap % s
         return np.concatenate((lines[:, start:], lines[:, :start]), axis=1)
 
     sums[:] = 0.0
@@ -331,40 +331,17 @@ def _order_sums(squares: np.ndarray, sums: np.ndarray, first: int = 0) -> np.nda
     return sums.sum(axis=1)
 
 
-def _line_order_sums(lines: np.ndarray, periods: int, sums: np.ndarray) -> np.ndarray:
-    """`_order_sums` of (rows, n) line powers in FFT order (line k at column k mod n) of a
-    window `periods` mirror periods wide, into the orders `_window_orders(n, periods)`.
-
-    The lines seen as `reshape(S, periods).T` per row are already in class layout. When n is
-    not a whole number of periods, zero lines pad the window up to one, between its positive
-    and negative frequencies, and the padding's orders (all zero) are cut off.
-    """
-    rows, n = lines.shape
-    s = -(-n // periods)
-    if s * periods == n:
-        return _order_sums(lines.reshape(rows, s, periods).transpose(0, 2, 1), sums)
-    h = n // 2
-    padded = np.zeros((rows, s * periods))
-    padded[:, :n - h] = lines[:, :n - h]
-    padded[:, s * periods - h:] = lines[:, n - h:]
-    wide = np.empty((rows, _window_orders(s * periods, periods).size))
-    totals = _line_order_sums(padded, periods, wide)
-    first = _window_orders(n, periods)[0] - _window_orders(s * periods, periods)[0]
-    sums[:] = wide[:, first:first + sums.shape[1]]
-    return totals
-
-
 def _row_orders(rows: np.ndarray, periods: int) -> tuple[np.ndarray, np.ndarray]:
     """Ascending orders and per-row order probabilities of (kicks, n) focal-plane rows, zero
-    order at column n//2, a window `periods` mirror periods wide."""
+    order at column n//2, a window `periods` mirror periods wide; raises unless n is a whole
+    number of periods."""
     n = rows.shape[1]
+    if n % periods:
+        raise ValueError(f"a row of {n} columns is not a whole number of {periods} periods")
     orders = _window_orders(n, periods)
     probs = np.empty((rows.shape[0], orders.size))
-    if n % periods or n // 2 % periods:
-        totals = _line_order_sums(np.fft.ifftshift(rows, axes=1), periods, probs)
-    else:  # column j*P + r is class r's line j - n//2/P (mod S), so the rows are classes as they are
-        classes = rows.reshape(len(rows), -1, periods).transpose(0, 2, 1)
-        totals = _order_sums(classes, probs, -(n // 2 // periods))
+    lines = np.fft.ifftshift(rows, axes=1)  # line k at column k mod n: class k mod P's line k // P
+    totals = _order_sums(lines.reshape(len(rows), -1, periods).transpose(0, 2, 1), probs)
     probs *= (1.0 / totals)[:, None]
     return orders, probs
 
@@ -386,21 +363,6 @@ class FarFieldImage:
     """Mirror periods across the window, i.e. fine columns per diffraction order."""
     hbar_eff: float
     """Effective Planck constant of the run, carried into the order ladders."""
-
-
-def _mirror_periods(beam: BeamField, mirrors: Sequence[MirrorProfile], periods: int
-                    ) -> list[np.ndarray] | None:
-    """One period of each mirror's gathered reflection factor, or None unless every factor
-    repeats exactly over the `periods` mirror periods of the beam (and there are at least two)."""
-    if periods < 2 or beam.samples.size % periods:
-        return None
-    rows = []
-    for mirror in mirrors:
-        factor = _reflection_factor(beam, mirror).reshape(periods, -1)
-        if not (factor == factor[0]).all():
-            return None
-        rows.append(factor[0].copy())
-    return rows
 
 
 def _class_field(samples: np.ndarray, periods: int) -> np.ndarray:
@@ -425,32 +387,25 @@ def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamF
     mirror, bounce k, spectrum, rows) after each bounce, with rows what
     `tap` makes of the chunk's (rows, P, S) class spectra, `width` columns a
     mirror, scaled by the core to unit sum. The buffers are reused, so the
-    consumer copies what it keeps. n_kicks is checked at the call. The
-    mirror is periodic, so the beam of P mirror periods runs as P
+    consumer copies what it keeps. n_kicks and the window are checked at the
+    call. The mirror is periodic, so the beam of P mirror periods runs as P
     independent quasimomentum classes of S = n/P samples (`_class_field`):
-    each reflects off one period of the mirror's factor, and each bounce
-    transforms (P, S) fields along S. If some mirror's gathered factor does
-    not repeat exactly every S samples (a mirror sampled off the beam grid),
-    the beam runs as one class of n samples (P = 1). The reflection rows and
-    the Fresnel kernel, gathered into class layout, are built once, and the
-    focal-plane transform is also the forward transform of the flight. A row
-    whose tapped power (by Parseval) drifts from the input power by more than
-    1e-8 relative, or is not finite, raises NumericalFailure with text
-    name(mirror) + the drift and the bounce.
+    each reflects off the mirror's factor on one period, and each bounce
+    transforms (P, S) fields along S. The Fresnel kernel, gathered into
+    class layout, is built once, and the focal-plane transform is also the
+    forward transform of the flight. A row whose tapped power (by Parseval)
+    drifts from the input power by more than 1e-8 relative, or is not
+    finite, raises NumericalFailure with text name(mirror) + the drift and
+    the bounce.
     """
     if n_kicks < 1:
         raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
-    kernel = _fresnel_kernel(beam, geom.distance_m)
     periods = window_periods_of(beam, geom.period_m)
-    rows = _mirror_periods(beam, mirrors, periods)
-    if rows is None:
-        start, reflect = beam.samples[None], lambda i: _reflection_factor(beam, mirrors[i])
-    else:
-        start, reflect = _class_field(beam.samples, periods), rows.__getitem__
-        kernel = np.ascontiguousarray(kernel.reshape(-1, periods).T)
+    kernel = np.ascontiguousarray(_fresnel_kernel(beam, geom.distance_m).reshape(-1, periods).T)
     return evolution._split_step(
-        start, range(len(mirrors)), reflect, kernel, range(1, n_kicks + 1), beam.dx, beam.power,
-        "beam power drifted by {:.3e} (relative) at bounce {}", lambda i: name(mirrors[i]), tap, width)
+        _class_field(beam.samples, periods), mirrors, lambda mirror: _reflection_factor(beam, mirror),
+        kernel, range(1, n_kicks + 1), beam.dx, beam.power,
+        "beam power drifted by {:.3e} (relative) at bounce {}", name, tap, width)
 
 
 def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamField,
@@ -464,13 +419,12 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     focal-plane power (`_class_power`), scaled by the core to unit sum; the
     CCD images are drawn from these rows.
 
-    This is the batch of one of the bounce loop: the beam runs as one
-    quasimomentum class per mirror period, the reflection row and the Fresnel
-    kernel are built once per run, one FFT over the period axis splits the
-    beam into its classes, and each bounce then takes one FFT pair along the
-    class samples (none after the last tap). Raises NumericalFailure when the
-    tapped power (by Parseval) drifts from the input power by more than 1e-8
-    relative, or is not finite.
+    This is the batch of one of the bounce loop (`_bounce`): one FFT over the
+    period axis splits the beam into its quasimomentum classes, and each
+    bounce then takes one FFT pair along the class samples (none after the
+    last tap). Raises ValueError unless the window holds P periods of whole
+    samples, and NumericalFailure when the tapped power (by Parseval) drifts
+    from the input power by more than 1e-8 relative, or is not finite.
     """
     n = beam.samples.size
     taps = _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: "", _squared(_class_power), n)
@@ -491,8 +445,10 @@ def _ladders(orders: np.ndarray, probs: np.ndarray, hbar: EffectivePlanck) -> li
 def image_ladders(image: FarFieldImage) -> list[MomentumLadder]:
     """Order ladder of every row, in kick order; the ladders share one orders array.
 
-    Each row's fine columns are summed into orders as the bounce tap sums its class squares
-    (`_order_sums`), so a bounce image's ladders match `bounce_ladders` to rounding.
+    Each row's fine columns are put back in FFT order, seen as classes and summed into orders
+    as the bounce tap sums its class squares (`_order_sums`), so a bounce image's ladders match
+    `bounce_ladders` to rounding. Raises ValueError unless a row is a whole number of
+    `window_periods` columns.
     """
     orders, probs = _row_orders(image.rows, image.window_periods)
     orders.flags.writeable = False
@@ -504,30 +460,22 @@ def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam
     """Per-kick order ladders of one bounce run per mirror, in mirror order.
 
     The tap sums each bounce's class squares straight into diffraction
-    orders (`_order_sums`), so no focal-plane row of n columns is built; a
-    beam that runs as one class (a mirror off the beam grid) is seen as
-    classes through `_line_order_sums`. The core scales the order sums to
-    unit sum. The runs propagate as the rows of one batch, in chunks of at
-    most BATCH_CELLS rows x beam samples, and each mirror's ladders are
-    bitwise the ones its run alone gives; they match
-    `image_ladders(bounce_simulation(...))` to rounding. All of them share
-    one read-only orders array. A drifting row raises NumericalFailure
+    orders (`_order_sums`), so no focal-plane row of n columns is built. The
+    core scales the order sums to unit sum. The runs propagate as the rows
+    of one batch, in chunks of at most BATCH_CELLS rows x beam samples, and
+    each mirror's ladders are bitwise the ones its run alone gives; they
+    match `image_ladders(bounce_simulation(...))` to rounding. All of them
+    share one read-only orders array. Raises ValueError unless the window
+    holds P periods of whole samples; a drifting row raises NumericalFailure
     naming its mirror's n_levels and the bounce.
     """
-    periods = window_periods_of(beam, geom.period_m)
-    orders = _window_orders(beam.samples.size, periods)
+    orders = _window_orders(beam.samples.size, window_periods_of(beam, geom.period_m))
     orders.flags.writeable = False
     hbar = hbar_from_geometry(geom)
-
-    def order_sums(squares: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        if squares.shape[1] == periods:  # the beam's quasimomentum classes
-            return _order_sums(squares, sums)
-        return _line_order_sums(squares[:, 0], periods, sums)
-
     ladders: list[list[MomentumLadder]] = [[] for _ in mirrors]
     for lo, _k, _spectrum, probs in _bounce(geom, mirrors, beam, n_kicks,
                                             lambda mirror: f"bounce run n_levels={mirror.n_levels}: ",
-                                            _squared(order_sums), orders.size):
+                                            _squared(_order_sums), orders.size):
         for i, ladder in enumerate(_ladders(orders, probs.copy(), hbar), start=lo):
             ladders[i].append(ladder)
     return ladders
@@ -601,8 +549,8 @@ def deflection_check(mirror: MirrorProfile, wavelength_m: float, focal_m: float)
 
 def render_ccd(image: FarFieldImage, gamma: float = 1.0) -> np.ndarray:
     """8-bit grayscale raster, one row per kick, per-row max mapped to 255."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
     peak = image.rows.max(axis=1, keepdims=True)
     # rows without a positive peak stay 0, and are never divided; one buffer, scaled in place
     scaled = np.divide(image.rows, peak, out=np.zeros(image.rows.shape), where=peak > 0)

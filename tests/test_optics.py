@@ -112,6 +112,21 @@ def test_apply_mirror_incommensurate_window():
         apply_mirror(beam, mirror)
 
 
+@pytest.mark.parametrize("run", [
+    lambda geom, mirror, beam: apply_mirror(beam, mirror),
+    lambda geom, mirror, beam: bounce_simulation(geom, mirror, beam, 2),
+    lambda geom, mirror, beam: bounce_ladders(geom, [mirror], beam, 2),
+], ids=["apply_mirror", "bounce_simulation", "bounce_ladders"])
+def test_window_of_part_period_samples_is_refused(run):
+    # the beam splits into quasimomentum classes only when each period holds whole samples;
+    # 130 samples over 9 mirror periods do not
+    beam = BeamField(samples=np.ones(130), dx=9 * PERIOD / 130, window_m=9 * PERIOD, power=1.0,
+                     wavelength_m=LAM)
+    mirror = depth_from_phase(np.zeros(65), LAM, PERIOD)
+    with pytest.raises(ValueError, match="130 samples do not split into 9 periods of whole samples"):
+        run(OpticalGeometry(LAM, PERIOD, 0.1), mirror, beam)
+
+
 def test_single_bounce_matches_quantum_kick(pot, hbar_res):
     mirror = ratchet_mirror(pot, hbar_res, LAM, PERIOD, samples_per_period=128)
     beam = apply_mirror(plane_wave_beam(PERIOD, 16, 128, LAM), mirror)
@@ -218,8 +233,8 @@ def stepwise_rows(geom, mirror, beam, n_kicks):
 
 def class_stepwise_rows(geom, mirror, beam, n_kicks):
     """Rows of bounce_simulation as a class-basis step composition: the beam split once into its
-    quasimomentum classes, then per bounce the kick, the FFT, the tap, the class flight and the
-    inverse FFT."""
+    quasimomentum classes, then per bounce the kick (the first period of the per-sample mirror
+    factor), the FFT, the tap, the class flight and the inverse FFT."""
     import ratchet_lab.optics as optics
 
     n = beam.samples.size
@@ -228,12 +243,11 @@ def class_stepwise_rows(geom, mirror, beam, n_kicks):
     r, m = np.arange(periods)[:, None], np.arange(s)[None, :]
     field = np.fft.fft(beam.samples.reshape(periods, s), axis=0)
     field = field * np.exp((-2j * math.pi / n) * (r * m))
-    reflection = per_sample_reflection_factor(beam, mirror).reshape(periods, s)
-    assert np.array_equal(reflection, np.broadcast_to(reflection[0], reflection.shape))
+    reflection = per_sample_reflection_factor(beam, mirror)[:s]
     kernel = optics._fresnel_kernel(beam, geom.distance_m).reshape(s, periods).T
     rows = []
     for _ in range(n_kicks):
-        field = field * reflection[0]
+        field = field * reflection
         spectrum = np.fft.fft(field)
         power = np.empty(n)
         power[(r + periods * m + n // 2) % n] = np.abs(spectrum) ** 2
@@ -268,15 +282,19 @@ def test_bounce_equals_step_composition_bitwise(hbar_over_pi, window_periods, sa
     assert np.max(np.abs(image.rows - stepwise_rows(geom, mirror, beam, n_kicks))) < 1e-14
 
 
-def test_mirror_off_the_beam_grid_runs_as_one_class(fft_calls):
-    # a 64-sample mirror gathered onto 128 samples per period does not repeat exactly every
-    # period (the nearest-sample lookup rounds half-way points either way), so the beam is not
-    # split into classes and the bounce is the plane composition bit for bit
+def test_mirror_off_the_beam_grid_runs_as_classes(fft_calls):
+    # a 64-sample mirror gathered onto every period of 128 samples would not repeat exactly (the
+    # nearest-sample lookup rounds half-way points either way), but the mirror is looked up on
+    # the first period only, so the beam still runs as classes, and apply_mirror repeats the
+    # same period
     geom, _, beam = bounce_case(0.5 * math.pi, 16, 128)
     mirror = ratchet_mirror(RatchetPotential(), hbar_from_geometry(geom), LAM, PERIOD, 64)
+    full = per_sample_reflection_factor(beam, mirror).reshape(16, 128)
+    assert not (full == full[0]).all()
     image = bounce_simulation(geom, mirror, beam, 5)
-    assert (fft_calls["fft"], fft_calls["ifft"]) == (5, 4)
-    assert np.array_equal(image.rows, stepwise_rows(geom, mirror, beam, 5))
+    assert (fft_calls["fft"], fft_calls["ifft"]) == (5 + 1, 5 - 1)
+    assert np.array_equal(image.rows, class_stepwise_rows(geom, mirror, beam, 5))
+    assert np.max(np.abs(image.rows - stepwise_rows(geom, mirror, beam, 5))) < 1e-14
 
 
 def test_bounce_matches_step_composition_at_65536_samples():
@@ -421,21 +439,19 @@ def order_sums_reference(squares):
 @given(rows=st.integers(min_value=1, max_value=3),
        p_classes=st.integers(min_value=1, max_value=40),
        s=st.integers(min_value=1, max_value=40),
-       first=st.integers(min_value=-40, max_value=40),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_order_sums_equal_reference_bitwise(rows, p_classes, s, first, seed):
+def test_order_sums_equal_reference_bitwise(rows, p_classes, s, seed):
     # odd and even P (with and without the tie class) and odd and even S (where the classes
-    # wrap to negative frequencies at different lines); `first` rolls the lines along m
+    # wrap to negative frequencies at different lines)
     import ratchet_lab.optics as optics
 
     squares = np.random.default_rng(seed).random((rows, p_classes, s))
     orders, want = order_sums_reference(squares)
     assert optics._window_orders(p_classes * s, p_classes).tobytes() == orders.tobytes()
-    for given, offset in ((squares, 0), (np.roll(squares, -first, axis=2), first)):
-        got = np.empty_like(want)
-        totals = optics._order_sums(given, got, offset)
-        assert got.tobytes() == want.tobytes()
-        assert totals.tobytes() == want.sum(axis=1).tobytes()
+    got = np.empty_like(want)
+    totals = optics._order_sums(squares, got)
+    assert got.tobytes() == want.tobytes()
+    assert totals.tobytes() == want.sum(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("window_periods, samples_per_period, mirror_samples",
@@ -443,8 +459,8 @@ def test_order_sums_equal_reference_bitwise(rows, p_classes, s, first, seed):
 def test_bounce_ladders_tap_is_the_order_sum_reference_bitwise(monkeypatch, window_periods,
                                                                  samples_per_period, mirror_samples):
     # every ladder is the reference sum of the tapped spectrum's class squares, scaled to unit
-    # sum; a 64-sample mirror on 128 samples a period is off the beam grid, so that beam runs
-    # as one class and the tap sees its lines as window_periods classes
+    # sum; a 64-sample mirror on 128 samples a period is off the beam grid, and that beam runs
+    # as window_periods classes too
     import ratchet_lab.evolution as evolution
 
     geom, _, beam = bounce_case(0.35 * math.pi, window_periods, samples_per_period)
@@ -457,9 +473,7 @@ def test_bounce_ladders_tap_is_the_order_sum_reference_bitwise(monkeypatch, wind
     def recorded(*args, **kwargs):
         for lo, k, spectrum, probs in split_step(*args, **kwargs):
             squares = np.abs(spectrum) ** 2
-            assert squares.shape[1] == (1 if mirror_samples != samples_per_period else window_periods)
-            if squares.shape[1] == 1:  # the same strided class view as the tap's, summed alike
-                squares = squares[:, 0].reshape(len(squares), -1, window_periods).transpose(0, 2, 1)
+            assert squares.shape[1:] == (window_periods, samples_per_period)
             orders, sums = order_sums_reference(squares)
             taps.append((orders, sums * (1.0 / sums.sum(axis=1))[:, None]))
             yield lo, k, spectrum, probs
@@ -509,7 +523,7 @@ def test_class_layout_batch_guard_names_the_row(monkeypatch):
     geom, _, beam = bounce_case(0.5 * math.pi, 9, 65)
     mirrors = [ratchet_mirror(RatchetPotential(), hbar_from_geometry(geom), LAM, PERIOD, 65, n_levels)
                for n_levels in ("continuous", 4, 16, 64)]
-    assert [row.shape for row in optics._mirror_periods(beam, mirrors, 9)] == [(65,)] * 4
+    assert [optics._reflection_factor(beam, mirror).shape for mirror in mirrors] == [(65,)] * 4
     expected = r"^bounce run n_levels=16: beam power drifted by .* \(relative\) at bounce 1$"
     with pytest.raises(NumericalFailure, match=expected):
         bounce_ladders(geom, mirrors, beam, 3)
@@ -613,14 +627,16 @@ def per_row_bin_orders(intensity_shifted, window_periods):
 @settings(max_examples=80, deadline=None)
 @given(kicks=st.integers(min_value=1, max_value=6),
        window_periods=st.integers(min_value=1, max_value=12),
-       n=st.integers(min_value=2, max_value=300),
+       samples_per_period=st.integers(min_value=1, max_value=25),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
        scale=st.floats(min_value=1e-12, max_value=1e6),
        hbar_eff=st.floats(min_value=1e-2, max_value=4 * math.pi))
-def test_image_ladders_match_per_row_binning(kicks, window_periods, n, seed, scale, hbar_eff):
-    # any width, a whole number of periods or not; the fine columns are summed into orders in
-    # class layout, not column by column, so the probabilities agree to rounding (at most
-    # 2.2e-16 seen), and the one-row paths are bitwise the image's
+def test_image_ladders_match_per_row_binning(kicks, window_periods, samples_per_period, seed, scale,
+                                             hbar_eff):
+    # any whole number of periods, odd or even, and any samples per period; the fine columns
+    # are summed into orders in class layout, not column by column, so the probabilities agree
+    # to rounding (at most 2.2e-16 seen), and the one-row paths are bitwise the image's
+    n = window_periods * samples_per_period
     rng = np.random.default_rng(seed)
     rows = rng.random((kicks, n)) * scale
     rows[:, rng.random(n) < 0.3] = 0.0  # dark columns, as between diffraction orders
@@ -640,6 +656,12 @@ def test_image_ladders_match_per_row_binning(kicks, window_periods, n, seed, sca
         assert one_probs.tobytes() == ladder.probabilities.tobytes()
         single = row_order_ladder(image, k)
         assert single.probabilities.tobytes() == ladder.probabilities.tobytes()
+
+
+def test_image_ladders_refuse_a_width_of_part_periods():
+    image = FarFieldImage(rows=np.ones((2, 130)), window_periods=9, hbar_eff=1.0)
+    with pytest.raises(ValueError, match="130 columns is not a whole number of 9 periods"):
+        image_ladders(image)
 
 
 # --- deflection ---------------------------------------------------------------
@@ -738,6 +760,22 @@ def test_render_ccd_equals_per_row_loop_bitwise(gamma):
     assert raster.tobytes() == per_row_render_ccd(image, gamma).tobytes()
 
 
+NON_FINITE_GUARDS = {
+    "propagate_fresnel-distance": lambda value: propagate_fresnel(plane_wave_beam(PERIOD, 8, 64, LAM), value),
+    "far_field-focal_m": lambda value: far_field(plane_wave_beam(PERIOD, 8, 64, LAM), value),
+    "render_ccd-gamma": lambda value: render_ccd(
+        FarFieldImage(rows=np.array([[0.0, 0.5, 0.0, 0.5]]), window_periods=1, hbar_eff=1.0), value),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("guard", list(NON_FINITE_GUARDS))
+def test_non_finite_arguments_are_refused(guard, value):
+    # a NaN slips past a bare sign check: an all-NaN field, a NaN pixel pitch, garbage bytes
+    with pytest.raises(ValueError, match="must be finite"):
+        NON_FINITE_GUARDS[guard](value)
+
+
 def per_sample_reflection_factor(field, mirror):
     """Mirror factor with exp taken after the nearest-sample gather, the reference for the gathered form."""
     n_mirror = mirror.depth_samples.size
@@ -755,8 +793,8 @@ def test_reflection_factor_equals_exp_after_gather_bitwise(pot, window_periods, 
     for n_levels in ("continuous", 2, 4, 8, 16, 32, 64):
         mirror = ratchet_mirror(pot, hbar_from_geometry(geom), LAM, PERIOD, mirror_samples, n_levels)
         got = _reflection_factor(beam, mirror)
-        assert got.shape == beam.samples.shape
-        assert got.tobytes() == per_sample_reflection_factor(beam, mirror).tobytes(), n_levels
+        want = per_sample_reflection_factor(beam, mirror)[:samples_per_period]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), n_levels
 
 
 def test_quantized_mirror_converges_monotone_16_vs_8(pot, hbar_res):
