@@ -31,8 +31,10 @@ MAX_SCAN_POINTS = 10_000
 # needs 1.1e8; 2e9 is about a minute of bouncing at the 3e-8 s per sample-kick that
 # `compare` takes on a 2-vCPU x86-64 machine.
 WORK_BUDGET = 2 * 10**9
-# Runs in `compare`'s bounce batch: the continuous mirror and experiments.QUANTIZATION_SWEEP.
-COMPARE_MIRRORS = 7
+# Mirror levels `compare` sweeps, and the runs in its bounce batch: the continuous mirror
+# and one per sweep level.
+QUANTIZATION_SWEEP = (2, 4, 8, 16, 32, 64)
+COMPARE_MIRRORS = 1 + len(QUANTIZATION_SWEEP)
 
 
 class ConfigError(ValueError):

@@ -9,18 +9,18 @@ flight as an exact diagonal parameter instead of a grid offset.
 of runs in place, in chunks, through the kick/FFT/tap/flight/IFFT loop, and
 holds the drift guard that names a failing run. A run's field has a class
 axis: P quasimomentum classes of S samples, transformed along S. At every
-tap a tap function reduces the chunk's spectrum into the rows the consumer
-reads and returns each row's total power; the core guards that total and
-scales the rows to unit sum, the one place a tap becomes probabilities.
-`evolve` and `scan_probabilities` feed it one class, the kick and flight
-factors and the fftshifted-power tap `_shifted_power`; `optics` feeds it
-the beam as one class per mirror period, one period of the mirror
-reflection, the Fresnel kernel in class layout, and a tap that squares the
-class spectra and makes full focal-plane rows of them or sums them straight
-into diffraction orders. The resonance scan works out its statistics per chunk,
-as array operations on the core's rows, and builds no per-run ladder.
-Single runs go through `evolve`; the figure pipeline makes the two that
-fig 2 and fig 3 share only once.
+tap the core squares the spectrum once, and a tap function reduces the
+squares into the rows the consumer reads and returns each row's total
+power; the core guards that total and scales the rows to unit sum, the one
+place a tap becomes probabilities. `evolve` and `scan_probabilities` feed it
+one class, the kick and flight factors and the default tap `_class_power`,
+the one fftshift into full rows; `optics` feeds it the beam as one class per
+mirror period, one period of the mirror reflection, the Fresnel kernel in
+class layout, and `_class_power` for CCD rows or a tap that sums the squares
+straight into diffraction orders. The resonance scan works out its
+statistics per chunk, as array operations on the core's rows, and builds no
+per-run ladder. Single runs go through `evolve`; the figure pipeline makes
+the two that fig 2 and fig 3 share only once.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "momentum_spectrum",
     "evolve",
     "scan_probabilities",
-    "scan_ladders",
     "ladder_record",
 ]
 
@@ -236,32 +235,32 @@ def free_step(state: WaveState, hbar: EffectivePlanck) -> WaveState:
 
 def momentum_spectrum(state: WaveState, hbar: EffectivePlanck | None = None) -> MomentumLadder:
     """Ladder probabilities |c_n|^2 from the discrete Fourier coefficients, scaled as the core's taps."""
-    spectrum = np.fft.fft(state.amplitudes)
-    probs = np.empty(spectrum.shape)
-    probs *= 1.0 / _shifted_power(spectrum, probs)
+    probs = np.empty(state.grid.n)
+    probs *= 1.0 / _class_power(np.abs(np.fft.fft(state.amplitudes))[None] ** 2, probs)
     return MomentumLadder(state.beta, _orders(state.grid), probs, hbar, state.grid.periods)
 
 
-def _shifted_power(spectrum: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """Fill power with |fftshift(spectrum)|^2 along the last axis, zero order at column n//2,
-    and return its sums along that axis.
+def _class_power(squares: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """Fill `power` with the fftshifted window power of class squares, zero order at column
+    n//2, and return its sums along the last axis: the core's default tap, and the one fftshift.
 
-    This is the quantum engine's tap: the core hands it a (rows, n) chunk of one-class spectra.
+    squares is (rows, P, S) for (rows, n = P*S) rows, or (P, S) for one row. Class r's line m is
+    window line k = r + P*m, so the squares with their last two axes swapped are the window
+    lines in FFT order; two slice copies fftshift them, line k to column (k + n//2) mod n.
     """
-    n = spectrum.shape[-1]
-    h = n // 2  # the last h columns move to the front
-    np.abs(spectrum[..., n - h:], out=power[..., :h])
-    np.abs(spectrum[..., :n - h], out=power[..., h:])
-    np.square(power, out=power)
+    n = power.shape[-1]
+    h = n // 2  # the last h lines move to the front
+    lines = squares.swapaxes(-1, -2).reshape(power.shape)
+    power[..., :h] = lines[..., n - h:]
+    power[..., h:] = lines[..., :n - h]
     return power.sum(axis=-1)
 
 
 def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], np.ndarray],
                 flight: np.ndarray | Callable[[_Run], np.ndarray], kicks: range, dx: float, norm: float,
                 drift_message: str, name: Callable[[_Run], str],
-                tap: Callable[[np.ndarray, np.ndarray], np.ndarray] = _shifted_power,
-                width: int | None = None, flight_after_last: bool = False
-                ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+                tap: Callable[[np.ndarray, np.ndarray], np.ndarray] = _class_power,
+                width: int | None = None) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Kick/flight periods of every run from the field `start`, one batch row per run.
 
     `start` is one run's field: an (n,) vector, or P quasimomentum classes of
@@ -274,18 +273,17 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
     at most BATCH_CELLS rows x n samples, and the buffers are built once and
     reused by every chunk.
 
-    At each tap, `tap(spectrum, rows)` reduces the chunk's spectrum, one row
-    of `start`'s shape per run (class r's line m is the window's line
-    r + P*m), into `rows`, one row of `width` columns (n by default) per run,
-    and returns each row's total: the run's whole tapped power. The default
-    tap is `_shifted_power`, the fftshifted window power with the zero order
-    at column n//2. Each row is then scaled in place by the reciprocal of its
-    total, and the core yields (index of the chunk's first run, kick,
-    spectrum, rows). The spectrum and row buffers are reused, so the consumer
-    copies what it keeps. Control returns at every tap, so no chunk's results
-    pile up. The flight after the last tap is skipped, as nothing reads the
-    field, unless `flight_after_last`; then the last yielded spectrum holds
-    the final field once the generator ends.
+    At each tap the core squares the chunk's spectrum once, into a real
+    (rows, P, S) buffer (class r's line m is the window's line r + P*m).
+    `tap(squares, rows)` reduces them into `rows`, one row of `width`
+    columns (n by default) per run, and returns each row's total: the run's
+    whole tapped power. Each row is then scaled in place by the reciprocal
+    of its total, and the core yields (index of the chunk's first run, kick,
+    spectrum, rows), one spectrum row of `start`'s shape per run. The
+    buffers are reused, so the consumer copies what it keeps. Control
+    returns at every tap, so no chunk's results pile up. The flight after
+    the last tap is skipped: the last yielded spectrum is still the last
+    kick's once the generator ends.
 
     Before the scaling, a row whose power, its total * dx / n by Parseval,
     drifts from `norm` by more than NORM_TOL relative, or is not finite,
@@ -296,6 +294,7 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
     classes, s = (1, n) if start.ndim == 1 else start.shape
     size = min(len(runs), max(1, BATCH_CELLS // n))
     field = np.empty((size, classes, s), dtype=complex)
+    squares = np.empty(field.shape)
     position = np.empty((size, 1, s), dtype=complex)
     momentum = (np.empty_like(field) if callable(flight)
                 else np.broadcast_to(np.reshape(flight, (classes, s)), field.shape))
@@ -307,21 +306,23 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
             position[i, 0] = kick(run)
             if callable(flight):
                 momentum[i] = np.reshape(flight(run), (classes, s))
-        u, pos, mom, p = (buffer[:len(chunk)] for buffer in (field, position, momentum, rows))
+        u, sq, pos, mom, p = (buffer[:len(chunk)] for buffer in (field, squares, position, momentum, rows))
         u[:] = np.reshape(start, (classes, s))
         spectrum = u.reshape(len(chunk), *start.shape)
         for k in kicks:
             # u stays the left operand: complex SIMD multiply is not bitwise commutative
             np.multiply(u, pos, out=u)
             np.fft.fft(u, out=u)
-            totals = tap(spectrum, p)
+            np.abs(u, out=sq)
+            np.square(sq, out=sq)
+            totals = tap(sq, p)
             drift = np.abs(totals * dx / n - norm)
             bad = np.flatnonzero(~(drift <= tol))  # NaN fails too
             if bad.size:
                 raise NumericalFailure(name(chunk[bad[0]]) + drift_message.format(drift[bad[0]] / norm, k))
             p *= (1.0 / totals)[:, None]
             yield lo, k, spectrum, p
-            if k != kicks[-1] or flight_after_last:
+            if k != kicks[-1]:
                 np.multiply(u, mom, out=u)
                 np.fft.ifft(u, out=u)
 
@@ -335,21 +336,22 @@ def evolve(
 
     After each kick the momentum spectrum is handed to `record(kick, ladder)`,
     matching a far-field tap right after each mirror encounter; the free
-    flight that completes the period does not change the spectrum. Aborts with
-    NumericalFailure if the norm drifts beyond 1e-8 after a kick; the returned
-    state validates the final norm.
+    flight that completes the period does not change the spectrum. The core
+    stops at the last tap, so `evolve` finishes the last period itself. Aborts
+    with NumericalFailure if the norm drifts beyond 1e-8 after a kick; the
+    returned state validates the final norm.
     """
     grid = state.grid
     orders = _orders(grid)
+    flight = _flight_factor(_ladder_values(grid, state.beta), params.hbar)
     kicks = range(state.kick_count + 1, state.kick_count + params.n_kicks + 1)
-    for _lo, k, u, probs in _split_step(
+    for _lo, k, spectrum, probs in _split_step(
             state.amplitudes, [params], lambda run: _kick_factor(run.potential, run.hbar, grid.x),
-            _flight_factor(_ladder_values(grid, state.beta), params.hbar), kicks, grid.dx, 1.0, _NORM_DRIFT,
-            lambda _run: "", flight_after_last=True):
+            flight, kicks, grid.dx, 1.0, _NORM_DRIFT, lambda _run: ""):
         if record is not None:
             record(k, MomentumLadder(state.beta, orders, probs[0].copy(), params.hbar, grid.periods))
-    # the flight after the last kick left the final field in u
-    return replace(state, amplitudes=u[0], kick_count=kicks[-1])
+    # the spectrum stays the left operand, as in the core's flights
+    return replace(state, amplitudes=np.fft.ifft(spectrum[0] * flight), kick_count=kicks[-1])
 
 
 def scan_probabilities(grid: SpatialGrid, beta: float,
@@ -377,15 +379,6 @@ def scan_probabilities(grid: SpatialGrid, beta: float,
         if k in wanted:
             _check_probabilities(probs)
             yield lo, k, probs
-
-
-def scan_ladders(grid: SpatialGrid, beta: float, runs: Sequence[tuple[RatchetPotential, EffectivePlanck]],
-                 kicks_at: Iterable[int]) -> Iterator[tuple[int, int, MomentumLadder]]:
-    """(run index, kick, ladder) of each row of `scan_probabilities`, the ladders sharing one orders array."""
-    orders = _orders(grid)
-    for lo, k, probs in scan_probabilities(grid, beta, runs, kicks_at):
-        for i, row in enumerate(probs, start=lo):
-            yield i, k, MomentumLadder(beta, orders, row.copy(), runs[i][1], grid.periods)
 
 
 def ladder_record(kick: int, ladder: MomentumLadder) -> dict:

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import observables as obs
-from .config import ConfigError, RunConfig, serialize_config
+from .config import QUANTIZATION_SWEEP, ConfigError, RunConfig, serialize_config
 from .evolution import (
     EffectivePlanck,
     KickedRunParams,
@@ -276,9 +276,6 @@ def run_fig4(cfg: RunConfig, out_dir: str | Path) -> list[ScanPoint]:
               comments=["mean_p_final is |<p>| at the stated kick count",
                         f"K={cfg.K!r} alpha={cfg.alpha!r} phi={cfg.phi!r} beta={cfg.beta!r}"])
     return points
-
-
-QUANTIZATION_SWEEP = (2, 4, 8, 16, 32, 64)
 
 
 def compare_engines(cfg: RunConfig, out_dir: str | Path) -> dict:

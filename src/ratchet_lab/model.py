@@ -238,18 +238,27 @@ def save_mirror_profile(profile: MirrorProfile, path: str | Path) -> None:
 
 
 def load_mirror_profile(path: str | Path) -> MirrorProfile:
-    """Parse a profile written by save_mirror_profile."""
+    """Parse a profile written by save_mirror_profile.
+
+    A missing or malformed header or data line raises ValueError naming the path and the line.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
+    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("#"):
         raise ValueError(f"{path}: missing '# period_m=... n_levels=...' header")
-    header = lines[0].lstrip("#").split()
-    fields = dict(item.split("=", 1) for item in header)
-    period_m = float(fields["period_m"])
-    raw_levels = fields["n_levels"]
-    n_levels: int | str = raw_levels if raw_levels == "continuous" else int(raw_levels)
+    number, header = lines[0]
+    try:
+        fields = dict(item.split("=", 1) for item in header.lstrip("#").split())
+        period_m = float(fields["period_m"])
+        raw_levels = fields["n_levels"]
+        n_levels: int | str = raw_levels if raw_levels == "continuous" else int(raw_levels)
+    except (KeyError, ValueError):
+        raise ValueError(f"{path}:{number}: expected '# period_m=... n_levels=...', got {header!r}") from None
     depths = []
-    for ln in lines[1:]:
-        _x, d = ln.split(",")
-        depths.append(float(d))
+    for number, ln in lines[1:]:
+        try:
+            _x, d = ln.split(",")
+            depths.append(float(d))
+        except ValueError:
+            raise ValueError(f"{path}:{number}: expected 'x_meters,depth_meters', got {ln!r}") from None
     return MirrorProfile(period_m=period_m, depth_samples=np.array(depths), n_levels=n_levels)

@@ -11,8 +11,9 @@ classes side by side on the split-step core, each bounce transforming (P, S)
 fields along their S samples per period instead of the whole window at once.
 The mirror is looked up once, on the window's first period, so a window must
 hold a whole number of samples per period (ValueError otherwise). The bounce
-taps work on the class squares: `bounce_simulation` copies them into full
-focal-plane rows for the CCD images, and `bounce_ladders` sums them straight
+taps reduce the class squares the core makes at each bounce:
+`bounce_simulation` fftshifts them into full focal-plane rows for the CCD
+images (`evolution._class_power`), and `bounce_ladders` sums them straight
 into diffraction orders (`_order_sums`), the one order binning that the image
 ladders use too, on rows put back into class layout.
 """
@@ -256,42 +257,8 @@ def far_field(field: BeamField, focal_m: float) -> tuple[np.ndarray, float]:
     if not (math.isfinite(focal_m) and focal_m > 0):
         raise ValueError(f"focal_m must be finite and positive, got {focal_m!r}")
     intensity = np.empty(field.samples.size)
-    evolution._shifted_power(np.fft.fft(field.samples), intensity)
+    evolution._class_power(np.abs(np.fft.fft(field.samples))[None] ** 2, intensity)
     return intensity, field.wavelength_m * focal_m / field.window_m
-
-
-def _squared(reduce: Callable[[np.ndarray, np.ndarray], np.ndarray]
-             ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """A bounce tap: |spectrum|^2 of the chunk's class spectra, squared into one buffer that
-    every tap of the run reuses (built at the first tap, whose chunk is the largest), then
-    `reduce(squares, rows)`, which fills the rows and returns their totals."""
-    buffer: list[np.ndarray] = []
-
-    def tap(spectrum: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        if not buffer:
-            buffer.append(np.empty(spectrum.shape))
-        squares = buffer[0][:len(spectrum)]
-        np.abs(spectrum, out=squares)
-        np.square(squares, out=squares)
-        return reduce(squares, rows)
-
-    return tap
-
-
-def _class_power(squares: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """Fill the (rows, n) power rows with the fftshifted window power of (rows, P, S) class
-    squares, and return each row's sum.
-
-    Class r's line m is the window's spectral line k = r + P*m, so the squares transposed to
-    (rows, S, P) are the window lines in FFT order; two slice copies fftshift them, line k to
-    column (k + n//2) mod n. One class (P = 1) gives `evolution._shifted_power`'s row bit for bit.
-    """
-    n = power.shape[1]
-    h = n // 2  # the last h lines move to the front
-    lines = squares.transpose(0, 2, 1).reshape(len(power), n)
-    power[:, :h] = lines[:, n - h:]
-    power[:, h:] = lines[:, :n - h]
-    return power.sum(axis=-1)
 
 
 def _window_orders(n: int, periods: int) -> np.ndarray:
@@ -385,7 +352,7 @@ def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamF
 
     The split-step core's generator: it yields (index of the chunk's first
     mirror, bounce k, spectrum, rows) after each bounce, with rows what
-    `tap` makes of the chunk's (rows, P, S) class spectra, `width` columns a
+    `tap` makes of the chunk's (rows, P, S) class squares, `width` columns a
     mirror, scaled by the core to unit sum. The buffers are reused, so the
     consumer copies what it keeps. n_kicks and the window are checked at the
     call. The mirror is periodic, so the beam of P mirror periods runs as P
@@ -416,8 +383,9 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     flight over the geometry's gap `distance_m`, which gives the kinetic
     ladder phase exp(-i*hbar_eff*q^2/2) of the matched quantum run, with
     hbar_eff read from the geometry. Each row is the full fftshifted
-    focal-plane power (`_class_power`), scaled by the core to unit sum; the
-    CCD images are drawn from these rows.
+    focal-plane power, the core's default tap `evolution._class_power` of the
+    class squares, scaled by the core to unit sum; the CCD images are drawn
+    from these rows.
 
     This is the batch of one of the bounce loop (`_bounce`): one FFT over the
     period axis splits the beam into its quasimomentum classes, and each
@@ -427,7 +395,7 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     from the input power by more than 1e-8 relative, or is not finite.
     """
     n = beam.samples.size
-    taps = _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: "", _squared(_class_power), n)
+    taps = _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: "", evolution._class_power, n)
     image = np.empty((n_kicks, n))
     for _lo, k, _spectrum, rows in taps:
         image[k - 1] = rows[0]
@@ -475,7 +443,7 @@ def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam
     ladders: list[list[MomentumLadder]] = [[] for _ in mirrors]
     for lo, _k, _spectrum, probs in _bounce(geom, mirrors, beam, n_kicks,
                                             lambda mirror: f"bounce run n_levels={mirror.n_levels}: ",
-                                            _squared(_order_sums), orders.size):
+                                            _order_sums, orders.size):
         for i, ladder in enumerate(_ladders(orders, probs.copy(), hbar), start=lo):
             ladders[i].append(ladder)
     return ladders
@@ -534,7 +502,7 @@ def deflection_check(mirror: MirrorProfile, wavelength_m: float, focal_m: float)
         width = length / 6.0
         center = (x[lo] + x[hi - 1]) / 2.0
         probe = np.exp(-((x - center) ** 2) / width**2) * np.exp(1j * phase[: n])
-        evolution._shifted_power(np.fft.fft(probe), intensity)
+        evolution._class_power(np.abs(np.fft.fft(probe))[None] ** 2, intensity)
         centroid = float(np.sum(pos * intensity) / np.sum(intensity))
         grad = float(slopes[lo])
         predicted = wavelength_m * focal_m / (2.0 * math.pi) * grad

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,15 @@ def test_benchmark_traced_names_resolve():
     fileio = importlib.import_module("ratchet_lab.fileio")
     for writer in ("write_csv", "write_pgm", "write_ndjson"):
         assert "path" in inspect.signature(getattr(fileio, writer)).parameters
+
+
+def test_readme_module_references_resolve():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    refs = re.findall(rf"`({'|'.join(MODULES)})\.(\w+)`", text)
+    assert len(refs) >= 10
+    missing = [f"{module}.{attr}" for module, attr in refs
+               if not hasattr(importlib.import_module(f"ratchet_lab.{module}"), attr)]
+    assert missing == []
 
 
 def test_runtime_imports_no_scipy():

@@ -15,13 +15,14 @@ from ratchet_lab.evolution import (
     NumericalFailure,
     SpatialGrid,
     WaveState,
+    _class_power,
+    _orders,
     evolve,
     free_step,
     kick_step,
     ladder_record,
     momentum_spectrum,
     plane_wave,
-    scan_ladders,
     scan_probabilities,
     state_from_orders,
 )
@@ -35,6 +36,14 @@ GRID = SpatialGrid(1, 256)
 
 def ladder_dict(ladder: MomentumLadder) -> dict[int, float]:
     return dict(zip(ladder.orders.tolist(), ladder.probabilities.tolist()))
+
+
+def scan_ladders(grid, beta, runs, kicks_at):
+    """(run index, kick, ladder) of each row of `scan_probabilities`, the ladders sharing one orders array."""
+    orders = _orders(grid)
+    for lo, k, probs in scan_probabilities(grid, beta, runs, kicks_at):
+        for i, row in enumerate(probs, start=lo):
+            yield i, k, MomentumLadder(beta, orders, row.copy(), runs[i][1], grid.periods)
 
 
 # --- grid / state types ------------------------------------------------------
@@ -302,6 +311,28 @@ def test_scan_norm_guard_names_the_row(pot, monkeypatch, rows):
     expected = rf"^scan run hbar_eff={re.escape(repr(lossy_hbar))} K=1\.0: norm drifted by .* at kick 1$"
     with pytest.raises(NumericalFailure, match=expected):
         list(scan_ladders(GRID, 0.0, runs, (5,)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(min_value=1, max_value=4), p=st.integers(min_value=1, max_value=40),
+       s=st.integers(min_value=1, max_value=40), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_class_power_is_the_fftshift_of_the_window_lines_bitwise(rows, p, s, seed):
+    squares = np.random.default_rng(seed).uniform(size=(rows, p, s))
+    power = np.empty((rows, p * s))
+    totals = _class_power(squares, power)
+    expected = np.fft.fftshift(squares.swapaxes(-1, -2).reshape(rows, p * s), axes=-1)
+    assert power.tobytes() == expected.tobytes()
+    assert totals.tobytes() == expected.sum(axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 256])
+def test_class_power_fills_one_row(n):
+    # the (n,) row far_field, deflection_check and momentum_spectrum fill from a (1, n) block
+    squares = np.random.default_rng(n).uniform(size=(1, n))
+    power = np.empty(n)
+    total = _class_power(squares, power)
+    assert power.tobytes() == np.fft.fftshift(squares[0]).tobytes()
+    assert total == power.sum()
 
 
 @pytest.mark.parametrize("n", [34, 100, 256, 585])

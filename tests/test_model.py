@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -251,6 +252,22 @@ def test_mirror_profile_roundtrip(tmp_path):
     assert np.array_equal(loaded.depth_samples, prof.depth_samples)
     header = path.read_text().splitlines()[0]
     assert header.startswith("# period_m=") and "n_levels=16" in header
+
+
+@pytest.mark.parametrize("text, line", [
+    ("# period_m=0.0006\n0.0,1e-7\n", 1),
+    ("# period_m\n0.0,1e-7\n", 1),
+    ("# period_m=0.0006 n_levels=sixteen\n0.0,1e-7\n", 1),
+    ("# period_m=0.0006 n_levels=16\n0.0,1e-7\n\n0.0,1e-7,3\n", 4),
+    ("# period_m=0.0006 n_levels=16\n0.0;1e-7\n", 2),
+    ("0.0,1e-7\n", None),
+])
+def test_mirror_profile_load_rejects_malformed_file(tmp_path, text, line):
+    path = tmp_path / "mirror.txt"
+    path.write_text(text, encoding="utf-8")
+    where = str(path) if line is None else f"{path}:{line}:"
+    with pytest.raises(ValueError, match=re.escape(where)):
+        load_mirror_profile(path)
 
 
 def test_mirror_profile_validation():
