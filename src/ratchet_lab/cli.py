@@ -30,7 +30,7 @@ from .experiments import (
 )
 from .fileio import write_ndjson
 from .model import save_mirror_profile
-from .optics import image_ladders, ratchet_mirror
+from .optics import ratchet_mirror
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,8 +63,7 @@ def _cmd_evolve(cfg: RunConfig, out: Path) -> None:
 
 
 def _cmd_optical(cfg: RunConfig, out: Path) -> None:
-    image = bounce_image(cfg, cfg.hbar, cfg.n_kicks)
-    write_panel(out / "orders.csv", out / "ccd.pgm", image, image_ladders(image), cfg,
+    write_panel(out / "orders.csv", out / "ccd.pgm", bounce_image(cfg, cfg.hbar, cfg.n_kicks), cfg,
                 [f"hbar={cfg.hbar!r} n_levels={cfg.n_levels}"])
 
 

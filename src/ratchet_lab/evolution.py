@@ -16,8 +16,9 @@ place a tap becomes probabilities. `evolve` and `scan_probabilities` feed it
 one class, the kick and flight factors and the default tap `_class_power`,
 the one fftshift into full rows; `optics` feeds it the beam as one class per
 mirror period, one period of the mirror reflection, the Fresnel kernel in
-class layout, and `_class_power` for CCD rows or a tap that sums the squares
-straight into diffraction orders. The resonance scan works out its
+class layout, and a tap that sums the squares straight into diffraction
+orders (for a CCD image it also lays them out as full rows through
+`_class_power`, scaled as the core scales). The resonance scan works out its
 statistics per chunk, as array operations on the core's rows, and builds no
 per-run ladder. Single runs go through `evolve`; the figure pipeline makes
 the two that fig 2 and fig 3 share only once.

@@ -35,7 +35,6 @@ from .optics import (
     bounce_simulation,
     distance_for_hbar,
     gaussian_beam,
-    image_ladders,
     ratchet_mirror,
     render_ccd,
 )
@@ -97,7 +96,7 @@ def bounce_image(cfg: RunConfig, hbar_eff: float, n_kicks: int,
 def optical_kick_ladders(cfg: RunConfig, hbar_eff: float, n_kicks: int,
                          n_levels: int | str | None = None) -> list[MomentumLadder]:
     """Per-kick order distributions of the beam-bounce engine."""
-    return image_ladders(bounce_image(cfg, hbar_eff, n_kicks, n_levels))
+    return bounce_image(cfg, hbar_eff, n_kicks, n_levels).ladders
 
 
 def ladder_csv_rows(ladders: list[MomentumLadder], max_order: int):
@@ -117,10 +116,10 @@ def crop_image(image: FarFieldImage, max_order: int) -> FarFieldImage:
     return replace(image, rows=image.rows[:, lo:hi])
 
 
-def write_panel(csv_path: Path, pgm_path: Path, image: FarFieldImage, ladders: list[MomentumLadder],
-                cfg: RunConfig, comments: list[str]) -> None:
-    """One CCD panel: the per-kick orders within max_order as CSV, the cropped image as PGM."""
-    write_csv(csv_path, ["kick", "order", "probability"], ladder_csv_rows(ladders, cfg.max_order),
+def write_panel(csv_path: Path, pgm_path: Path, image: FarFieldImage, cfg: RunConfig,
+                comments: list[str]) -> None:
+    """One CCD panel: the image's per-kick orders within max_order as CSV, the cropped image as PGM."""
+    write_csv(csv_path, ["kick", "order", "probability"], ladder_csv_rows(image.ladders, cfg.max_order),
               comments=comments)
     write_pgm(pgm_path, render_ccd(crop_image(image, cfg.max_order), cfg.gamma))
 
@@ -162,15 +161,14 @@ def _fig2(cfg: RunConfig, out_dir: str | Path, quantum: list[list[MomentumLadder
             panel["quantum"] = ladders
             # one column per ladder rung, rung 0 at the centre column like a focal-plane image
             image = FarFieldImage(rows=np.stack([lad.probabilities for lad in ladders]),
-                                  window_periods=1, hbar_eff=hbar_eff)
-            write_panel(out / f"fig2_{label}.csv", out / f"fig2_{label}.pgm", image, ladders, cfg,
+                                  window_periods=1, ladders=ladders)
+            write_panel(out / f"fig2_{label}.csv", out / f"fig2_{label}.pgm", image, cfg,
                         [f"engine=quantum hbar={hbar_eff!r}"] + comments)
         if cfg.engine in ("optical", "both"):
             image = bounce_image(cfg, hbar_eff, cfg.n_kicks)
-            ladders = image_ladders(image)
-            panel["optical"] = ladders
+            panel["optical"] = image.ladders
             stem = f"fig2_{label}_optical" if cfg.engine == "both" else f"fig2_{label}"
-            write_panel(out / f"{stem}.csv", out / f"{stem}.pgm", image, ladders, cfg,
+            write_panel(out / f"{stem}.csv", out / f"{stem}.pgm", image, cfg,
                         [f"engine=optical hbar={hbar_eff!r}"] + comments)
         results[label] = panel
     return results

@@ -10,19 +10,19 @@ quasimomentum classes of one period each, and every bounce run propagates the
 classes side by side on the split-step core, each bounce transforming (P, S)
 fields along their S samples per period instead of the whole window at once.
 The mirror is looked up once, on the window's first period, so a window must
-hold a whole number of samples per period (ValueError otherwise). The bounce
-taps reduce the class squares the core makes at each bounce:
-`bounce_simulation` fftshifts them into full focal-plane rows for the CCD
-images (`evolution._class_power`), and `bounce_ladders` sums them straight
-into diffraction orders (`_order_sums`), the one order binning that the image
-ladders use too, on rows put back into class layout.
+hold a whole number of samples per period (ValueError otherwise). Every
+bounce tap sums the class squares the core makes at each bounce straight into
+diffraction orders (`_order_sums`), the one order binning of every optical
+ladder; `bounce_simulation`'s tap also fftshifts them into the full
+focal-plane row of the CCD image (`evolution._class_power`), so an image
+carries the ladders of the very squares its rows show.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "bounce_ladders",
     "row_order_probabilities",
     "row_order_ladder",
-    "image_ladders",
     "deflection_check",
     "render_ccd",
 ]
@@ -298,40 +297,6 @@ def _order_sums(squares: np.ndarray, sums: np.ndarray) -> np.ndarray:
     return sums.sum(axis=1)
 
 
-def _row_orders(rows: np.ndarray, periods: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending orders and per-row order probabilities of (kicks, n) focal-plane rows, zero
-    order at column n//2, a window `periods` mirror periods wide; raises unless n is a whole
-    number of periods."""
-    n = rows.shape[1]
-    if n % periods:
-        raise ValueError(f"a row of {n} columns is not a whole number of {periods} periods")
-    orders = _window_orders(n, periods)
-    probs = np.empty((rows.shape[0], orders.size))
-    lines = np.fft.ifftshift(rows, axes=1)  # line k at column k mod n: class k mod P's line k // P
-    totals = _order_sums(lines.reshape(len(rows), -1, periods).transpose(0, 2, 1), probs)
-    probs *= (1.0 / totals)[:, None]
-    return orders, probs
-
-
-def order_probabilities(field: BeamField, period_m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Far-field probability per grating order (fine bins summed to nearest order)."""
-    intensity, _ = far_field(field, 1.0)
-    orders, probs = _row_orders(intensity[None], window_periods_of(field, period_m))
-    return orders, probs[0]
-
-
-@dataclass(frozen=True, eq=False)
-class FarFieldImage:
-    """Per-kick far-field intensity rows tapped at the lens focal plane."""
-
-    rows: np.ndarray
-    """(kicks, n) intensities; row k-1 is the tap after kick k, zero order at column n//2."""
-    window_periods: int
-    """Mirror periods across the window, i.e. fine columns per diffraction order."""
-    hbar_eff: float
-    """Effective Planck constant of the run, carried into the order ladders."""
-
-
 def _class_field(samples: np.ndarray, periods: int) -> np.ndarray:
     """The beam's quasimomentum classes W[r, s] = exp(-2*pi*i*r*s/n) * F[r, s], with F the FFT
     over the period axis of samples.reshape(periods, S).
@@ -345,34 +310,74 @@ def _class_field(samples: np.ndarray, periods: int) -> np.ndarray:
     return field
 
 
-def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField, n_kicks: int,
-            name: Callable[[MirrorProfile], str], tap: Callable[[np.ndarray, np.ndarray], np.ndarray],
-            width: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Bounce the beam n_kicks times off each mirror, one batch row per mirror.
+def order_probabilities(field: BeamField, period_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Far-field probability per grating order: the field's class squares summed into orders
+    as the bounce tap sums them (`_order_sums`)."""
+    periods = window_periods_of(field, period_m)
+    orders = _window_orders(field.samples.size, periods)
+    sums = np.empty((1, orders.size))
+    total = _order_sums(np.abs(np.fft.fft(_class_field(field.samples, periods)))[None] ** 2, sums)
+    return orders, sums[0] * (1.0 / total[0])
 
-    The split-step core's generator: it yields (index of the chunk's first
-    mirror, bounce k, spectrum, rows) after each bounce, with rows what
-    `tap` makes of the chunk's (rows, P, S) class squares, `width` columns a
-    mirror, scaled by the core to unit sum. The buffers are reused, so the
-    consumer copies what it keeps. n_kicks and the window are checked at the
-    call. The mirror is periodic, so the beam of P mirror periods runs as P
-    independent quasimomentum classes of S = n/P samples (`_class_field`):
-    each reflects off the mirror's factor on one period, and each bounce
-    transforms (P, S) fields along S. The Fresnel kernel, gathered into
-    class layout, is built once, and the focal-plane transform is also the
-    forward transform of the flight. A row whose tapped power (by Parseval)
-    drifts from the input power by more than 1e-8 relative, or is not
-    finite, raises NumericalFailure with text name(mirror) + the drift and
-    the bounce.
+
+@dataclass(frozen=True, eq=False)
+class FarFieldImage:
+    """Per-kick far-field intensity rows tapped at the lens focal plane, and their order ladders."""
+
+    rows: np.ndarray
+    """(kicks, n) intensities; row k-1 is the tap after kick k, zero order at column n//2."""
+    window_periods: int
+    """Mirror periods across the window, i.e. fine columns per diffraction order."""
+    ladders: list[MomentumLadder]
+    """Order ladder of every row, in kick order; a bounce image's are what its tap summed."""
+
+
+def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField, n_kicks: int,
+            name: Callable[[MirrorProfile], str],
+            tap: Callable[[np.ndarray, np.ndarray], np.ndarray] = _order_sums) -> list[list[MomentumLadder]]:
+    """Per-kick order ladders of one bounce run per mirror, in mirror order, one batch row each.
+
+    The split-step core bounces the beam n_kicks times off each mirror. At
+    each bounce `tap(squares, sums)` sums the chunk's (rows, P, S) class
+    squares into orders, one row of `sums` per mirror (`_order_sums` by
+    default), and returns each row's total; the core scales the sums to unit
+    sum. All ladders share one read-only orders array. The mirror is
+    periodic, so the beam of P mirror periods runs as P independent
+    quasimomentum classes of S = n/P samples (`_class_field`): each reflects
+    off the mirror's factor on one period, and each bounce transforms (P, S)
+    fields along S. The Fresnel kernel, gathered into class layout, is built
+    once, and the focal-plane transform is also the forward transform of the
+    flight.
+
+    Before any transform, raises ValueError unless n_kicks >= 1, the beam's
+    wavelength is the geometry's, every mirror's period is the geometry's,
+    and the window holds P periods of whole samples. A row whose tapped power
+    (by Parseval) drifts from the input power by more than 1e-8 relative, or
+    is not finite, raises NumericalFailure with text name(mirror) + the
+    drift and the bounce.
     """
     if n_kicks < 1:
         raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
+    if beam.wavelength_m != geom.wavelength_m:
+        raise ValueError(f"beam wavelength_m {beam.wavelength_m!r} is not the geometry's "
+                         f"{geom.wavelength_m!r}")
+    for mirror in mirrors:
+        if mirror.period_m != geom.period_m:
+            raise ValueError(f"mirror period_m {mirror.period_m!r} is not the geometry's {geom.period_m!r}")
     periods = window_periods_of(beam, geom.period_m)
+    orders = _window_orders(beam.samples.size, periods)
+    orders.flags.writeable = False
+    hbar = hbar_from_geometry(geom)
     kernel = np.ascontiguousarray(_fresnel_kernel(beam, geom.distance_m).reshape(-1, periods).T)
-    return evolution._split_step(
-        _class_field(beam.samples, periods), mirrors, lambda mirror: _reflection_factor(beam, mirror),
-        kernel, range(1, n_kicks + 1), beam.dx, beam.power,
-        "beam power drifted by {:.3e} (relative) at bounce {}", name, tap, width)
+    ladders: list[list[MomentumLadder]] = [[] for _ in mirrors]
+    for lo, _k, _spectrum, probs in evolution._split_step(
+            _class_field(beam.samples, periods), mirrors, lambda mirror: _reflection_factor(beam, mirror),
+            kernel, range(1, n_kicks + 1), beam.dx, beam.power,
+            "beam power drifted by {:.3e} (relative) at bounce {}", name, tap, orders.size):
+        for i, row in enumerate(probs.copy(), start=lo):
+            ladders[i].append(MomentumLadder(beta=0.0, orders=orders, probabilities=row, hbar=hbar,
+                                             grid_periods=1))
+    return ladders
 
 
 def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamField,
@@ -382,45 +387,29 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     Each cycle is: mirror reflection, focal-plane tap, then the kick-to-kick
     flight over the geometry's gap `distance_m`, which gives the kinetic
     ladder phase exp(-i*hbar_eff*q^2/2) of the matched quantum run, with
-    hbar_eff read from the geometry. Each row is the full fftshifted
-    focal-plane power, the core's default tap `evolution._class_power` of the
-    class squares, scaled by the core to unit sum; the CCD images are drawn
-    from these rows.
+    hbar_eff read from the geometry. The tap reduces each bounce's class
+    squares twice: into the full fftshifted focal-plane row
+    (`evolution._class_power`), scaled by its own total to unit sum as the
+    core scales its rows, from which the CCD images are drawn; and into
+    order sums (`_order_sums`), which the core scales into the image's
+    ladders, bitwise `bounce_ladders`' for the same mirror.
 
     This is the batch of one of the bounce loop (`_bounce`): one FFT over the
     period axis splits the beam into its quasimomentum classes, and each
     bounce then takes one FFT pair along the class samples (none after the
-    last tap). Raises ValueError unless the window holds P periods of whole
-    samples, and NumericalFailure when the tapped power (by Parseval) drifts
-    from the input power by more than 1e-8 relative, or is not finite.
+    last tap). Raises as `_bounce`: ValueError on inputs that disagree, and
+    NumericalFailure when the tapped power drifts.
     """
-    n = beam.samples.size
-    taps = _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: "", evolution._class_power, n)
-    image = np.empty((n_kicks, n))
-    for _lo, k, _spectrum, rows in taps:
-        image[k - 1] = rows[0]
-    return FarFieldImage(rows=image, window_periods=window_periods_of(beam, geom.period_m),
-                         hbar_eff=hbar_from_geometry(geom).hbar_eff)
+    image = np.empty((n_kicks, beam.samples.size))
+    rows = iter(image[:, None])  # bounce k fills row k-1
 
+    def tap(squares: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        row = next(rows)
+        row *= 1.0 / evolution._class_power(squares, row)
+        return _order_sums(squares, sums)
 
-def _ladders(orders: np.ndarray, probs: np.ndarray, hbar: EffectivePlanck) -> list[MomentumLadder]:
-    """One ladder per row of order probabilities (each row already scaled to unit sum),
-    all sharing `orders`."""
-    return [MomentumLadder(beta=0.0, orders=orders, probabilities=row, hbar=hbar, grid_periods=1)
-            for row in probs]
-
-
-def image_ladders(image: FarFieldImage) -> list[MomentumLadder]:
-    """Order ladder of every row, in kick order; the ladders share one orders array.
-
-    Each row's fine columns are put back in FFT order, seen as classes and summed into orders
-    as the bounce tap sums its class squares (`_order_sums`), so a bounce image's ladders match
-    `bounce_ladders` to rounding. Raises ValueError unless a row is a whole number of
-    `window_periods` columns.
-    """
-    orders, probs = _row_orders(image.rows, image.window_periods)
-    orders.flags.writeable = False
-    return _ladders(orders, probs, EffectivePlanck(image.hbar_eff))
+    (ladders,) = _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: "", tap)
+    return FarFieldImage(rows=image, window_periods=window_periods_of(beam, geom.period_m), ladders=ladders)
 
 
 def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField,
@@ -429,34 +418,28 @@ def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam
 
     The tap sums each bounce's class squares straight into diffraction
     orders (`_order_sums`), so no focal-plane row of n columns is built. The
-    core scales the order sums to unit sum. The runs propagate as the rows
-    of one batch, in chunks of at most BATCH_CELLS rows x beam samples, and
-    each mirror's ladders are bitwise the ones its run alone gives; they
-    match `image_ladders(bounce_simulation(...))` to rounding. All of them
-    share one read-only orders array. Raises ValueError unless the window
-    holds P periods of whole samples; a drifting row raises NumericalFailure
-    naming its mirror's n_levels and the bounce.
+    runs propagate as the rows of one batch, in chunks of at most
+    BATCH_CELLS rows x beam samples, and each mirror's ladders are bitwise
+    the ones its run alone gives, and so bitwise the ladders of
+    `bounce_simulation(...)`'s image. All of them share one read-only orders
+    array. Raises ValueError on inputs that disagree (`_bounce`); a drifting
+    row raises NumericalFailure naming its mirror's n_levels and the bounce.
     """
-    orders = _window_orders(beam.samples.size, window_periods_of(beam, geom.period_m))
-    orders.flags.writeable = False
-    hbar = hbar_from_geometry(geom)
-    ladders: list[list[MomentumLadder]] = [[] for _ in mirrors]
-    for lo, _k, _spectrum, probs in _bounce(geom, mirrors, beam, n_kicks,
-                                            lambda mirror: f"bounce run n_levels={mirror.n_levels}: ",
-                                            _order_sums, orders.size):
-        for i, ladder in enumerate(_ladders(orders, probs.copy(), hbar), start=lo):
-            ladders[i].append(ladder)
-    return ladders
+    return _bounce(geom, mirrors, beam, n_kicks, lambda mirror: f"bounce run n_levels={mirror.n_levels}: ")
+
+
+def row_order_ladder(image: FarFieldImage, kick: int) -> MomentumLadder:
+    """Order ladder of row `kick` (1-based, matching kick count); raises ValueError outside
+    1..kicks."""
+    if not 1 <= kick <= len(image.ladders):
+        raise ValueError(f"kick must lie in 1..{len(image.ladders)}, got {kick}")
+    return image.ladders[kick - 1]
 
 
 def row_order_probabilities(image: FarFieldImage, kick: int) -> tuple[np.ndarray, np.ndarray]:
     """Order distribution of row `kick` (1-based, matching kick count)."""
-    orders, probs = _row_orders(image.rows[kick - 1:kick], image.window_periods)
-    return orders, probs[0]
-
-
-def row_order_ladder(image: FarFieldImage, kick: int) -> MomentumLadder:
-    return image_ladders(replace(image, rows=image.rows[kick - 1:kick]))[0]
+    ladder = row_order_ladder(image, kick)
+    return ladder.orders, ladder.probabilities
 
 
 @dataclass(frozen=True)

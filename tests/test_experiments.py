@@ -77,13 +77,13 @@ def test_quantum_panel_crop_matches_order_cut(tmp_path, periods):
     cfg = cfg_with(engine="quantum", periods=periods, points_per_period=64, n_kicks=5, gamma=0.5)
     ladders = quantum_kick_ladders(cfg, 0.5 * math.pi, cfg.n_kicks)
     image = FarFieldImage(rows=np.stack([lad.probabilities for lad in ladders]), window_periods=1,
-                          hbar_eff=0.5 * math.pi)
+                          ladders=ladders)
     for max_order in (0, 5, 40, 200):  # 40 and 200 reach past the edge of a 64-point grid
         cropped = crop_image(image, max_order).rows
         assert cropped.tobytes() == old_quantum_panel_rows(ladders, max_order).tobytes()
     run_fig2(cfg, tmp_path)
     expected = render_ccd(FarFieldImage(rows=old_quantum_panel_rows(ladders, cfg.max_order),
-                                        window_periods=1, hbar_eff=0.5 * math.pi), cfg.gamma)
+                                        window_periods=1, ladders=ladders), cfg.gamma)
     assert read_pgm(tmp_path / "fig2_a.pgm").tobytes() == expected.tobytes()
 
 
@@ -99,6 +99,24 @@ def test_optical_subcommand_writes_the_fig2_optical_panel(tmp_path):
     assert len(data_rows(tmp_path / "opt" / "orders.csv")) > 4 * 2 * 32
     pgm = (tmp_path / "opt" / "ccd.pgm").read_bytes()
     assert pgm == (tmp_path / "figs" / "fig2_b_optical.pgm").read_bytes()
+
+
+def test_figs_optical_engine_writes_the_optical_panels_as_fig2(tmp_path):
+    # with the beam engine alone, fig 2's panels take the plain fig2_{a,b} names
+    small = ["--hbar=0.5pi", "--n_kicks=4", "--beam_periods=16", "--beam_points_per_period=64",
+             "--scan_hbar_min=0.2pi", "--scan_hbar_max=1.0pi", "--scan_hbar_step=0.2pi", "--scan_kicks_at=2,4"]
+    assert main(["figs", "--engine=optical", *small, "--out", str(tmp_path / "optical")]) == 0
+    assert main(["figs", "--engine=both", *small, "--out", str(tmp_path / "both")]) == 0
+    assert not list((tmp_path / "optical").glob("*_optical.*"))
+
+    def data_rows(path):
+        return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+    for label in ("a", "b"):
+        optical, both = tmp_path / "optical" / f"fig2_{label}", tmp_path / "both" / f"fig2_{label}_optical"
+        assert data_rows(optical.with_suffix(".csv")) == data_rows(both.with_suffix(".csv"))
+        assert len(data_rows(optical.with_suffix(".csv"))) > 4 * 2 * 32
+        assert optical.with_suffix(".pgm").read_bytes() == both.with_suffix(".pgm").read_bytes()
 
 
 def test_fig2_csv_schema(tmp_path):

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratchet_lab.evolution import NumericalFailure, SpatialGrid, kick_step, momentum_spectrum, plane_wave
+from ratchet_lab.evolution import (
+    MomentumLadder,
+    NumericalFailure,
+    SpatialGrid,
+    kick_step,
+    momentum_spectrum,
+    plane_wave,
+)
 from ratchet_lab.model import EffectivePlanck, RatchetPotential, depth_from_phase, phase_from_depth
 from ratchet_lab.observables import distribution_distance
 from ratchet_lab.optics import (
@@ -21,7 +28,6 @@ from ratchet_lab.optics import (
     far_field,
     gaussian_beam,
     hbar_from_geometry,
-    image_ladders,
     lau_distance,
     order_probabilities,
     plane_wave_beam,
@@ -125,6 +131,24 @@ def test_window_of_part_period_samples_is_refused(run):
     mirror = depth_from_phase(np.zeros(65), LAM, PERIOD)
     with pytest.raises(ValueError, match="130 samples do not split into 9 periods of whole samples"):
         run(OpticalGeometry(LAM, PERIOD, 0.1), mirror, beam)
+
+
+@pytest.mark.parametrize("run", [
+    lambda geom, mirror, beam: bounce_simulation(geom, mirror, beam, 2),
+    lambda geom, mirror, beam: bounce_ladders(geom, [mirror], beam, 2),
+], ids=["bounce_simulation", "bounce_ladders"])
+def test_bounce_refuses_inputs_that_disagree(run, fft_calls):
+    # a 633 nm beam under a 532 nm geometry would run at another hbar_eff than its ladders
+    # carry, and a mirror cut for half the geometry's period does not fit its classes; both
+    # are refused before any transform
+    geom, mirror, beam = bounce_case(0.5 * math.pi, 16, 64)
+    red = gaussian_beam(PERIOD, 16, 64, 4 * PERIOD, 633e-9)
+    with pytest.raises(ValueError, match=r"^beam wavelength_m 6\.33e-07 is not the geometry's 5\.32e-07$"):
+        run(geom, mirror, red)
+    half = depth_from_phase(np.zeros(64), LAM, PERIOD / 2)
+    with pytest.raises(ValueError, match=r"^mirror period_m 0\.0003 is not the geometry's 0\.0006$"):
+        run(geom, half, beam)
+    assert (fft_calls["fft"], fft_calls["ifft"]) == (0, 0)
 
 
 def test_single_bounce_matches_quantum_kick(pot, hbar_res):
@@ -231,10 +255,11 @@ def stepwise_rows(geom, mirror, beam, n_kicks):
     return np.stack(rows)
 
 
-def class_stepwise_rows(geom, mirror, beam, n_kicks):
-    """Rows of bounce_simulation as a class-basis step composition: the beam split once into its
-    quasimomentum classes, then per bounce the kick (the first period of the per-sample mirror
-    factor), the FFT, the tap, the class flight and the inverse FFT."""
+def class_stepwise_squares(geom, mirror, beam, n_kicks):
+    """(n_kicks, P, S) class squares of bounce_simulation's taps as a class-basis step
+    composition: the beam split once into its quasimomentum classes, then per bounce the kick
+    (the first period of the per-sample mirror factor), the FFT, the tap, the class flight and
+    the inverse FFT."""
     import ratchet_lab.optics as optics
 
     n = beam.samples.size
@@ -245,14 +270,27 @@ def class_stepwise_rows(geom, mirror, beam, n_kicks):
     field = field * np.exp((-2j * math.pi / n) * (r * m))
     reflection = per_sample_reflection_factor(beam, mirror)[:s]
     kernel = optics._fresnel_kernel(beam, geom.distance_m).reshape(s, periods).T
-    rows = []
+    squares = []
     for _ in range(n_kicks):
         field = field * reflection
         spectrum = np.fft.fft(field)
-        power = np.empty(n)
-        power[(r + periods * m + n // 2) % n] = np.abs(spectrum) ** 2
-        rows.append(power * (1.0 / power.sum()))
+        squares.append(np.abs(spectrum) ** 2)
         field = np.fft.ifft(spectrum * kernel)
+    return np.stack(squares)
+
+
+def class_stepwise_rows(geom, mirror, beam, n_kicks):
+    """Rows of bounce_simulation: each tap's class squares laid out as the fftshifted window,
+    line r + P*m at column (r + P*m + n//2) mod n, scaled to unit sum."""
+    squares = class_stepwise_squares(geom, mirror, beam, n_kicks)
+    _, periods, s = squares.shape
+    n = periods * s
+    r, m = np.arange(periods)[:, None], np.arange(s)[None, :]
+    rows = []
+    for square in squares:
+        power = np.empty(n)
+        power[(r + periods * m + n // 2) % n] = square
+        rows.append(power * (1.0 / power.sum()))
     return np.stack(rows)
 
 
@@ -355,20 +393,16 @@ def test_cli_optical_odd_window_equals_step_composition_bytes(tmp_path):
     beam = gaussian_beam(cfg.period, cfg.beam_periods, cfg.beam_points_per_period, cfg.beam_width,
                          cfg.wavelength)
     assert beam.samples.size == 585
-    image = FarFieldImage(rows=class_stepwise_rows(geom, mirror, beam, cfg.n_kicks),
-                          window_periods=9, hbar_eff=hbar_from_geometry(geom).hbar_eff)
+    orders, sums = order_sums_reference(class_stepwise_squares(geom, mirror, beam, cfg.n_kicks))
+    probs = sums * (1.0 / sums.sum(axis=1))[:, None]
+    ladders = [MomentumLadder(0.0, orders, row, hbar_from_geometry(geom)) for row in probs]
+    image = FarFieldImage(rows=class_stepwise_rows(geom, mirror, beam, cfg.n_kicks), window_periods=9,
+                          ladders=ladders)
     ref = tmp_path / "ref"
     ref.mkdir()
-    write_panel(ref / "orders.csv", ref / "ccd.pgm", image, image_ladders(image), cfg,
-                [f"hbar={cfg.hbar!r} n_levels={cfg.n_levels}"])
+    write_panel(ref / "orders.csv", ref / "ccd.pgm", image, cfg, [f"hbar={cfg.hbar!r} n_levels={cfg.n_levels}"])
     for name in ("orders.csv", "ccd.pgm"):
         assert (tmp_path / "cli" / name).read_bytes() == (ref / name).read_bytes(), name
-
-
-# image_ladders bins a bounce image's unit-sum fine rows, bounce_ladders its raw class squares;
-# both sum each order over at most window_periods / 2 + 2 terms a group, so for the windows
-# below (at most 40 periods) they agree to a few ulp of 1
-IMAGE_LADDER_BOUND = 4e-15
 
 
 @settings(max_examples=30, deadline=None)
@@ -393,15 +427,14 @@ def test_bounce_ladders_equal_single_runs_bitwise(K, alpha, phi, levels, window_
     assert not batched[0][0].orders.flags.writeable
     for mirror, ladders in zip(mirrors, batched):
         (single,) = bounce_ladders(geom, [mirror], beam, n_kicks)
-        image = image_ladders(bounce_simulation(geom, mirror, beam, n_kicks))
+        image = bounce_simulation(geom, mirror, beam, n_kicks).ladders
         assert len(ladders) == len(image) == n_kicks
-        for got, want, fine in zip(ladders, single, image):
+        for got, want, carried in zip(ladders, single, image):
             assert got.orders is batched[0][0].orders
-            assert got.orders.tobytes() == want.orders.tobytes() == fine.orders.tobytes()
-            assert got.probabilities.tobytes() == want.probabilities.tobytes()
-            assert np.max(np.abs(got.probabilities - fine.probabilities)) <= IMAGE_LADDER_BOUND
+            assert got.orders.tobytes() == want.orders.tobytes() == carried.orders.tobytes()
+            assert got.probabilities.tobytes() == want.probabilities.tobytes() == carried.probabilities.tobytes()
             assert (got.beta, got.hbar, got.grid_periods) == (want.beta, want.hbar, want.grid_periods)
-            assert (got.beta, got.hbar, got.grid_periods) == (fine.beta, fine.hbar, fine.grid_periods)
+            assert (got.beta, got.hbar, got.grid_periods) == (carried.beta, carried.hbar, carried.grid_periods)
 
 
 def order_sums_reference(squares):
@@ -563,9 +596,9 @@ def test_quantum_run_from_the_beam_state_matches_the_bounce(K, alpha, phi, hbar_
     (optical,) = bounce_ladders(geom, [mirror], beam, n_kicks)
     assert len(quantum) == len(optical) == n_kicks
     for q, o in zip(quantum, optical):
-        orders, probs = optics._row_orders(q.probabilities[None], window_periods)
+        orders, probs = per_row_bin_orders(q.probabilities, window_periods)
         assert np.array_equal(o.orders, orders)
-        assert np.max(np.abs(probs[0] - o.probabilities)) <= 1e-12
+        assert np.max(np.abs(probs - o.probabilities)) <= 1e-12
 
 
 CLASS_SHAPES = {65536: (512, 128), 585: (9, 65)}  # (P, S) of the compare beam and the odd beam
@@ -624,44 +657,40 @@ def per_row_bin_orders(intensity_shifted, window_periods):
     return np.arange(n_lo, n_lo + sums.size), sums / sums.sum()
 
 
-@settings(max_examples=80, deadline=None)
-@given(kicks=st.integers(min_value=1, max_value=6),
-       window_periods=st.integers(min_value=1, max_value=12),
-       samples_per_period=st.integers(min_value=1, max_value=25),
-       seed=st.integers(min_value=0, max_value=2**32 - 1),
-       scale=st.floats(min_value=1e-12, max_value=1e6),
-       hbar_eff=st.floats(min_value=1e-2, max_value=4 * math.pi))
-def test_image_ladders_match_per_row_binning(kicks, window_periods, samples_per_period, seed, scale,
-                                             hbar_eff):
-    # any whole number of periods, odd or even, and any samples per period; the fine columns
-    # are summed into orders in class layout, not column by column, so the probabilities agree
-    # to rounding (at most 2.2e-16 seen), and the one-row paths are bitwise the image's
-    n = window_periods * samples_per_period
-    rng = np.random.default_rng(seed)
-    rows = rng.random((kicks, n)) * scale
-    rows[:, rng.random(n) < 0.3] = 0.0  # dark columns, as between diffraction orders
-    rows[:, n // 2] += scale
-    image = FarFieldImage(rows=rows, window_periods=window_periods, hbar_eff=hbar_eff)
-    ladders = image_ladders(image)
-    assert len(ladders) == kicks
-    assert not ladders[0].orders.flags.writeable
-    for k, ladder in enumerate(ladders, start=1):
-        orders, probs = per_row_bin_orders(rows[k - 1], window_periods)
-        assert ladder.orders is ladders[0].orders
+@settings(max_examples=30, deadline=None)
+@given(hbar_over_pi=st.floats(min_value=0.1, max_value=2.0),
+       window_periods=st.integers(min_value=8, max_value=25),
+       samples_per_period=st.sampled_from([64, 65, 96, 127]),
+       n_levels=st.sampled_from(["continuous", 4, 16]),
+       n_kicks=st.integers(min_value=1, max_value=6))
+def test_image_ladders_match_per_row_binning(hbar_over_pi, window_periods, samples_per_period, n_levels,
+                                             n_kicks):
+    # odd and even P and S: the ladders an image carries are summed from its tap's class squares,
+    # its rows fftshifted from the same squares, so binning each row column by column gives the
+    # carried ladder to rounding, and the one-row reads are bitwise the carried ladders
+    geom, mirror, beam = bounce_case(hbar_over_pi * math.pi, window_periods, samples_per_period, n_levels)
+    image = bounce_simulation(geom, mirror, beam, n_kicks)
+    assert len(image.ladders) == n_kicks
+    assert not image.ladders[0].orders.flags.writeable
+    for k, ladder in enumerate(image.ladders, start=1):
+        orders, probs = per_row_bin_orders(image.rows[k - 1], window_periods)
+        assert ladder.orders is image.ladders[0].orders
         assert ladder.orders.dtype == orders.dtype and ladder.orders.tobytes() == orders.tobytes()
         assert np.max(np.abs(ladder.probabilities - probs)) <= 1e-15
-        assert (ladder.beta, ladder.hbar, ladder.grid_periods) == (0.0, EffectivePlanck(hbar_eff), 1)
+        assert (ladder.beta, ladder.hbar, ladder.grid_periods) == (0.0, hbar_from_geometry(geom), 1)
         one_orders, one_probs = row_order_probabilities(image, k)
         assert one_orders.tobytes() == orders.tobytes()
         assert one_probs.tobytes() == ladder.probabilities.tobytes()
-        single = row_order_ladder(image, k)
-        assert single.probabilities.tobytes() == ladder.probabilities.tobytes()
+        assert row_order_ladder(image, k) is ladder
 
 
-def test_image_ladders_refuse_a_width_of_part_periods():
-    image = FarFieldImage(rows=np.ones((2, 130)), window_periods=9, hbar_eff=1.0)
-    with pytest.raises(ValueError, match="130 columns is not a whole number of 9 periods"):
-        image_ladders(image)
+@pytest.mark.parametrize("read", [row_order_probabilities, row_order_ladder])
+@pytest.mark.parametrize("kick", [0, -1, 6])
+def test_row_order_reads_refuse_a_kick_outside_the_image(read, kick):
+    geom, mirror, beam = bounce_case(0.5 * math.pi, 8, 64)
+    image = bounce_simulation(geom, mirror, beam, 5)
+    with pytest.raises(ValueError, match=rf"kick must lie in 1\.\.5, got {kick}"):
+        read(image, kick)
 
 
 # --- deflection ---------------------------------------------------------------
@@ -726,10 +755,10 @@ def test_integer_ramp_shifts_beam_ladder_exactly():
 # --- CCD rendering ---------------------------------------------------------------
 
 def test_render_ccd_uniform_and_two_peak_rows():
-    img = FarFieldImage(rows=np.array([[0.2, 0.2, 0.2, 0.2]]), window_periods=1, hbar_eff=1.0)
+    img = FarFieldImage(rows=np.array([[0.2, 0.2, 0.2, 0.2]]), window_periods=1, ladders=[])
     raster = render_ccd(img, gamma=1.0)
     assert np.all(raster == 255)
-    img2 = FarFieldImage(rows=np.array([[0.0, 0.5, 0.0, 0.5]]), window_periods=1, hbar_eff=1.0)
+    img2 = FarFieldImage(rows=np.array([[0.0, 0.5, 0.0, 0.5]]), window_periods=1, ladders=[])
     raster2 = render_ccd(img2, gamma=1.0)
     assert list(raster2[0]) == [0, 255, 0, 255]
     with pytest.raises(ValueError):
@@ -753,7 +782,7 @@ def test_render_ccd_equals_per_row_loop_bitwise(gamma):
     rows[3] = 0.0  # zero-peak rows stay 0, with no RuntimeWarning (an error under pytest)
     rows[7, ::2] = 0.0
     rows[9] *= 1e-300
-    image = FarFieldImage(rows=rows, window_periods=2, hbar_eff=1.0)
+    image = FarFieldImage(rows=rows, window_periods=2, ladders=[])
     raster = render_ccd(image, gamma)
     assert raster.dtype == np.uint8
     assert not raster[3].any()
@@ -764,7 +793,7 @@ NON_FINITE_GUARDS = {
     "propagate_fresnel-distance": lambda value: propagate_fresnel(plane_wave_beam(PERIOD, 8, 64, LAM), value),
     "far_field-focal_m": lambda value: far_field(plane_wave_beam(PERIOD, 8, 64, LAM), value),
     "render_ccd-gamma": lambda value: render_ccd(
-        FarFieldImage(rows=np.array([[0.0, 0.5, 0.0, 0.5]]), window_periods=1, hbar_eff=1.0), value),
+        FarFieldImage(rows=np.array([[0.0, 0.5, 0.0, 0.5]]), window_periods=1, ladders=[]), value),
 }
 
 

@@ -57,5 +57,10 @@ def test_artifacts_match_golden_digests():
     assert made_with["numpy"] == np.__version__, (
         f"golden digests were made with numpy {made_with['numpy']}, this is numpy {np.__version__}; "
         "check the artifacts by hand and regenerate")
-    assert digests.digest_lines() == golden[len(header):], (
-        f"artifact bytes moved (golden made on {made_with['machine']}, this is {platform.machine()})")
+    lines, golden = digests.digest_lines(), golden[len(header):]
+    made, want = ({label: digest for digest, label in (line.split("  ", 1) for line in side)}
+                  for side in (lines, golden))
+    moved = sorted(label for label in made.keys() | want.keys() if made.get(label) != want.get(label))
+    assert lines == golden, (
+        f"artifact bytes moved in {moved} "
+        f"(golden made on {made_with['machine']}, this is {platform.machine()})")
