@@ -28,9 +28,18 @@ MAX_SCAN_POINTS = 10_000
 
 # Most propagation work a config may ask of one batch, in sample-kicks (kicks x samples
 # per run x runs). The largest documented run, a 10,000-point `scan --scan_mode=both`,
-# needs 1.1e8; 2e9 is about a minute of bouncing at the 3e-8 s per sample-kick that
-# `compare` takes on a 2-vCPU x86-64 machine.
+# needs 1.1e8; 2e9 is about a minute of bouncing a beam whose quasimomentum classes all
+# carry weight (one narrower than a mirror period), at the 2e-8 to 4e-8 s per sample-kick
+# that such a `compare` takes on a 2-vCPU x86-64 machine. A beam that drops classes costs
+# less: the 64-period-wide `compare` benchmark beam runs 21 of its 512 classes.
 WORK_BUDGET = 2 * 10**9
+# Most bytes the beam's window-wide buffers may take: the beam samples, its class field and
+# that field's phase factor, and the Fresnel kernel, which peak at up to 80 bytes a beam
+# sample (72.4 measured in `compare`; the split-step buffers hold only the kept classes). The
+# largest documented beam, scripts/beam_width_study.py's 131,072 samples, needs 1.05e7 bytes,
+# 25x below the budget.
+BEAM_MEMORY_BUDGET = 1 << 28
+WINDOW_BYTES_PER_SAMPLE = 80
 # Mirror levels `compare` sweeps, and the runs in its bounce batch: the continuous mirror
 # and one per sweep level.
 QUANTIZATION_SWEEP = (2, 4, 8, 16, 32, 64)
@@ -220,6 +229,11 @@ def parse_config(text: str = "", overrides: dict[str, str] | None = None) -> Run
     if work > WORK_BUDGET:
         raise ConfigError(f"{keys}: {terms} is {work:.3g} sample-kicks, over the work budget "
                           f"of {WORK_BUDGET:.3g}")
+    beam = cfg.beam_periods * cfg.beam_points_per_period
+    if beam * WINDOW_BYTES_PER_SAMPLE > BEAM_MEMORY_BUDGET:
+        raise ConfigError(f"beam_periods, beam_points_per_period: {beam} beam samples x "
+                          f"{WINDOW_BYTES_PER_SAMPLE} bytes is {beam * WINDOW_BYTES_PER_SAMPLE:.3g} "
+                          f"bytes, over the beam memory budget of {BEAM_MEMORY_BUDGET:.3g}")
     return cfg
 
 

@@ -14,11 +14,12 @@ squares into the rows the consumer reads and returns each row's total
 power; the core guards that total and scales the rows to unit sum, the one
 place a tap becomes probabilities. `evolve` and `scan_probabilities` feed it
 one class, the kick and flight factors and the default tap `_class_power`,
-the one fftshift into full rows; `optics` feeds it the beam as one class per
-mirror period, one period of the mirror reflection, the Fresnel kernel in
-class layout, and a tap that sums the squares straight into diffraction
-orders (for a CCD image it also lays them out as full rows through
-`_class_power`, scaled as the core scales). The resonance scan works out its
+the one fftshift into full rows; `optics` feeds it the quasimomentum
+classes (one per mirror period) that carry the beam, one period of the
+mirror reflection, those classes' rows of the Fresnel kernel, and a tap that
+sums the squares straight into diffraction orders (for a CCD image it also
+lays them out as full rows through `_class_power`, scaled as the core
+scales). The resonance scan works out its
 statistics per chunk, as array operations on the core's rows, and builds no
 per-run ladder. Single runs go through `evolve`; the figure pipeline makes
 the two that fig 2 and fig 3 share only once.

@@ -6,16 +6,20 @@ tap of the field is imaged at the lens focal plane. Geometry arithmetic maps
 the mirror-lens distance to the effective Planck constant and back.
 
 The mirror is periodic, so a beam P mirror periods wide splits exactly into P
-quasimomentum classes of one period each, and every bounce run propagates the
-classes side by side on the split-step core, each bounce transforming (P, S)
-fields along their S samples per period instead of the whole window at once.
-The mirror is looked up once, on the window's first period, so a window must
-hold a whole number of samples per period (ValueError otherwise). Every
-bounce tap sums the class squares the core makes at each bounce straight into
-diffraction orders (`_order_sums`), the one order binning of every optical
-ladder; `bounce_simulation`'s tap also fftshifts them into the full
-focal-plane row of the CCD image (`evolution._class_power`), so an image
-carries the ladders of the very squares its rows show.
+quasimomentum classes of one period each, and the mirror factor and the
+Fresnel kernel are unimodular, so each class keeps its weight at every
+bounce. Every bounce run picks once, from the class weights, the K classes
+that carry all but at most CLASS_DROP_TOL of the beam (`_kept_classes`), and
+propagates only those, side by side on the split-step core, each bounce
+transforming (K, S) fields along their S samples per period instead of the
+whole window at once. The mirror is looked up once, on the window's first
+period, so a window must hold a whole number of samples per period
+(ValueError otherwise). Every bounce tap sums the kept class squares the core
+makes at each bounce straight into diffraction orders (`_order_sums`), the
+one order binning of every optical ladder; `bounce_simulation`'s tap also
+fftshifts them into the full focal-plane row of the CCD image
+(`evolution._class_power`), with exact zeros on the dropped classes' lines,
+so an image carries the ladders of the very squares its rows show.
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ __all__ = [
 ]
 
 MIN_REGION_SAMPLES = 64  # narrowest constant-gradient region deflection_check probes
+# Largest share of the beam's weight a bounce may leave in the classes it does not transform.
+CLASS_DROP_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -208,10 +214,11 @@ def _reflection_factor(field: BeamField, mirror: MirrorProfile) -> np.ndarray:
 
     The factor is computed once per mirror sample, then gathered onto the period's samples.
     """
-    periods = window_periods_of(field, mirror.period_m)
+    n = field.samples.size
     n_mirror = mirror.depth_samples.size
     step = mirror.period_m / n_mirror
-    idx = np.mod(np.rint(field.x[:field.samples.size // periods] / step).astype(int), n_mirror)
+    x = (np.arange(n // window_periods_of(field, mirror.period_m)) - n // 2) * field.dx  # field.x[:S]
+    idx = np.mod(np.rint(x / step).astype(int), n_mirror)
     return np.exp(1j * phase_from_depth(mirror, field.wavelength_m))[idx]
 
 
@@ -266,9 +273,12 @@ def _window_orders(n: int, periods: int) -> np.ndarray:
     return np.arange(round(-(n // 2) / periods), round((n - 1 - n // 2) / periods) + 1)
 
 
-def _order_sums(squares: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Sum (rows, P, S) class-layout line powers into the (rows, orders) buffer `sums`, orders
-    `_window_orders(P*S, P)`, and return each row's total. squares[:, r, m] is class r's line m.
+def _order_sums(squares: np.ndarray, sums: np.ndarray, classes: np.ndarray | None = None,
+                periods: int | None = None) -> np.ndarray:
+    """Sum (rows, K, S) class-layout line powers into the (rows, orders) buffer `sums`, orders
+    `_window_orders(P*S, P)`, and return each row's total. squares[:, i, m] is line m of class
+    classes[i] of the beam's P = `periods`; by default squares holds all P classes in order.
+    `classes` is sorted, and a class it leaves out adds nothing.
 
     Class r's line m is window line r + P*m: counted from the zero order, signed line m, or
     m - S once the window wraps to negative frequencies, in order rint(m + r/P). So order o
@@ -279,7 +289,9 @@ def _order_sums(squares: np.ndarray, sums: np.ndarray) -> np.ndarray:
     - for even P, the tie class r = P/2 (it wraps at S//2), whose signed line m goes to
       rint(m + 0.5) = m + m mod 2, half to even: its lines o - 1, then o.
     """
-    rows, p, s = squares.shape
+    rows, kept, s = squares.shape
+    p = kept if periods is None else periods
+    below, above = np.searchsorted(np.arange(p) if classes is None else classes, ((p + 1) // 2, p // 2 + 1))
     lo = _window_orders(p * s, p)[0]
 
     def signed(lines: np.ndarray, wrap: int) -> np.ndarray:
@@ -288,12 +300,13 @@ def _order_sums(squares: np.ndarray, sums: np.ndarray) -> np.ndarray:
         return np.concatenate((lines[:, start:], lines[:, :start]), axis=1)
 
     sums[:] = 0.0
-    sums[:, -(s // 2) - lo:s - s // 2 - lo] += signed(squares[:, :(p + 1) // 2].sum(axis=1), s - s // 2)
-    if p > 2:
-        sums[:, s // 2 - s + 1 - lo:s // 2 + 1 - lo] += signed(squares[:, p // 2 + 1:].sum(axis=1), s // 2)
-    if p % 2 == 0:
+    if below:
+        sums[:, -(s // 2) - lo:s - s // 2 - lo] += signed(squares[:, :below].sum(axis=1), s - s // 2)
+    if above < kept:
+        sums[:, s // 2 - s + 1 - lo:s // 2 + 1 - lo] += signed(squares[:, above:].sum(axis=1), s // 2)
+    if above > below:  # even P, and its tie class is among `classes`
         m = np.arange(s // 2 - s, s // 2)
-        np.add.at(sums, (slice(None), m + m % 2 - lo), signed(squares[:, p // 2], s // 2))
+        np.add.at(sums, (slice(None), m + m % 2 - lo), signed(squares[:, below], s // 2))
     return sums.sum(axis=1)
 
 
@@ -308,6 +321,23 @@ def _class_field(samples: np.ndarray, periods: int) -> np.ndarray:
     field = np.fft.fft(samples.reshape(periods, -1), axis=0)
     field *= np.exp((-2j * math.pi / n) * np.outer(np.arange(periods), np.arange(n // periods)))
     return field
+
+
+def _kept_classes(weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """The sorted classes a bounce transforms, from the class weights sum_s |W[r, s]|^2, and the
+    relative weight delta of the classes it drops.
+
+    The mirror factor and the Fresnel kernel are unimodular, so every class keeps its weight
+    at every bounce. The lightest classes are dropped, the lower index first among equal
+    weights, while their summed weight stays within CLASS_DROP_TOL of the whole; at least one
+    class is kept. Each unit-sum ladder entry of the kept classes then lies within
+    delta/(1 - delta) of the one all classes give, beyond rounding, at every bounce.
+    """
+    by_weight = np.argsort(weights, kind="stable")
+    dropped = np.cumsum(weights[by_weight])
+    total = weights.sum()
+    count = min(int(np.count_nonzero(dropped <= CLASS_DROP_TOL * total)), weights.size - 1)
+    return np.sort(by_weight[count:]), float(dropped[count - 1] / total) if count else 0.0
 
 
 def order_probabilities(field: BeamField, period_m: float) -> tuple[np.ndarray, np.ndarray]:
@@ -333,26 +363,32 @@ class FarFieldImage:
 
 
 def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField, n_kicks: int,
-            name: Callable[[MirrorProfile], str],
-            tap: Callable[[np.ndarray, np.ndarray], np.ndarray] = _order_sums) -> list[list[MomentumLadder]]:
+            name: Callable[[MirrorProfile], str], image: np.ndarray | None = None) -> list[list[MomentumLadder]]:
     """Per-kick order ladders of one bounce run per mirror, in mirror order, one batch row each.
 
-    The split-step core bounces the beam n_kicks times off each mirror. At
-    each bounce `tap(squares, sums)` sums the chunk's (rows, P, S) class
-    squares into orders, one row of `sums` per mirror (`_order_sums` by
-    default), and returns each row's total; the core scales the sums to unit
-    sum. All ladders share one read-only orders array. The mirror is
-    periodic, so the beam of P mirror periods runs as P independent
-    quasimomentum classes of S = n/P samples (`_class_field`): each reflects
-    off the mirror's factor on one period, and each bounce transforms (P, S)
-    fields along S. The Fresnel kernel, gathered into class layout, is built
-    once, and the focal-plane transform is also the forward transform of the
-    flight.
+    The mirror is periodic, so the beam of P mirror periods runs as P
+    independent quasimomentum classes of S = n/P samples (`_class_field`):
+    each reflects off the mirror's factor on one period, and each bounce
+    transforms (K, S) fields along S. The classes to run are picked once,
+    before any bounce, from the class weights (`_kept_classes`): the K
+    classes that carry all but at most CLASS_DROP_TOL of the beam. The
+    split-step core bounces them n_kicks times off each mirror, and its
+    Parseval guard takes their power as its norm. At each bounce the tap sums the chunk's
+    (rows, K, S) kept class squares into orders (`_order_sums`, given the
+    kept classes), one row per mirror, and the core scales the sums to unit
+    sum. All ladders share one read-only orders array. The Fresnel kernel,
+    gathered into class layout, is built once, and the focal-plane transform
+    is also the forward transform of the flight.
+
+    `image`, given for a batch of one mirror, is an (n_kicks, n) buffer the
+    tap fills with each bounce's fftshifted focal-plane row
+    (`evolution._class_power`): the kept squares on their lines, exact zeros
+    on the dropped classes' lines, scaled by its own total to unit sum.
 
     Before any transform, raises ValueError unless n_kicks >= 1, the beam's
     wavelength is the geometry's, every mirror's period is the geometry's,
     and the window holds P periods of whole samples. A row whose tapped power
-    (by Parseval) drifts from the input power by more than 1e-8 relative, or
+    (by Parseval) drifts from the kept power by more than 1e-8 relative, or
     is not finite, raises NumericalFailure with text name(mirror) + the
     drift and the bounce.
     """
@@ -368,11 +404,24 @@ def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamF
     orders = _window_orders(beam.samples.size, periods)
     orders.flags.writeable = False
     hbar = hbar_from_geometry(geom)
-    kernel = np.ascontiguousarray(_fresnel_kernel(beam, geom.distance_m).reshape(-1, periods).T)
+    field = _class_field(beam.samples, periods)
+    keep, dropped = _kept_classes(np.sum(np.abs(field) ** 2, axis=1))
+    kernel = _fresnel_kernel(beam, geom.distance_m).reshape(-1, periods).T[keep]
+    lines = None if image is None else np.zeros((1, *field.shape))  # dropped classes' lines stay 0
+    rows = iter(() if image is None else image[:, None])  # bounce k fills row k-1
+
+    def tap(squares: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        if lines is not None:
+            row = next(rows)
+            lines[:, keep] = squares
+            row *= 1.0 / evolution._class_power(lines, row)
+        return _order_sums(squares, sums, keep, periods)
+
     ladders: list[list[MomentumLadder]] = [[] for _ in mirrors]
+    # Parseval over the window's P*S lines: the core divides by the K*S it runs, so dx scales by K/P
     for lo, _k, _spectrum, probs in evolution._split_step(
-            _class_field(beam.samples, periods), mirrors, lambda mirror: _reflection_factor(beam, mirror),
-            kernel, range(1, n_kicks + 1), beam.dx, beam.power,
+            field[keep], mirrors, lambda mirror: _reflection_factor(beam, mirror), kernel,
+            range(1, n_kicks + 1), beam.dx * (keep.size / periods), beam.power * (1.0 - dropped),
             "beam power drifted by {:.3e} (relative) at bounce {}", name, tap, orders.size):
         for i, row in enumerate(probs.copy(), start=lo):
             ladders[i].append(MomentumLadder(beta=0.0, orders=orders, probabilities=row, hbar=hbar,
@@ -387,28 +436,22 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     Each cycle is: mirror reflection, focal-plane tap, then the kick-to-kick
     flight over the geometry's gap `distance_m`, which gives the kinetic
     ladder phase exp(-i*hbar_eff*q^2/2) of the matched quantum run, with
-    hbar_eff read from the geometry. The tap reduces each bounce's class
+    hbar_eff read from the geometry. The tap reduces each bounce's kept class
     squares twice: into the full fftshifted focal-plane row
-    (`evolution._class_power`), scaled by its own total to unit sum as the
-    core scales its rows, from which the CCD images are drawn; and into
-    order sums (`_order_sums`), which the core scales into the image's
-    ladders, bitwise `bounce_ladders`' for the same mirror.
+    (`evolution._class_power`), with exact zeros on the lines of the classes
+    the bounce drops, scaled by its own total to unit sum as the core scales
+    its rows, from which the CCD images are drawn; and into order sums
+    (`_order_sums`), which the core scales into the image's ladders, bitwise
+    `bounce_ladders`' for the same mirror.
 
     This is the batch of one of the bounce loop (`_bounce`): one FFT over the
     period axis splits the beam into its quasimomentum classes, and each
-    bounce then takes one FFT pair along the class samples (none after the
-    last tap). Raises as `_bounce`: ValueError on inputs that disagree, and
-    NumericalFailure when the tapped power drifts.
+    bounce then takes one FFT pair along the kept classes' samples (none
+    after the last tap). Raises as `_bounce`: ValueError on inputs that
+    disagree, and NumericalFailure when the tapped power drifts.
     """
     image = np.empty((n_kicks, beam.samples.size))
-    rows = iter(image[:, None])  # bounce k fills row k-1
-
-    def tap(squares: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        row = next(rows)
-        row *= 1.0 / evolution._class_power(squares, row)
-        return _order_sums(squares, sums)
-
-    (ladders,) = _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: "", tap)
+    (ladders,) = _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: "", image)
     return FarFieldImage(rows=image, window_periods=window_periods_of(beam, geom.period_m), ladders=ladders)
 
 
@@ -416,10 +459,11 @@ def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam
                    n_kicks: int) -> list[list[MomentumLadder]]:
     """Per-kick order ladders of one bounce run per mirror, in mirror order.
 
-    The tap sums each bounce's class squares straight into diffraction
+    Only the quasimomentum classes that carry the beam run (`_bounce`), and
+    the tap sums each bounce's kept class squares straight into diffraction
     orders (`_order_sums`), so no focal-plane row of n columns is built. The
     runs propagate as the rows of one batch, in chunks of at most
-    BATCH_CELLS rows x beam samples, and each mirror's ladders are bitwise
+    BATCH_CELLS rows x kept samples, and each mirror's ladders are bitwise
     the ones its run alone gives, and so bitwise the ladders of
     `bounce_simulation(...)`'s image. All of them share one read-only orders
     array. Raises ValueError on inputs that disagree (`_bounce`); a drifting

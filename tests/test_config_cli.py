@@ -379,6 +379,36 @@ def test_documented_configs_fit_the_work_budget_tenfold():
     assert len(labels) == 4 + 30 + 3
 
 
+def test_documented_configs_fit_the_beam_memory_budget_tenfold():
+    from ratchet_lab import config
+
+    for label, overrides in documented_configs():
+        cfg = parse_config("", overrides)
+        memory = cfg.beam_periods * cfg.beam_points_per_period * config.WINDOW_BYTES_PER_SAMPLE
+        assert 10 * memory <= config.BEAM_MEMORY_BUDGET, label
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_cli_beam_memory_over_budget_exits_2_before_output(tmp_path, monkeypatch, capsys, command):
+    # 256,000,000 beam samples in one kick: within the work budget, but 3.8 GiB per complex buffer
+    import ratchet_lab.experiments as experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("propagation started for a rejected config")
+
+    for name in ("evolve", "scan_probabilities", "bounce_simulation", "bounce_ladders"):
+        monkeypatch.setattr(experiments, name, no_run)
+    overrides = {"hbar": "0.5pi", "n_kicks": "1", "beam_periods": "2000000"}
+    with pytest.raises(ConfigError, match=r"^beam_periods, beam_points_per_period: 256000000 beam samples "
+                                          r"x 80 bytes is 2\.05e\+10 bytes, over the beam memory budget"):
+        parse_config("", overrides)
+    out = tmp_path / command
+    assert main([command, *(f"--{k}={v}" for k, v in overrides.items()), "--out", str(out)]) == 2
+    assert "over the beam memory budget" in capsys.readouterr().err
+    assert not (out / "run_manifest").exists()
+    parse_config("", {**overrides, "beam_periods": "20000"})  # a hundredth of it parses
+
+
 def test_scan_grid_separable_at_parse():
     with pytest.raises(ConfigError, match="^scan_hbar_step: .* too small to separate"):
         parse_config("hbar=1\nscan_hbar_min=1e12\nscan_hbar_max=1000000000000.4\nscan_hbar_step=6e-5\n")

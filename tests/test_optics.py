@@ -255,11 +255,11 @@ def stepwise_rows(geom, mirror, beam, n_kicks):
     return np.stack(rows)
 
 
-def class_stepwise_squares(geom, mirror, beam, n_kicks):
-    """(n_kicks, P, S) class squares of bounce_simulation's taps as a class-basis step
-    composition: the beam split once into its quasimomentum classes, then per bounce the kick
-    (the first period of the per-sample mirror factor), the FFT, the tap, the class flight and
-    the inverse FFT."""
+def class_stepwise_squares(geom, mirror, beam, n_kicks, classes=None):
+    """(n_kicks, K, S) class squares of bounce_simulation's taps as a class-basis step
+    composition: the beam split once into its quasimomentum classes, of which the sorted
+    `classes` (all P by default) run, then per bounce the kick (the first period of the
+    per-sample mirror factor), the FFT, the tap, the class flight and the inverse FFT."""
     import ratchet_lab.optics as optics
 
     n = beam.samples.size
@@ -270,6 +270,8 @@ def class_stepwise_squares(geom, mirror, beam, n_kicks):
     field = field * np.exp((-2j * math.pi / n) * (r * m))
     reflection = per_sample_reflection_factor(beam, mirror)[:s]
     kernel = optics._fresnel_kernel(beam, geom.distance_m).reshape(s, periods).T
+    if classes is not None:
+        field, kernel = field[classes], kernel[classes]
     squares = []
     for _ in range(n_kicks):
         field = field * reflection
@@ -279,27 +281,31 @@ def class_stepwise_squares(geom, mirror, beam, n_kicks):
     return np.stack(squares)
 
 
-def class_stepwise_rows(geom, mirror, beam, n_kicks):
-    """Rows of bounce_simulation: each tap's class squares laid out as the fftshifted window,
-    line r + P*m at column (r + P*m + n//2) mod n, scaled to unit sum."""
-    squares = class_stepwise_squares(geom, mirror, beam, n_kicks)
-    _, periods, s = squares.shape
-    n = periods * s
-    r, m = np.arange(periods)[:, None], np.arange(s)[None, :]
+def class_stepwise_rows(geom, mirror, beam, n_kicks, classes=None):
+    """Rows of bounce_simulation: each tap's squares of the sorted `classes` (all by default)
+    laid out as the fftshifted window, line r + P*m at column (r + P*m + n//2) mod n, zero on
+    the other classes' lines, scaled to unit sum."""
+    squares = class_stepwise_squares(geom, mirror, beam, n_kicks, classes)
+    periods = round(beam.window_m / geom.period_m)
+    n = beam.samples.size
+    r = np.arange(periods)[:, None] if classes is None else np.asarray(classes)[:, None]
+    m = np.arange(n // periods)[None, :]
     rows = []
     for square in squares:
-        power = np.empty(n)
+        power = np.zeros(n)
         power[(r + periods * m + n // 2) % n] = square
         rows.append(power * (1.0 / power.sum()))
     return np.stack(rows)
 
 
-def bounce_case(hbar_eff, window_periods, samples_per_period, n_levels="continuous", pot=RatchetPotential()):
+def bounce_case(hbar_eff, window_periods, samples_per_period, n_levels="continuous", pot=RatchetPotential(),
+                width_periods=None):
+    """Geometry, ratchet mirror and Gaussian beam, by default a quarter of the window wide."""
     hbar = EffectivePlanck(hbar_eff)
     geom = OpticalGeometry(LAM, PERIOD, distance_for_hbar(hbar, LAM, PERIOD))
     mirror = ratchet_mirror(pot, hbar_from_geometry(geom), LAM, PERIOD, samples_per_period, n_levels)
-    beam = gaussian_beam(PERIOD, window_periods, samples_per_period,
-                         window_periods / 4 * PERIOD, LAM, power=1.5)
+    width = window_periods / 4 if width_periods is None else width_periods
+    beam = gaussian_beam(PERIOD, window_periods, samples_per_period, width * PERIOD, LAM, power=1.5)
     return geom, mirror, beam
 
 
@@ -518,6 +524,158 @@ def test_bounce_ladders_tap_is_the_order_sum_reference_bitwise(monkeypatch, wind
         for ladder, (orders, probs) in zip(runs, taps):
             assert ladder.orders.tobytes() == orders.tobytes()
             assert ladder.probabilities.tobytes() == probs[mirror].tobytes()
+
+
+# --- kept quasimomentum classes ---------------------------------------------------
+
+
+def kept_classes_of(beam, periods):
+    """(class weights, kept classes, dropped relative weight) of a beam, as `_bounce` picks them."""
+    import ratchet_lab.optics as optics
+
+    weights = np.sum(np.abs(optics._class_field(beam.samples, periods)) ** 2, axis=1)
+    return (weights, *optics._kept_classes(weights))
+
+
+@pytest.mark.parametrize("width_periods, window_periods, kept",
+                         [(1, 16, 16), (5, 64, 33), (64, 512, 21)])
+def test_kept_classes_hold_every_ladder_within_the_certificate(width_periods, window_periods, kept):
+    # Dropping classes of relative weight delta moves each unit-sum ladder entry by at most
+    # delta/(1 - delta) beyond rounding, at every bounce: checked against the full-class
+    # composition. The kept set is the smallest whose dropped weight is within the tolerance.
+    import ratchet_lab.optics as optics
+
+    geom, mirror, beam = bounce_case(0.5 * math.pi, window_periods, 128, width_periods=width_periods)
+    weights, keep, dropped = kept_classes_of(beam, window_periods)
+    assert keep.size == kept
+    rest = np.setdiff1d(np.arange(window_periods), keep)
+    delta = weights[rest].sum() / weights.sum()
+    assert delta <= optics.CLASS_DROP_TOL
+    assert dropped == pytest.approx(delta, rel=1e-9, abs=0.0)
+    assert weights[rest].sum() + weights[keep].min() > optics.CLASS_DROP_TOL * weights.sum()
+    n_kicks = 22
+    (ladders,) = bounce_ladders(geom, [mirror], beam, n_kicks)
+    orders, sums = order_sums_reference(class_stepwise_squares(geom, mirror, beam, n_kicks))
+    full = sums * (1.0 / sums.sum(axis=1))[:, None]
+    bound = delta / (1.0 - delta) + 1e-15
+    assert len(ladders) == n_kicks
+    for ladder, want in zip(ladders, full):
+        assert ladder.orders.tobytes() == orders.tobytes()
+        assert np.max(np.abs(ladder.probabilities - want)) <= bound
+
+
+def test_bounce_image_runs_the_kept_classes_bitwise():
+    # the default beam keeps 33 of its 64 classes: the image is bitwise the composition of the
+    # kept classes, with exact zeros on the dropped classes' lines, and carries the ladders
+    # bounce_ladders gives for the same mirror in a batch
+    geom, mirror, beam = bounce_case(0.35 * math.pi, 64, 128, width_periods=5)
+    _, keep, dropped = kept_classes_of(beam, 64)
+    assert keep.size == 33 and dropped > 0.0
+    image = bounce_simulation(geom, mirror, beam, 6)
+    assert np.array_equal(image.rows, class_stepwise_rows(geom, mirror, beam, 6, keep))
+    n = beam.samples.size
+    rest = np.setdiff1d(np.arange(64), keep)
+    assert not image.rows[:, (rest[:, None] + 64 * np.arange(128) + n // 2) % n].any()
+    others = [ratchet_mirror(RatchetPotential(), hbar_from_geometry(geom), LAM, PERIOD, 128, n_levels)
+              for n_levels in (4, 16)]
+    batched = bounce_ladders(geom, [*others, mirror], beam, 6)
+    for carried, got in zip(image.ladders, batched[-1]):
+        assert carried.orders.tobytes() == got.orders.tobytes()
+        assert carried.probabilities.tobytes() == got.probabilities.tobytes()
+
+
+@pytest.mark.parametrize("window_periods, samples_per_period, width_periods",
+                         [(16, 64, 0.5), (9, 65, 5.0)])
+def test_bounce_that_drops_nothing_is_the_full_class_composition_bitwise(window_periods, samples_per_period,
+                                                                         width_periods):
+    # a beam narrower than a period, and the odd 9 x 65 layout, keep every class, and their
+    # ladders are bitwise the full-class reference
+    geom, mirror, beam = bounce_case(0.35 * math.pi, window_periods, samples_per_period,
+                                     width_periods=width_periods)
+    _, keep, dropped = kept_classes_of(beam, window_periods)
+    assert keep.tolist() == list(range(window_periods)) and dropped == 0.0
+    (ladders,) = bounce_ladders(geom, [mirror], beam, 8)
+    orders, sums = order_sums_reference(class_stepwise_squares(geom, mirror, beam, 8))
+    for ladder, want in zip(ladders, sums * (1.0 / sums.sum(axis=1))[:, None]):
+        assert ladder.orders.tobytes() == orders.tobytes()
+        assert ladder.probabilities.tobytes() == want.tobytes()
+
+
+def test_plane_wave_beam_runs_class_zero_alone(pot, hbar_res):
+    # class 0 alone is the plane wave at zero quasimomentum: its bounce is the quantum run on
+    # one period of the same samples, to rounding
+    from ratchet_lab.evolution import KickedRunParams, evolve
+
+    geom = OpticalGeometry(LAM, PERIOD, distance_for_hbar(hbar_res, LAM, PERIOD))
+    mirror = ratchet_mirror(pot, hbar_from_geometry(geom), LAM, PERIOD, 128)
+    for periods in (8, 9, 16):
+        beam = plane_wave_beam(PERIOD, periods, 128, LAM)
+        weights, keep, dropped = kept_classes_of(beam, periods)
+        assert keep.tolist() == [0] and dropped <= 1e-30
+        (optical,) = bounce_ladders(geom, [mirror], beam, 12)
+        quantum = []
+        evolve(plane_wave(SpatialGrid(1, 128)), KickedRunParams(pot, hbar_from_geometry(geom), 12),
+               lambda k, lad: quantum.append(dict(zip(lad.orders.tolist(), lad.probabilities.tolist()))))
+        for o, q in zip(optical, quantum):
+            assert max(abs(p - q.get(n, 0.0)) for n, p in zip(o.orders.tolist(), o.probabilities.tolist())) < 1e-12
+
+
+def test_kept_classes_break_ties_by_index():
+    import ratchet_lab.optics as optics
+
+    # three equal light classes, of which the tolerance lets one go: the lowest index
+    weights = np.array([1.0, 6e-16, 6e-16, 6e-16])
+    for _ in range(2):
+        keep, dropped = optics._kept_classes(weights)
+        assert keep.tolist() == [0, 2, 3] and dropped == 6e-16 / weights.sum()
+    # equal heavy classes all stay, and empty classes all go
+    keep, dropped = optics._kept_classes(np.array([0.0, 0.25, 0.0, 0.25, 0.25, 0.25]))
+    assert keep.tolist() == [1, 3, 4, 5] and dropped == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.sampled_from([0.0, 1e-18, 3e-16, 1e-15, 1e-3, 0.5, 1.0])
+                        | st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40)
+       .filter(lambda w: max(w) > 0))
+def test_kept_classes_are_the_smallest_sorted_set_within_the_tolerance(weights):
+    import ratchet_lab.optics as optics
+
+    weights = np.array(weights)
+    keep, dropped = optics._kept_classes(weights)
+    assert keep.size >= 1 and np.all(np.diff(keep) > 0) and 0 <= keep[0] and keep[-1] < weights.size
+    rest = np.setdiff1d(np.arange(weights.size), keep)
+    total = weights.sum()
+    assert weights[rest].sum() <= optics.CLASS_DROP_TOL * total * (1 + 1e-9)
+    assert dropped == pytest.approx(weights[rest].sum() / total, rel=1e-9, abs=0.0)
+    # one more kept class, the lightest, would overflow the tolerance
+    assert weights[rest].sum() + weights[keep].min() > optics.CLASS_DROP_TOL * total * (1 - 1e-9)
+    assert keep.tobytes() == optics._kept_classes(weights)[0].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(min_value=1, max_value=3),
+       p_classes=st.integers(min_value=1, max_value=40),
+       s=st.integers(min_value=2, max_value=40),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_order_sums_of_kept_classes_equal_the_zero_filled_reference_bitwise(rows, p_classes, s, seed):
+    # the sums of a sorted subset of the classes are bitwise those of the full layout with the
+    # other classes' lines zero: numpy adds the class axis one class at a time, and adding an
+    # exact zero changes no sum (with S = 1 the class axis is contiguous and summed pairwise,
+    # where zeros regroup the additions; a beam has S >= 64)
+    import ratchet_lab.optics as optics
+
+    rng = np.random.default_rng(seed)
+    squares = rng.random((rows, p_classes, s))
+    keep = np.flatnonzero(rng.random(p_classes) < rng.random())
+    if not keep.size:
+        keep = np.array([rng.integers(p_classes)])
+    full = np.zeros_like(squares)
+    full[:, keep] = squares[:, keep]
+    _orders, want = order_sums_reference(full)
+    got = np.full_like(want, np.nan)
+    totals = optics._order_sums(np.ascontiguousarray(squares[:, keep]), got, keep, p_classes)
+    assert got.tobytes() == want.tobytes()
+    assert totals.tobytes() == want.sum(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 4])
