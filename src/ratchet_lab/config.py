@@ -33,11 +33,12 @@ MAX_SCAN_POINTS = 10_000
 # that such a `compare` takes on a 2-vCPU x86-64 machine. A beam that drops classes costs
 # less: the 64-period-wide `compare` benchmark beam runs 21 of its 512 classes.
 WORK_BUDGET = 2 * 10**9
-# Most bytes the beam's window-wide buffers may take: the beam samples, its class field and
-# that field's phase factor, and the Fresnel kernel, which peak at up to 80 bytes a beam
-# sample (72.4 measured in `compare`; the split-step buffers hold only the kept classes). The
-# largest documented beam, scripts/beam_width_study.py's 131,072 samples, needs 1.05e7 bytes,
-# 25x below the budget.
+# Most bytes the beam's window-wide buffers may take: the beam samples, their FFT over the
+# period axis, and the class weights summed from its squares, which peak at up to 80 bytes a
+# beam sample (64.9 measured in `compare` at 4,096 periods). The class phase factor, the
+# Fresnel kernel and the split-step buffers hold only the kept classes. The largest
+# documented beam, scripts/beam_width_study.py's 131,072 samples, needs 1.05e7 bytes, 25x
+# below the budget.
 BEAM_MEMORY_BUDGET = 1 << 28
 WINDOW_BYTES_PER_SAMPLE = 80
 # Mirror levels `compare` sweeps, and the runs in its bounce batch: the continuous mirror

@@ -276,6 +276,15 @@ def run_fig4(cfg: RunConfig, out_dir: str | Path) -> list[ScanPoint]:
     return points
 
 
+def _stacked(ladders: Sequence[MomentumLadder]) -> tuple[np.ndarray, np.ndarray]:
+    """The one orders array of `ladders` and their (ladders, orders) probability stack; raises
+    ValueError if a ladder's orders differ."""
+    orders = ladders[0].orders
+    if any(ladder.orders is not orders and not np.array_equal(ladder.orders, orders) for ladder in ladders):
+        raise ValueError("ladders to stack must share one orders array")
+    return orders, np.stack([ladder.probabilities for ladder in ladders])
+
+
 def compare_engines(cfg: RunConfig, out_dir: str | Path) -> dict:
     """Quantum-ladder vs beam-bounce distributions, plus mirror quantization study.
 
@@ -283,6 +292,11 @@ def compare_engines(cfg: RunConfig, out_dir: str | Path) -> dict:
       quantum_vs_optical      per-kick L_inf and TV, ideal continuous mirror
       quantized_vs_continuous per-kick TV of the 16-level mirror bounce
       quantization_sweep      final-kick TV for n_levels in {2,4,8,16,32,64}
+
+    Each comparison is one aligned difference of two probability stacks
+    (`observables._difference`) over the orders each engine's ladders share,
+    and every row's L_inf and TV are bitwise what `distribution_linf` and
+    `distribution_distance` give for its pair of ladders.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -290,28 +304,19 @@ def compare_engines(cfg: RunConfig, out_dir: str | Path) -> dict:
     quantum = quantum_kick_ladders(cfg, cfg.hbar, n_kicks)
     geom, mirrors, beam = _bounce_setup(cfg, cfg.hbar, ("continuous", *QUANTIZATION_SWEEP))
     optical, *quantized = bounce_ladders(geom, mirrors, beam, n_kicks)
-    rows = []
-    per_kick_linf = []
-    per_kick_tv = []
-    for k in range(1, n_kicks + 1):
-        q, o = quantum[k - 1], optical[k - 1]
-        linf = obs.distribution_linf(q.orders, q.probabilities, o.orders, o.probabilities)
-        tv = obs.distribution_distance(q.orders, q.probabilities, o.orders, o.probabilities)
-        per_kick_linf.append(linf)
-        per_kick_tv.append(tv)
-        rows.append(("quantum_vs_optical", k, "continuous", linf, tv))
-    sweep = dict(zip(QUANTIZATION_SWEEP, quantized))
-    sixteen = sweep[16]
-    for k in range(1, n_kicks + 1):
-        tv = obs.distribution_distance(sixteen[k - 1].orders, sixteen[k - 1].probabilities,
-                                       optical[k - 1].orders, optical[k - 1].probabilities)
-        rows.append(("quantized_vs_continuous", k, 16, "", tv))
-    sweep_tv: dict[int, float] = {}
-    for n_levels, quant in sweep.items():
-        tv = obs.distribution_distance(quant[-1].orders, quant[-1].probabilities,
-                                       optical[-1].orders, optical[-1].probabilities)
-        sweep_tv[n_levels] = tv
-        rows.append(("quantization_sweep", n_kicks, n_levels, "", tv))
+    kicks = range(1, n_kicks + 1)
+    orders, continuous = _stacked(optical)
+    engines = obs._difference(*_stacked(quantum), orders, continuous)
+    per_kick_linf = obs._linf(engines)
+    per_kick_tv = obs._total_variation(engines)
+    rows = [("quantum_vs_optical", k, "continuous", linf, tv)
+            for k, linf, tv in zip(kicks, per_kick_linf, per_kick_tv)]
+    sixteen = quantized[QUANTIZATION_SWEEP.index(16)]
+    sixteen_tv = obs._total_variation(obs._difference(*_stacked(sixteen), orders, continuous))
+    rows += [("quantized_vs_continuous", k, 16, "", tv) for k, tv in zip(kicks, sixteen_tv)]
+    finals = obs._difference(*_stacked([quant[-1] for quant in quantized]), orders, continuous[-1])
+    sweep_tv = dict(zip(QUANTIZATION_SWEEP, obs._total_variation(finals)))
+    rows += [("quantization_sweep", n_kicks, n_levels, "", tv) for n_levels, tv in sweep_tv.items()]
     write_csv(out / "compare_engines.csv", ["comparison", "kick", "n_levels", "l_inf", "tv"],
               rows, comments=[f"hbar={cfg.hbar!r} n_kicks={n_kicks}",
                               f"beam_width={cfg.beam_width!r} beam_periods={cfg.beam_periods}"])

@@ -115,25 +115,52 @@ def polynomial_fit(xs, ys, degree: int) -> FitResult:
 
 
 def _difference(p_orders, p_probs, q_orders, q_probs) -> np.ndarray:
-    """Per-order P - Q over the sorted union of the orders, a missing order counting as zero."""
+    """Per-order P - Q over the sorted union of the orders, a missing order counting as zero.
+
+    Each side is one orders array and a stack of probability rows over it, (rows, orders) or a
+    single (orders,) row; a single row is compared with every row of the other side. The result
+    has one row per row of the stacks, each bitwise the one its pair alone gives. Raises
+    ValueError unless each side's orders are strictly ascending.
+    """
     p_orders = np.asarray(p_orders, dtype=int)
     q_orders = np.asarray(q_orders, dtype=int)
+    for orders in (p_orders, q_orders):
+        if orders.ndim != 1 or np.any(orders[1:] <= orders[:-1]):
+            raise ValueError(f"orders must be strictly ascending, got {orders.tolist()!r}")
+    p_probs = np.asarray(p_probs, dtype=float)
+    q_probs = np.asarray(q_probs, dtype=float)
     support = np.union1d(p_orders, q_orders)
-    diff = np.zeros(support.size)
-    diff[np.searchsorted(support, p_orders)] = np.asarray(p_probs, dtype=float)
-    diff[np.searchsorted(support, q_orders)] -= np.asarray(q_probs, dtype=float)
+    diff = np.zeros((*np.broadcast_shapes(p_probs.shape[:-1], q_probs.shape[:-1]), support.size))
+    diff[..., np.searchsorted(support, p_orders)] = p_probs
+    diff[..., np.searchsorted(support, q_orders)] -= q_probs
     return diff
 
 
+def _total_variation(diff: np.ndarray) -> list[float]:
+    """Total variation of each row of a `_difference`, its |P - Q| summed in ascending order."""
+    return [0.5 * sum(row) for row in np.abs(np.atleast_2d(diff)).tolist()]
+
+
+def _linf(diff: np.ndarray) -> list[float]:
+    """Largest |P - Q| of each row of a `_difference`."""
+    return np.max(np.abs(np.atleast_2d(diff)), axis=1).tolist()
+
+
 def distribution_distance(p_orders, p_probs, q_orders, q_probs) -> float:
-    """Total variation distance between two order distributions, summed in ascending order."""
-    return 0.5 * sum(np.abs(_difference(p_orders, p_probs, q_orders, q_probs)).tolist())
+    """Total variation distance between two order distributions, summed in ascending order.
+
+    The one-row case of `_difference`: each side's orders must be strictly ascending.
+    """
+    (tv,) = _total_variation(_difference(p_orders, p_probs, q_orders, q_probs))
+    return tv
 
 
 def distribution_linf(p_orders, p_probs, q_orders, q_probs) -> float:
     """Largest per-order probability difference between two order distributions.
 
     Both distributions are aligned on the union of their orders, an order
-    missing from one side counting as probability zero.
+    missing from one side counting as probability zero; each side's orders
+    must be strictly ascending.
     """
-    return float(np.max(np.abs(_difference(p_orders, p_probs, q_orders, q_probs))))
+    (linf,) = _linf(_difference(p_orders, p_probs, q_orders, q_probs))
+    return linf

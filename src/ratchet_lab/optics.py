@@ -222,9 +222,16 @@ def _reflection_factor(field: BeamField, mirror: MirrorProfile) -> np.ndarray:
     return np.exp(1j * phase_from_depth(mirror, field.wavelength_m))[idx]
 
 
-def _fresnel_kernel(field: BeamField, distance: float) -> np.ndarray:
-    """Angular-spectrum factor exp(-i*pi*lambda*z*f_x^2) per FFT-ordered f_x."""
-    fx = np.fft.fftfreq(field.samples.size, d=field.dx)
+def _fresnel_kernel(field: BeamField, distance: float, lines: np.ndarray | None = None) -> np.ndarray:
+    """Angular-spectrum factor exp(-i*pi*lambda*z*f_x^2) of the FFT-ordered window lines `lines`
+    (every line, in order, by default), in their shape.
+
+    Line k of the n-line window has f_x = k/(n*dx), with k counted negative (k - n) from
+    (n+1)//2 up: bitwise `np.fft.fftfreq(n, dx)[lines]`.
+    """
+    n = field.samples.size
+    k = np.arange(n) if lines is None else lines
+    fx = np.where(k < (n + 1) // 2, k, k - n) * (1.0 / (n * field.dx))
     return np.exp(-1j * math.pi * field.wavelength_m * distance * fx * fx)
 
 
@@ -310,16 +317,24 @@ def _order_sums(squares: np.ndarray, sums: np.ndarray, classes: np.ndarray | Non
     return sums.sum(axis=1)
 
 
-def _class_field(samples: np.ndarray, periods: int) -> np.ndarray:
-    """The beam's quasimomentum classes W[r, s] = exp(-2*pi*i*r*s/n) * F[r, s], with F the FFT
-    over the period axis of samples.reshape(periods, S).
+def _period_spectrum(samples: np.ndarray, periods: int) -> np.ndarray:
+    """F[r, s], the FFT over the period axis of samples.reshape(periods, S): row r is class r
+    before its phase (`_class_field`), and sum_s |F[r, s]|^2 is class r's weight."""
+    return np.fft.fft(samples.reshape(periods, -1), axis=0)
 
-    The FFT of row r along s is the window spectrum's lines r + periods*m, m = 0..S-1, and an
-    S-periodic factor multiplies every row alike, so the classes propagate independently.
+
+def _class_field(spectrum: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """The beam's quasimomentum classes `classes`, as rows W[i, s] = exp(-2*pi*i*r*s/n) * F[r, s]
+    for r = classes[i], with F = `spectrum` the window's `_period_spectrum` and n = P*S.
+
+    The FFT of row r along s is the window spectrum's lines r + P*m, m = 0..S-1, and an
+    S-periodic factor multiplies every row alike, so the classes propagate independently. The
+    phase is unimodular, so each class's weight is already F's; only the given rows get it.
     """
-    n = samples.size
-    field = np.fft.fft(samples.reshape(periods, -1), axis=0)
-    field *= np.exp((-2j * math.pi / n) * np.outer(np.arange(periods), np.arange(n // periods)))
+    periods, s = spectrum.shape
+    field = spectrum[classes]
+    # in place, so the spectrum stays the left operand: complex SIMD multiply is not bitwise commutative
+    field *= np.exp((-2j * math.pi / (periods * s)) * np.outer(classes, np.arange(s)))
     return field
 
 
@@ -346,7 +361,8 @@ def order_probabilities(field: BeamField, period_m: float) -> tuple[np.ndarray, 
     periods = window_periods_of(field, period_m)
     orders = _window_orders(field.samples.size, periods)
     sums = np.empty((1, orders.size))
-    total = _order_sums(np.abs(np.fft.fft(_class_field(field.samples, periods)))[None] ** 2, sums)
+    waves = _class_field(_period_spectrum(field.samples, periods), np.arange(periods))
+    total = _order_sums(np.abs(np.fft.fft(waves))[None] ** 2, sums)
     return orders, sums[0] * (1.0 / total[0])
 
 
@@ -370,15 +386,18 @@ def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamF
     independent quasimomentum classes of S = n/P samples (`_class_field`):
     each reflects off the mirror's factor on one period, and each bounce
     transforms (K, S) fields along S. The classes to run are picked once,
-    before any bounce, from the class weights (`_kept_classes`): the K
-    classes that carry all but at most CLASS_DROP_TOL of the beam. The
+    before any bounce, from the class weights (`_kept_classes`), which the
+    FFT over the period axis of the whole window gives (`_period_spectrum`):
+    the K classes that carry all but at most CLASS_DROP_TOL of the beam.
+    Only those K rows get the class phase (`_class_field`), and the Fresnel
+    kernel is built once, for their lines r + P*m alone, in class layout:
+    both are bitwise the window-wide ones gathered at the kept classes. The
     split-step core bounces them n_kicks times off each mirror, and its
     Parseval guard takes their power as its norm. At each bounce the tap sums the chunk's
     (rows, K, S) kept class squares into orders (`_order_sums`, given the
     kept classes), one row per mirror, and the core scales the sums to unit
-    sum. All ladders share one read-only orders array. The Fresnel kernel,
-    gathered into class layout, is built once, and the focal-plane transform
-    is also the forward transform of the flight.
+    sum. All ladders share one read-only orders array. The focal-plane
+    transform is also the forward transform of the flight.
 
     `image`, given for a batch of one mirror, is an (n_kicks, n) buffer the
     tap fills with each bounce's fftshifted focal-plane row
@@ -404,10 +423,10 @@ def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamF
     orders = _window_orders(beam.samples.size, periods)
     orders.flags.writeable = False
     hbar = hbar_from_geometry(geom)
-    field = _class_field(beam.samples, periods)
-    keep, dropped = _kept_classes(np.sum(np.abs(field) ** 2, axis=1))
-    kernel = _fresnel_kernel(beam, geom.distance_m).reshape(-1, periods).T[keep]
-    lines = None if image is None else np.zeros((1, *field.shape))  # dropped classes' lines stay 0
+    spectrum = _period_spectrum(beam.samples, periods)
+    keep, dropped = _kept_classes(np.sum(np.abs(spectrum) ** 2, axis=1))
+    kernel = _fresnel_kernel(beam, geom.distance_m, keep[:, None] + periods * np.arange(spectrum.shape[1]))
+    lines = None if image is None else np.zeros((1, *spectrum.shape))  # dropped classes' lines stay 0
     rows = iter(() if image is None else image[:, None])  # bounce k fills row k-1
 
     def tap(squares: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -420,7 +439,7 @@ def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamF
     ladders: list[list[MomentumLadder]] = [[] for _ in mirrors]
     # Parseval over the window's P*S lines: the core divides by the K*S it runs, so dx scales by K/P
     for lo, _k, _spectrum, probs in evolution._split_step(
-            field[keep], mirrors, lambda mirror: _reflection_factor(beam, mirror), kernel,
+            _class_field(spectrum, keep), mirrors, lambda mirror: _reflection_factor(beam, mirror), kernel,
             range(1, n_kicks + 1), beam.dx * (keep.size / periods), beam.power * (1.0 - dropped),
             "beam power drifted by {:.3e} (relative) at bounce {}", name, tap, orders.size):
         for i, row in enumerate(probs.copy(), start=lo):

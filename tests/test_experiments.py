@@ -290,6 +290,47 @@ def test_compare_engines_report(tmp_path, monkeypatch, fft_calls):
                     + ["quantization_sweep"] * len(QUANTIZATION_SWEEP))
 
 
+def test_compare_engines_report_equals_the_per_pair_distances(tmp_path):
+    # the three stacked comparisons give, value for value, the dict the per-pair calls give
+    from ratchet_lab.experiments import _bounce_setup
+    from ratchet_lab.observables import distribution_distance, distribution_linf
+
+    cfg = cfg_with(n_kicks=6)
+    report = compare_engines(cfg, tmp_path)
+    quantum = quantum_kick_ladders(cfg, cfg.hbar, 6)
+    geom, mirrors, beam = _bounce_setup(cfg, cfg.hbar, ("continuous", *QUANTIZATION_SWEEP))
+    optical, *quantized = bounce_ladders(geom, mirrors, beam, 6)
+    pairs = list(zip(quantum, optical))
+    sixteen = quantized[QUANTIZATION_SWEEP.index(16)]
+    want = {
+        "per_kick_linf": [distribution_linf(q.orders, q.probabilities, o.orders, o.probabilities)
+                          for q, o in pairs],
+        "per_kick_tv": [distribution_distance(q.orders, q.probabilities, o.orders, o.probabilities)
+                        for q, o in pairs],
+        "sweep_tv": {n_levels: distribution_distance(quant[-1].orders, quant[-1].probabilities,
+                                                     optical[-1].orders, optical[-1].probabilities)
+                     for n_levels, quant in zip(QUANTIZATION_SWEEP, quantized)},
+    }
+    assert report == want
+    assert [type(v) for v in report["per_kick_linf"] + report["per_kick_tv"]] == [float] * 12
+    text = (tmp_path / "compare_engines.csv").read_text()
+    for k, (q, o) in enumerate(zip(sixteen, optical), start=1):
+        tv = distribution_distance(q.orders, q.probabilities, o.orders, o.probabilities)
+        assert f"quantized_vs_continuous,{k},16,,{tv!r}\n" in text
+
+
+def test_stacked_ladders_must_share_their_orders():
+    from ratchet_lab.evolution import MomentumLadder
+    from ratchet_lab.experiments import _stacked
+
+    a = MomentumLadder(0.0, np.array([-1, 0, 1]), np.array([0.25, 0.5, 0.25]))
+    same = MomentumLadder(0.0, np.array([-1, 0, 1]), np.array([0.0, 1.0, 0.0]))
+    orders, stack = _stacked([a, same])
+    assert orders is a.orders and stack.tolist() == [[0.25, 0.5, 0.25], [0.0, 1.0, 0.0]]
+    with pytest.raises(ValueError, match="share one orders array"):
+        _stacked([a, MomentumLadder(0.0, np.array([0, 1, 2]), np.array([0.25, 0.5, 0.25]))])
+
+
 def test_engines_identical_before_evolution():
     # pre-evolution: both engines start as a pure zero-order state
     from ratchet_lab.evolution import SpatialGrid, momentum_spectrum, plane_wave

@@ -231,3 +231,45 @@ def test_tv_metric_properties(seed):
     assert d_pq <= d_pr + d_rq + 1e-12
     assert 0.0 <= d_pq <= 1.0 + 1e-12
     assert distribution_distance(orders, p, orders, p) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("distance", [distribution_distance, distribution_linf])
+def test_distances_refuse_orders_that_are_not_strictly_ascending(distance):
+    # [0, 0] puts 1.0 on order 0 as [0] does, but aligning it by position would keep only one
+    # of its entries: a side whose orders repeat or descend is refused, on either side
+    with pytest.raises(ValueError, match="strictly ascending"):
+        distance([0, 0], [0.5, 0.5], [0], [1.0])
+    with pytest.raises(ValueError, match="strictly ascending"):
+        distance([0], [1.0], [1, 0], [0.5, 0.5])
+    assert distance([0], [1.0], [0], [1.0]) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       rows=st.integers(min_value=1, max_value=6),
+       overlap=st.sampled_from(["disjoint", "partial", "equal"]),
+       single_q=st.booleans())
+def test_stacked_difference_rows_equal_the_single_pair_calls_bitwise(seed, rows, overlap, single_q):
+    # one aligned difference of (rows, orders) stacks gives every row's TV and L_inf bitwise as
+    # the per-pair calls do; a single (orders,) row on one side meets every row of the other
+    from ratchet_lab.observables import _difference, _linf, _total_variation
+
+    rng = np.random.default_rng(seed)
+    p_orders = np.sort(rng.choice(np.arange(-30, 31), size=rng.integers(1, 25), replace=False))
+    if overlap == "equal":
+        q_orders = p_orders.copy()
+    elif overlap == "disjoint":
+        q_orders = np.arange(p_orders[-1] + 1, p_orders[-1] + 1 + rng.integers(1, 25))
+    else:
+        q_orders = np.union1d(rng.choice(p_orders, size=rng.integers(1, p_orders.size + 1), replace=False),
+                              rng.choice(np.arange(31, 45), size=rng.integers(1, 6), replace=False))
+    p = rng.dirichlet(np.ones(p_orders.size), size=rows)
+    q = rng.dirichlet(np.ones(q_orders.size), size=1 if single_q else rows)
+    diff = _difference(p_orders, p, q_orders, q[0] if single_q else q)
+    assert diff.shape == (rows, np.union1d(p_orders, q_orders).size)
+    tv, linf = _total_variation(diff), _linf(diff)
+    for i in range(rows):
+        qi = q[0] if single_q else q[i]
+        assert tv[i] == distribution_distance(p_orders, p[i], q_orders, qi)
+        assert linf[i] == distribution_linf(p_orders, p[i], q_orders, qi)
+        assert type(tv[i]) is float and type(linf[i]) is float

@@ -533,7 +533,7 @@ def kept_classes_of(beam, periods):
     """(class weights, kept classes, dropped relative weight) of a beam, as `_bounce` picks them."""
     import ratchet_lab.optics as optics
 
-    weights = np.sum(np.abs(optics._class_field(beam.samples, periods)) ** 2, axis=1)
+    weights = np.sum(np.abs(optics._period_spectrum(beam.samples, periods)) ** 2, axis=1)
     return (weights, *optics._kept_classes(weights))
 
 
@@ -618,6 +618,36 @@ def test_plane_wave_beam_runs_class_zero_alone(pot, hbar_res):
                lambda k, lad: quantum.append(dict(zip(lad.orders.tolist(), lad.probabilities.tolist()))))
         for o, q in zip(optical, quantum):
             assert max(abs(p - q.get(n, 0.0)) for n, p in zip(o.orders.tolist(), o.probabilities.tolist())) < 1e-12
+
+
+@pytest.mark.parametrize("window_periods, samples_per_period, width_periods",
+                         [(16, 64, None), (9, 65, 5.0), (512, 128, 64)])
+def test_kept_class_setup_is_the_window_wide_one_gathered_bitwise(window_periods, samples_per_period,
+                                                                  width_periods):
+    # the class phase factor and the Fresnel kernel built for some classes only are bitwise the
+    # window-wide ones (the (P, S) phase over every class, `np.fft.fftfreq` over every line)
+    # gathered at those classes; on the odd 9 x 65 window line 292 = 4 + 9*32 is the last one
+    # counted non-negative
+    import ratchet_lab.optics as optics
+
+    geom, _, beam = bounce_case(0.5 * math.pi, window_periods, samples_per_period, width_periods=width_periods)
+    n, periods, s = beam.samples.size, window_periods, samples_per_period
+    spectrum = optics._period_spectrum(beam.samples, periods)
+    # in place, the spectrum the left operand: complex SIMD multiply is not bitwise commutative,
+    # and numpy may compute `spectrum * <temporary>` in the temporary's buffer, operands swapped
+    phased = spectrum.copy()
+    phased *= np.exp((-2j * math.pi / n) * np.outer(np.arange(periods), np.arange(s)))
+    fx = np.fft.fftfreq(n, d=beam.dx)
+    window_kernel = np.exp(-1j * math.pi * beam.wavelength_m * geom.distance_m * fx * fx)
+    assert optics._fresnel_kernel(beam, geom.distance_m).tobytes() == window_kernel.tobytes()
+    _, keep, _ = kept_classes_of(beam, periods)
+    for classes in (keep, np.arange(periods), np.arange(1, periods, 3)):
+        lines = classes[:, None] + periods * np.arange(s)
+        assert optics._class_field(spectrum, classes).tobytes() == phased[classes].tobytes()
+        got = optics._fresnel_kernel(beam, geom.distance_m, lines)
+        assert got.shape == (classes.size, s)
+        assert got.tobytes() == window_kernel.reshape(s, periods).T[classes].tobytes()
+    assert keep.size == {16: 16, 9: 9, 512: 21}[periods]
 
 
 def test_kept_classes_break_ties_by_index():
