@@ -104,6 +104,8 @@ def _kick_counts(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse {text!r} as comma-separated integers") from None
     if not kicks or any(k < 1 for k in kicks):
         raise ValueError(f"need kick counts >= 1, got {text!r}")
+    if len(set(kicks)) < len(kicks):
+        raise ValueError(f"kick counts must not repeat, got {text!r}")
     return kicks
 
 

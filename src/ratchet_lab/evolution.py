@@ -19,7 +19,7 @@ classes (one per mirror period) that carry the beam, one period of the
 mirror reflection, those classes' rows of the Fresnel kernel, and a tap that
 sums the squares straight into diffraction orders (for a CCD image it also
 lays them out as full rows through `_class_power`, scaled as the core
-scales). The resonance scan works out its
+scales). The resonance scan taps only the kicks it reads and works out its
 statistics per chunk, as array operations on the core's rows, and builds no
 per-run ladder. Single runs go through `evolve`; the figure pipeline makes
 the two that fig 2 and fig 3 share only once.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -258,11 +258,18 @@ def _class_power(squares: np.ndarray, power: np.ndarray) -> np.ndarray:
     return power.sum(axis=-1)
 
 
+def _spectrum_power(spectrum: np.ndarray) -> np.ndarray:
+    """Each row's sum of |spectrum|^2, one pass over its float view: an untapped kick's total."""
+    w = spectrum.view(float).reshape(len(spectrum), -1)
+    return np.einsum("ij,ij->i", w, w)
+
+
 def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], np.ndarray],
                 flight: np.ndarray | Callable[[_Run], np.ndarray], kicks: range, dx: float, norm: float,
                 drift_message: str, name: Callable[[_Run], str],
                 tap: Callable[[np.ndarray, np.ndarray], np.ndarray] = _class_power,
-                width: int | None = None) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+                width: int | None = None, tapped: Container[int] | None = None
+                ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Kick/flight periods of every run from the field `start`, one batch row per run.
 
     `start` is one run's field: an (n,) vector, or P quasimomentum classes of
@@ -275,8 +282,9 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
     at most BATCH_CELLS rows x n samples, and the buffers are built once and
     reused by every chunk.
 
-    At each tap the core squares the chunk's spectrum once, into a real
-    (rows, P, S) buffer (class r's line m is the window's line r + P*m).
+    At each tap, a kick in `tapped` (all by default), the core squares the
+    chunk's spectrum once, into a real (rows, P, S) buffer (class r's line m
+    is the window's line r + P*m).
     `tap(squares, rows)` reduces them into `rows`, one row of `width`
     columns (n by default) per run, and returns each row's total: the run's
     whole tapped power. Each row is then scaled in place by the reciprocal
@@ -284,13 +292,14 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
     spectrum, rows), one spectrum row of `start`'s shape per run. The
     buffers are reused, so the consumer copies what it keeps. Control
     returns at every tap, so no chunk's results pile up. The flight after
-    the last tap is skipped: the last yielded spectrum is still the last
+    the last kick is skipped: the last yielded spectrum is still the last
     kick's once the generator ends.
 
     Before the scaling, a row whose power, its total * dx / n by Parseval,
     drifts from `norm` by more than NORM_TOL relative, or is not finite,
     raises NumericalFailure with text name(run) +
-    drift_message.format(relative drift, kick).
+    drift_message.format(relative drift, kick); at an untapped kick, the
+    total is `_spectrum_power`'s.
     """
     n = start.size
     classes, s = (1, n) if start.ndim == 1 else start.shape
@@ -302,6 +311,7 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
                 else np.broadcast_to(np.reshape(flight, (classes, s)), field.shape))
     rows = np.empty((size, n if width is None else width))
     tol = NORM_TOL * norm
+    tapped = kicks if tapped is None else tapped
     for lo in range(0, len(runs), size):
         chunk = runs[lo:lo + size]
         for i, run in enumerate(chunk):
@@ -315,15 +325,19 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
             # u stays the left operand: complex SIMD multiply is not bitwise commutative
             np.multiply(u, pos, out=u)
             np.fft.fft(u, out=u)
-            np.abs(u, out=sq)
-            np.square(sq, out=sq)
-            totals = tap(sq, p)
+            if k in tapped:
+                np.abs(u, out=sq)
+                np.square(sq, out=sq)
+                totals = tap(sq, p)
+            else:
+                totals = _spectrum_power(u)
             drift = np.abs(totals * dx / n - norm)
             bad = np.flatnonzero(~(drift <= tol))  # NaN fails too
             if bad.size:
                 raise NumericalFailure(name(chunk[bad[0]]) + drift_message.format(drift[bad[0]] / norm, k))
-            p *= (1.0 / totals)[:, None]
-            yield lo, k, spectrum, p
+            if k in tapped:
+                p *= (1.0 / totals)[:, None]
+                yield lo, k, spectrum, p
             if k != kicks[-1]:
                 np.multiply(u, mom, out=u)
                 np.fft.ifft(u, out=u)
@@ -366,10 +380,10 @@ def scan_probabilities(grid: SpatialGrid, beta: float,
     ladder probabilities are yielded as one (rows, n) array, one row per run,
     with ladder order j - n//2 in column j (the ascending orders of a
     MomentumLadder). Each row is bitwise the ladder `evolve` records for that
-    run alone and passes MomentumLadder's checks. The array is the core's
-    reused probability buffer: the consumer copies what it keeps and may
-    overwrite it. A drifting row raises NumericalFailure naming its hbar_eff,
-    K and the kick.
+    run alone and passes MomentumLadder's checks; only those kicks are tapped.
+    The array is the core's reused probability buffer: the consumer copies
+    what it keeps and may overwrite it. A drifting row, at any kick, raises
+    NumericalFailure naming its hbar_eff, K and the kick.
     """
     wanted = set(kicks_at)
     x = grid.x
@@ -377,10 +391,10 @@ def scan_probabilities(grid: SpatialGrid, beta: float,
     for lo, k, _spectrum, probs in _split_step(
             plane_wave(grid, beta).amplitudes, runs, lambda run: _kick_factor(*run, x),
             lambda run: _flight_factor(q, run[1]), range(1, max(wanted) + 1), grid.dx, 1.0,
-            _NORM_DRIFT, lambda run: f"scan run hbar_eff={run[1].hbar_eff!r} K={run[0].K!r}: "):
-        if k in wanted:
-            _check_probabilities(probs)
-            yield lo, k, probs
+            _NORM_DRIFT, lambda run: f"scan run hbar_eff={run[1].hbar_eff!r} K={run[0].K!r}: ",
+            tapped=wanted):
+        _check_probabilities(probs)
+        yield lo, k, probs
 
 
 def ladder_record(kick: int, ladder: MomentumLadder) -> dict:

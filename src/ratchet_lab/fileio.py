@@ -1,38 +1,33 @@
 """Deterministic writers: CSV, binary PGM, NDJSON.
 
-Floats are serialized with repr (shortest round-trip form), so identical runs
-produce byte-identical files. The writers take numpy scalars too, but are
-fastest on Python scalars: hand them rows built from `.tolist()`.
+A CSV row is a tuple of Python int, float and str values, as `.tolist()` gives, written with
+one `%s` string per file: a float's str is its shortest round-trip repr, so identical runs
+produce byte-identical files. A bool or numpy scalar in the first row raises TypeError.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["fmt", "write_csv", "write_pgm", "read_pgm", "write_ndjson"]
-
-
-def fmt(value) -> str:
-    kind = type(value)
-    if kind is float:
-        return repr(value)
-    if kind is int or kind is str:
-        return str(value)
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    if isinstance(value, (np.integer, np.bool_, int)):  # booleans write as 1/0
-        return str(int(value))
-    return str(value)
+__all__ = ["write_csv", "write_pgm", "read_pgm", "write_ndjson"]
 
 
 def write_csv(path: str | Path, columns: list[str], rows, comments: list[str] | None = None) -> None:
+    """`# `-prefixed comment lines, the header, then one line per row."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        if type(first) is not tuple or not all(type(v) in (int, float, str) for v in first):
+            raise TypeError(f"a CSV row must be a tuple of Python int, float and str values, got {first!r}")
+        rows = itertools.chain((first,), rows)
     lines = [f"# {c}" for c in (comments or [])]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(map(fmt, row)))
+    row_format = ",".join(["%s"] * len(columns))
+    lines += [row_format % row for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

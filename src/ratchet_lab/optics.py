@@ -175,17 +175,18 @@ def _make_field(amplitudes: np.ndarray, period_m: float, window_periods: int,
         raise ValueError(f"need >= 64 samples per period, got {samples_per_period}")
     dx = period_m / samples_per_period
     window = window_periods * period_m
-    amplitudes = amplitudes * math.sqrt(power / evolution._norm(amplitudes, dx))
+    amplitudes *= math.sqrt(power / evolution._norm(amplitudes, dx))
     return BeamField(samples=amplitudes, dx=dx, window_m=window, power=power,
                      wavelength_m=wavelength_m)
 
 
 def gaussian_beam(period_m: float, window_periods: int, samples_per_period: int,
                   width_m: float, wavelength_m: float, power: float = 1.0) -> BeamField:
-    """Gaussian beam of 1/e^2 intensity half-width width_m, centered on the window."""
+    """Gaussian beam of 1/e^2 intensity half-width width_m, centered on the window, built real."""
     n = window_periods * samples_per_period
-    x = (np.arange(n) - n // 2) * (period_m / samples_per_period)
-    amp = np.exp(-(x**2) / width_m**2).astype(complex)
+    amp = np.square((np.arange(n) - n // 2) * (period_m / samples_per_period))
+    amp /= -width_m**2
+    np.exp(amp, out=amp)
     return _make_field(amp, period_m, window_periods, samples_per_period, wavelength_m, power)
 
 

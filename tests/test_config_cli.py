@@ -301,6 +301,21 @@ def test_cli_bad_scan_step_exits_2_before_output(tmp_path, monkeypatch, capsys, 
     assert not (out / "run_manifest").exists()
 
 
+def test_cli_repeated_scan_kick_exits_2_before_output(tmp_path, monkeypatch, capsys):
+    import ratchet_lab.experiments as experiments
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan started for a rejected config")
+
+    monkeypatch.setattr(experiments, "scan_probabilities", no_scan)
+    out = tmp_path / "scan"
+    assert main(["scan", "--hbar=0.5pi", "--scan_kicks_at=5,5", "--out", str(out)]) == 2
+    assert "scan_kicks_at: kick counts must not repeat, got '5,5'" in capsys.readouterr().err
+    assert not (out / "run_manifest").exists()
+    with pytest.raises(ConfigError, match="^scan_kicks_at: kick counts must not repeat"):
+        parse_config("hbar=1\nscan_kicks_at=21,5,21\n")
+
+
 @pytest.mark.parametrize("n_kicks", [1, 3])
 def test_cli_figs_too_few_kicks_exits_2_before_output(tmp_path, monkeypatch, capsys, n_kicks):
     import ratchet_lab.experiments as experiments

@@ -17,6 +17,7 @@ from ratchet_lab.evolution import (
     WaveState,
     _class_power,
     _orders,
+    _spectrum_power,
     evolve,
     free_step,
     kick_step,
@@ -26,7 +27,8 @@ from ratchet_lab.evolution import (
     scan_probabilities,
     state_from_orders,
 )
-from ratchet_lab.experiments import _scan_abs_mean_p
+from ratchet_lab.config import parse_config
+from ratchet_lab.experiments import _scan_abs_mean_p, run_fig4
 from ratchet_lab.model import EffectivePlanck, RatchetPotential, kick_phase_profile
 from ratchet_lab.observables import mean_momentum
 
@@ -311,6 +313,61 @@ def test_scan_norm_guard_names_the_row(pot, monkeypatch, rows):
     expected = rf"^scan run hbar_eff={re.escape(repr(lossy_hbar))} K=1\.0: norm drifted by .* at kick 1$"
     with pytest.raises(NumericalFailure, match=expected):
         list(scan_ladders(GRID, 0.0, runs, (5,)))
+
+
+
+def test_scan_norm_guard_reads_an_untapped_nan(pot, monkeypatch):
+    import ratchet_lab.evolution as evolution
+
+    def broken(p, h, x):
+        phase = kick_phase_profile(p, h, x)
+        return phase * np.nan if h.hbar_eff == 0.3 * math.pi else phase
+
+    monkeypatch.setattr(evolution, "kick_phase_profile", broken)
+    runs = [(pot, EffectivePlanck(h * math.pi)) for h in (0.25, 0.3)]
+    with pytest.raises(NumericalFailure, match=r"K=1\.0: norm drifted by nan at kick 1$"):
+        list(scan_probabilities(GRID, 0.0, runs, (5,)))
+
+
+def test_scan_taps_only_its_kicks_and_guards_every_kick(tmp_path, monkeypatch):
+    """At the default scan (100 runs, one chunk, kicks 21 and 5) the tap runs at kicks 5 and 21
+    only; the drift guard reads the one-pass sum at the 19 others."""
+    import ratchet_lab.evolution as evolution
+
+    events = []
+    split_step, spectrum_power = evolution._split_step, evolution._spectrum_power
+
+    def spy_split_step(*args, tap=_class_power, **kwargs):
+        def spy_tap(squares, rows):
+            events.append("tap")
+            return tap(squares, rows)
+
+        for item in split_step(*args, tap=spy_tap, **kwargs):
+            events.append(item[1])
+            yield item
+
+    def spy_spectrum_power(spectrum):
+        events.append("untapped")
+        return spectrum_power(spectrum)
+
+    monkeypatch.setattr(evolution, "_split_step", spy_split_step)
+    monkeypatch.setattr(evolution, "_spectrum_power", spy_spectrum_power)
+    cfg = parse_config("", {"hbar": "0.5pi"})
+    assert cfg.scan_kicks_at == (21, 5) and len(cfg.scan_hbar_values()) == 100
+    run_fig4(cfg, tmp_path)
+    assert events == ["untapped"] * 4 + ["tap", 5] + ["untapped"] * 15 + ["tap", 21]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(min_value=1, max_value=4), p=st.integers(min_value=1, max_value=8),
+       s=st.integers(min_value=1, max_value=300), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_untapped_totals_are_the_spectrum_power(rows, p, s, seed):
+    rng = np.random.default_rng(seed)
+    # a leading slice of a larger buffer, as the core's chunks are
+    buffer = rng.normal(size=(rows + 1, p, s)) + 1j * rng.normal(size=(rows + 1, p, s))
+    spectrum = buffer[:rows]
+    expected = np.sum(np.abs(spectrum) ** 2, axis=(1, 2))
+    assert np.allclose(_spectrum_power(spectrum), expected, rtol=1e-14, atol=0)
 
 
 @settings(max_examples=60, deadline=None)

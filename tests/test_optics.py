@@ -93,6 +93,24 @@ def test_lau_examples_and_scaling():
         lau_distance(0, 1, LAM, PERIOD)
 
 
+# --- beams -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("window_periods, samples_per_period, width_periods, power", [
+    (512, 128, 64, 1.0),  # the compare benchmark beam
+    (64, 128, 5, 1.0),  # the default beam
+    (9, 65, 0.3, 2.5),  # an odd window, narrower than a period
+])
+def test_gaussian_beam_is_the_complex_formula_bitwise(window_periods, samples_per_period, width_periods, power):
+    n = window_periods * samples_per_period
+    dx = PERIOD / samples_per_period
+    x = (np.arange(n) - n // 2) * dx
+    amp = np.exp(-(x**2) / (width_periods * PERIOD) ** 2).astype(complex)
+    expected = amp * math.sqrt(power / float(np.sum(np.abs(amp) ** 2) * dx))
+    beam = gaussian_beam(PERIOD, window_periods, samples_per_period, width_periods * PERIOD, LAM, power)
+    assert beam.samples.dtype == complex
+    assert beam.samples.tobytes() == expected.tobytes()
+
+
 # --- mirror reflection -----------------------------------------------------------
 
 def test_apply_mirror_zero_depth_identity():
