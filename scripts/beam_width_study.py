@@ -13,16 +13,17 @@ import time
 
 from ratchet_lab.config import parse_config
 from ratchet_lab.experiments import optical_kick_ladders, quantum_kick_ladders
-from ratchet_lab.observables import distribution_linf
+from ratchet_lab.observables import _difference, _linf
 
 PERIOD = 600e-6
 
 
 def worst_linf(cfg, n_kicks: int) -> float:
+    """Largest per-kick L_inf between the two engines' ladder stacks, one stacked difference."""
     quantum = quantum_kick_ladders(cfg, cfg.hbar, n_kicks)
     optical = optical_kick_ladders(cfg, cfg.hbar, n_kicks)
-    return max(distribution_linf(q.orders, q.probabilities, o.orders, o.probabilities)
-               for q, o in zip(quantum, optical))
+    diff = _difference(quantum.orders, quantum.probabilities, optical.orders, optical.probabilities)
+    return max(_linf(diff))
 
 
 def main() -> None:

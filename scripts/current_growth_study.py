@@ -12,18 +12,17 @@ ballistically there. This script prints all three behaviors side by side.
 import argparse
 import math
 
-from ratchet_lab.evolution import KickedRunParams, SpatialGrid, evolve, plane_wave
-from ratchet_lab.model import EffectivePlanck, RatchetPotential
-from ratchet_lab.observables import mean_momentum, mean_square_momentum
+from ratchet_lab.config import parse_config
+from ratchet_lab.experiments import quantum_kick_ladders
+from ratchet_lab.observables import _kick_stats
 
 
 def trajectory(hbar_eff: float, n_kicks: int):
-    pot = RatchetPotential(K=1.0, alpha=0.3, phi=0.0)
-    grid = SpatialGrid(1, 256)
-    rows = []
-    evolve(plane_wave(grid), KickedRunParams(pot, EffectivePlanck(hbar_eff), n_kicks),
-           lambda k, lad: rows.append((k, mean_momentum(lad), mean_square_momentum(lad))))
-    return rows
+    """(kick, <p>, <p^2>) of every kick at K=1, alpha=0.3, phi=0 on one period of 256 points."""
+    cfg = parse_config("", {"hbar": repr(hbar_eff), "n_kicks": str(n_kicks), "K": "1", "alpha": "0.3",
+                            "phi": "0", "periods": "1", "points_per_period": "256"})
+    stats = _kick_stats(quantum_kick_ladders(cfg, hbar_eff, n_kicks))
+    return [(s.kick, s.mean_p, s.mean_p2) for s in stats]
 
 
 def main() -> None:

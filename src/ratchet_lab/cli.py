@@ -57,8 +57,7 @@ def _collect_overrides(extras: list[str]) -> dict[str, str]:
 
 def _cmd_evolve(cfg: RunConfig, out: Path) -> None:
     ladders = quantum_kick_ladders(cfg, cfg.hbar, cfg.n_kicks)
-    write_ndjson(out / "spectra.ndjson",
-                 (ladder_record(k, lad) for k, lad in enumerate(ladders, start=1)))
+    write_ndjson(out / "spectra.ndjson", (ladder_record(k, ladders) for k in range(1, cfg.n_kicks + 1)))
     write_stats(out / "stats.csv", ladders, [f"hbar={cfg.hbar!r} beta={cfg.beta!r} n_kicks={cfg.n_kicks}"])
 
 

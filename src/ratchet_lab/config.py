@@ -33,12 +33,10 @@ MAX_SCAN_POINTS = 10_000
 # that such a `compare` takes on a 2-vCPU x86-64 machine. A beam that drops classes costs
 # less: the 64-period-wide `compare` benchmark beam runs 21 of its 512 classes.
 WORK_BUDGET = 2 * 10**9
-# Most bytes the beam's window-wide buffers may take: the beam samples, their FFT over the
-# period axis, and the class weights summed from its squares, which peak at up to 80 bytes a
-# beam sample (64.9 measured in `compare` at 4,096 periods). The class phase factor, the
-# Fresnel kernel and the split-step buffers hold only the kept classes. The largest
-# documented beam, scripts/beam_width_study.py's 131,072 samples, needs 1.05e7 bytes, 25x
-# below the budget.
+# Most bytes one large buffer may take: the beam's window-wide buffers (its samples, their
+# FFT over the period axis, the class weights) at up to 80 bytes a beam sample (64.9 measured
+# in `compare` at 4,096 periods), and a quantum run's (kicks, grid points) stack or a CCD
+# image's (kicks, beam samples) rows at 8 bytes an entry (`longrun`'s image: 1.3e8 bytes).
 BEAM_MEMORY_BUDGET = 1 << 28
 WINDOW_BYTES_PER_SAMPLE = 80
 # Mirror levels `compare` sweeps, and the runs in its bounce batch: the continuous mirror
@@ -232,11 +230,10 @@ def parse_config(text: str = "", overrides: dict[str, str] | None = None) -> Run
     if work > WORK_BUDGET:
         raise ConfigError(f"{keys}: {terms} is {work:.3g} sample-kicks, over the work budget "
                           f"of {WORK_BUDGET:.3g}")
-    beam = cfg.beam_periods * cfg.beam_points_per_period
-    if beam * WINDOW_BYTES_PER_SAMPLE > BEAM_MEMORY_BUDGET:
-        raise ConfigError(f"beam_periods, beam_points_per_period: {beam} beam samples x "
-                          f"{WINDOW_BYTES_PER_SAMPLE} bytes is {beam * WINDOW_BYTES_PER_SAMPLE:.3g} "
-                          f"bytes, over the beam memory budget of {BEAM_MEMORY_BUDGET:.3g}")
+    memory, keys, terms = max(_batch_bytes(cfg))
+    if memory > BEAM_MEMORY_BUDGET:
+        raise ConfigError(f"{keys}: {terms} is {memory:.3g} bytes, over the beam memory budget "
+                          f"of {BEAM_MEMORY_BUDGET:.3g}")
     return cfg
 
 
@@ -254,6 +251,20 @@ def _batch_work(cfg: RunConfig, scan_points: int) -> list[tuple[int, str, str]]:
          f"{scan_kicks} kicks x {grid} grid points x {scan_rows} scan rows"),
         (cfg.n_kicks * beam * COMPARE_MIRRORS, "n_kicks, beam_periods, beam_points_per_period",
          f"{cfg.n_kicks} kicks x {beam} beam samples x {COMPARE_MIRRORS} mirrors"),
+    ]
+
+
+def _batch_bytes(cfg: RunConfig) -> list[tuple[int, str, str]]:
+    """(bytes, keys, product spelled out) of each buffer BEAM_MEMORY_BUDGET bounds."""
+    grid = cfg.periods * cfg.points_per_period
+    beam = cfg.beam_periods * cfg.beam_points_per_period
+    return [
+        (beam * WINDOW_BYTES_PER_SAMPLE, "beam_periods, beam_points_per_period",
+         f"{beam} beam samples x {WINDOW_BYTES_PER_SAMPLE} bytes"),
+        (cfg.n_kicks * grid * 8, "n_kicks, periods, points_per_period",
+         f"{cfg.n_kicks} kicks x {grid} grid points x 8 bytes"),
+        (cfg.n_kicks * beam * 8, "n_kicks, beam_periods, beam_points_per_period",
+         f"{cfg.n_kicks} kicks x {beam} beam samples x 8 bytes"),
     ]
 
 

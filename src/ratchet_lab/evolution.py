@@ -21,8 +21,10 @@ sums the squares straight into diffraction orders (for a CCD image it also
 lays them out as full rows through `_class_power`, scaled as the core
 scales). The resonance scan taps only the kicks it reads and works out its
 statistics per chunk, as array operations on the core's rows, and builds no
-per-run ladder. Single runs go through `evolve`; the figure pipeline makes
-the two that fig 2 and fig 3 share only once.
+per-run ladder. A driver's run is one `MomentumLadder`, the run's checked
+(kicks, orders) stack (a quantum run is a `scan_probabilities` batch of one),
+and `evolve` the single-run API; the figure pipeline makes the two runs that
+fig 2 and fig 3 share only once.
 """
 
 from __future__ import annotations
@@ -131,7 +133,8 @@ class WaveState:
 
 @dataclass(frozen=True, eq=False)
 class MomentumLadder:
-    """Probabilities over the discrete momentum ladder q_n = orders/periods + beta."""
+    """Probabilities over the discrete momentum ladder q_n = orders/periods + beta: one row
+    over `orders`, or a run's (kicks, orders) stack, row k-1 after kick k, each row checked."""
 
     beta: float
     orders: np.ndarray
@@ -144,8 +147,8 @@ class MomentumLadder:
         probs = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "probabilities", probs)
-        if orders.shape != probs.shape:
-            raise ValueError("orders and probabilities must have matching shapes")
+        if probs.shape[-1:] != orders.shape:
+            raise ValueError("orders and each row of probabilities must have matching shapes")
         _check_probabilities(probs)
 
     @property
@@ -398,11 +401,12 @@ def scan_probabilities(grid: SpatialGrid, beta: float,
 
 
 def ladder_record(kick: int, ladder: MomentumLadder) -> dict:
-    """One NDJSON-ready record of a per-kick spectrum."""
+    """One NDJSON-ready record of the spectrum after `kick`: a one-row ladder, or a stack's row kick-1."""
+    probs = ladder.probabilities
     return {
         "kick": int(kick),
         "beta": float(ladder.beta),
         "hbar": None if ladder.hbar is None else float(ladder.hbar.hbar_eff),
         "orders": ladder.orders.tolist(),
-        "prob": ladder.probabilities.tolist(),
+        "prob": (probs if probs.ndim == 1 else probs[kick - 1]).tolist(),
     }

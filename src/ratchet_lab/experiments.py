@@ -15,18 +15,9 @@ import numpy as np
 
 from . import observables as obs
 from .config import QUANTIZATION_SWEEP, ConfigError, RunConfig, serialize_config
-from .evolution import (
-    EffectivePlanck,
-    KickedRunParams,
-    MomentumLadder,
-    SpatialGrid,
-    _orders,
-    evolve,
-    plane_wave,
-    scan_probabilities,
-)
+from .evolution import KickedRunParams, MomentumLadder, SpatialGrid, _orders, scan_probabilities
 from .fileio import write_csv, write_pgm
-from .model import MirrorProfile, RatchetPotential
+from .model import EffectivePlanck, MirrorProfile, RatchetPotential
 from .optics import (
     BeamField,
     FarFieldImage,
@@ -63,12 +54,15 @@ FIG3_TAGS = ("res", "offres")  # fig 3's runs, at fig 2's two hbar_eff values in
 FIG3_MIN_KICKS = 4
 
 
-def quantum_kick_ladders(cfg: RunConfig, hbar_eff: float, n_kicks: int) -> list[MomentumLadder]:
-    """Per-kick spectra of the split-step engine from the standard plane wave."""
-    ladders: list[MomentumLadder] = []
-    params = KickedRunParams(potential=cfg.potential(), hbar=EffectivePlanck(hbar_eff), n_kicks=n_kicks)
-    evolve(plane_wave(cfg.grid(), beta=cfg.beta), params, lambda _k, lad: ladders.append(lad))
-    return ladders
+def quantum_kick_ladders(cfg: RunConfig, hbar_eff: float, n_kicks: int) -> MomentumLadder:
+    """The split-step engine's (n_kicks, n) spectrum stack from the standard plane wave: a
+    `scan_probabilities` batch of one run, each row bitwise the ladder `evolve` records."""
+    grid = cfg.grid()
+    run = KickedRunParams(cfg.potential(), EffectivePlanck(hbar_eff), n_kicks)
+    probs = np.empty((n_kicks, grid.n))
+    for _lo, k, row in scan_probabilities(grid, cfg.beta, [(run.potential, run.hbar)], range(1, n_kicks + 1)):
+        probs[k - 1] = row[0]
+    return MomentumLadder(cfg.beta, _orders(grid), probs, run.hbar, grid.periods)
 
 
 def _bounce_setup(cfg: RunConfig, hbar_eff: float, levels: Sequence[int | str]
@@ -94,16 +88,17 @@ def bounce_image(cfg: RunConfig, hbar_eff: float, n_kicks: int,
 
 
 def optical_kick_ladders(cfg: RunConfig, hbar_eff: float, n_kicks: int,
-                         n_levels: int | str | None = None) -> list[MomentumLadder]:
-    """Per-kick order distributions of the beam-bounce engine."""
+                         n_levels: int | str | None = None) -> MomentumLadder:
+    """The (n_kicks, orders) order distribution stack of the beam-bounce engine."""
     return bounce_image(cfg, hbar_eff, n_kicks, n_levels).ladders
 
 
-def ladder_csv_rows(ladders: list[MomentumLadder], max_order: int):
-    for k, lad in enumerate(ladders, start=1):
-        keep = np.abs(lad.orders) <= max_order
-        for n, p in zip(lad.orders[keep].tolist(), lad.probabilities[keep].tolist()):
-            yield (k, n, p)
+def ladder_csv_rows(ladders: MomentumLadder, max_order: int):
+    """(kick, order, probability) of each kick's orders within max_order, from a (kicks, orders) stack."""
+    keep = np.abs(ladders.orders) <= max_order
+    orders = ladders.orders[keep].tolist()
+    for k, row in enumerate(ladders.probabilities[:, keep].tolist(), start=1):
+        yield from ((k, n, p) for n, p in zip(orders, row))
 
 
 def crop_image(image: FarFieldImage, max_order: int) -> FarFieldImage:
@@ -124,17 +119,16 @@ def write_panel(csv_path: Path, pgm_path: Path, image: FarFieldImage, cfg: RunCo
     write_pgm(pgm_path, render_ccd(crop_image(image, cfg.max_order), cfg.gamma))
 
 
-def write_stats(path: Path, ladders: list[MomentumLadder], comments: list[str]) -> list[obs.StepStats]:
-    """Write the per-kick moments of `ladders` (kick 1 first) as a kick,mean_p,mean_p2,participation
-    CSV, and return them."""
-    stats = [obs.stats_from_ladder(k, lad) for k, lad in enumerate(ladders, start=1)]
+def write_stats(path: Path, ladders: MomentumLadder, comments: list[str]) -> list[obs.StepStats]:
+    """Write a stack's per-kick moments as a kick,mean_p,mean_p2,participation CSV, and return them."""
+    stats = obs._kick_stats(ladders)
     write_csv(path, ["kick", "mean_p", "mean_p2", "participation"],
               [(s.kick, s.mean_p, s.mean_p2, s.participation) for s in stats], comments=comments)
     return stats
 
 
-def _quantum_runs(cfg: RunConfig) -> list[list[MomentumLadder]]:
-    """Per-kick quantum ladders at fig 2's two hbar_eff values, the runs fig 3 also reads."""
+def _quantum_runs(cfg: RunConfig) -> list[MomentumLadder]:
+    """Quantum ladder stacks at fig 2's two hbar_eff values, the runs fig 3 also reads."""
     return [quantum_kick_ladders(cfg, hpi * math.pi, cfg.n_kicks) for hpi, _label in FIG2_HBARS]
 
 
@@ -147,7 +141,7 @@ def run_fig2(cfg: RunConfig, out_dir: str | Path) -> dict:
     return _fig2(cfg, out_dir, _quantum_runs(cfg) if cfg.engine in ("quantum", "both") else [])
 
 
-def _fig2(cfg: RunConfig, out_dir: str | Path, quantum: list[list[MomentumLadder]]) -> dict:
+def _fig2(cfg: RunConfig, out_dir: str | Path, quantum: list[MomentumLadder]) -> dict:
     """`run_fig2` with its quantum runs given; they are read only when the quantum engine is on."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -160,8 +154,7 @@ def _fig2(cfg: RunConfig, out_dir: str | Path, quantum: list[list[MomentumLadder
             ladders = quantum[i]
             panel["quantum"] = ladders
             # one column per ladder rung, rung 0 at the centre column like a focal-plane image
-            image = FarFieldImage(rows=np.stack([lad.probabilities for lad in ladders]),
-                                  window_periods=1, ladders=ladders)
+            image = FarFieldImage(rows=ladders.probabilities, window_periods=1, ladders=ladders)
             write_panel(out / f"fig2_{label}.csv", out / f"fig2_{label}.pgm", image, cfg,
                         [f"engine=quantum hbar={hbar_eff!r}"] + comments)
         if cfg.engine in ("optical", "both"):
@@ -189,7 +182,7 @@ def _check_fig3_kicks(cfg: RunConfig) -> None:
         raise ConfigError(f"n_kicks: fig 3's fits need n_kicks >= {FIG3_MIN_KICKS}, got {cfg.n_kicks}")
 
 
-def _fig3(cfg: RunConfig, out_dir: str | Path, quantum: list[list[MomentumLadder]]) -> dict:
+def _fig3(cfg: RunConfig, out_dir: str | Path, quantum: list[MomentumLadder]) -> dict:
     """`run_fig3` with its two quantum runs given."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -206,10 +199,9 @@ def _fig3(cfg: RunConfig, out_dir: str | Path, quantum: list[list[MomentumLadder
         for name, fit in ((f"{tag}_mean_p_linear", p_fit), (f"{tag}_mean_p2_quadratic", p2_fit)):
             coeffs = list(fit.coefficients) + [0.0] * (3 - len(fit.coefficients))
             fit_rows.append((name, len(fit.coefficients) - 1, *coeffs, fit.r_squared, fit.residual_rms))
-        final = ladders[-1]
-        keep = np.abs(final.orders) <= cfg.max_order
+        keep = np.abs(ladders.orders) <= cfg.max_order
         write_csv(out / f"fig3_dist22_{tag}.csv", ["order", "probability"],
-                  zip(final.orders[keep].tolist(), final.probabilities[keep].tolist()),
+                  zip(ladders.orders[keep].tolist(), ladders.probabilities[-1, keep].tolist()),
                   comments=[f"hbar={hbar_eff!r} kick={cfg.n_kicks}"])
         results[tag] = {"hbar_eff": hbar_eff, "ladders": ladders, "stats": stats,
                         "p_fit": p_fit, "p2_fit": p2_fit}
@@ -276,15 +268,6 @@ def run_fig4(cfg: RunConfig, out_dir: str | Path) -> list[ScanPoint]:
     return points
 
 
-def _stacked(ladders: Sequence[MomentumLadder]) -> tuple[np.ndarray, np.ndarray]:
-    """The one orders array of `ladders` and their (ladders, orders) probability stack; raises
-    ValueError if a ladder's orders differ."""
-    orders = ladders[0].orders
-    if any(ladder.orders is not orders and not np.array_equal(ladder.orders, orders) for ladder in ladders):
-        raise ValueError("ladders to stack must share one orders array")
-    return orders, np.stack([ladder.probabilities for ladder in ladders])
-
-
 def compare_engines(cfg: RunConfig, out_dir: str | Path) -> dict:
     """Quantum-ladder vs beam-bounce distributions, plus mirror quantization study.
 
@@ -293,10 +276,10 @@ def compare_engines(cfg: RunConfig, out_dir: str | Path) -> dict:
       quantized_vs_continuous per-kick TV of the 16-level mirror bounce
       quantization_sweep      final-kick TV for n_levels in {2,4,8,16,32,64}
 
-    Each comparison is one aligned difference of two probability stacks
-    (`observables._difference`) over the orders each engine's ladders share,
-    and every row's L_inf and TV are bitwise what `distribution_linf` and
-    `distribution_distance` give for its pair of ladders.
+    Each comparison is one aligned difference of two runs' probability stacks
+    (`observables._difference`; the bounce batch's mirrors share one orders
+    array), and every row's L_inf and TV are bitwise what `distribution_linf`
+    and `distribution_distance` give for its pair of rows.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -305,16 +288,18 @@ def compare_engines(cfg: RunConfig, out_dir: str | Path) -> dict:
     geom, mirrors, beam = _bounce_setup(cfg, cfg.hbar, ("continuous", *QUANTIZATION_SWEEP))
     optical, *quantized = bounce_ladders(geom, mirrors, beam, n_kicks)
     kicks = range(1, n_kicks + 1)
-    orders, continuous = _stacked(optical)
-    engines = obs._difference(*_stacked(quantum), orders, continuous)
+    orders, continuous = optical.orders, optical.probabilities
+    engines = obs._difference(quantum.orders, quantum.probabilities, orders, continuous)
     per_kick_linf = obs._linf(engines)
     per_kick_tv = obs._total_variation(engines)
     rows = [("quantum_vs_optical", k, "continuous", linf, tv)
             for k, linf, tv in zip(kicks, per_kick_linf, per_kick_tv)]
     sixteen = quantized[QUANTIZATION_SWEEP.index(16)]
-    sixteen_tv = obs._total_variation(obs._difference(*_stacked(sixteen), orders, continuous))
+    sixteen_tv = obs._total_variation(
+        obs._difference(sixteen.orders, sixteen.probabilities, orders, continuous))
     rows += [("quantized_vs_continuous", k, 16, "", tv) for k, tv in zip(kicks, sixteen_tv)]
-    finals = obs._difference(*_stacked([quant[-1] for quant in quantized]), orders, continuous[-1])
+    finals = obs._difference(orders, np.stack([quant.probabilities[-1] for quant in quantized]),
+                             orders, continuous[-1])
     sweep_tv = dict(zip(QUANTIZATION_SWEEP, obs._total_variation(finals)))
     rows += [("quantization_sweep", n_kicks, n_levels, "", tv) for n_levels, tv in sweep_tv.items()]
     write_csv(out / "compare_engines.csv", ["comparison", "kick", "n_levels", "l_inf", "tv"],

@@ -81,6 +81,17 @@ def stats_from_ladder(kick: int, ladder: MomentumLadder) -> StepStats:
     )
 
 
+def _kick_stats(stack: MomentumLadder) -> list[StepStats]:
+    """Each row's StepStats of a run's (kicks, orders) stack, kick 1 first, bitwise `stats_from_ladder`'s."""
+    q, probs = stack.ladder_values, stack.probabilities
+    moments = np.empty((3, len(probs)))
+    step = max(1, (1 << 16) // q.size)  # rows a chunk: each product temporary stays within 512 KiB
+    for lo in range(0, len(probs), step):
+        p = probs[lo:lo + step]
+        moments[:, lo:lo + step] = _first_moment(q, p), np.sum(q**2 * p, axis=-1), 1.0 / np.sum(p**2, axis=-1)
+    return [StepStats(k, *row) for k, row in enumerate(moments.T.tolist(), start=1)]
+
+
 def polynomial_fit(xs, ys, degree: int) -> FitResult:
     """Degree-1 or degree-2 least squares through numpy's `polyfit`, always degree + 1 coefficients.
 

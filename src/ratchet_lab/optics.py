@@ -19,7 +19,8 @@ makes at each bounce straight into diffraction orders (`_order_sums`), the
 one order binning of every optical ladder; `bounce_simulation`'s tap also
 fftshifts them into the full focal-plane row of the CCD image
 (`evolution._class_power`), with exact zeros on the dropped classes' lines,
-so an image carries the ladders of the very squares its rows show.
+so an image carries the ladders of the very squares its rows show. A bounce
+run hands out one `MomentumLadder`: its (kicks, orders) stack, checked once.
 """
 
 from __future__ import annotations
@@ -375,13 +376,13 @@ class FarFieldImage:
     """(kicks, n) intensities; row k-1 is the tap after kick k, zero order at column n//2."""
     window_periods: int
     """Mirror periods across the window, i.e. fine columns per diffraction order."""
-    ladders: list[MomentumLadder]
-    """Order ladder of every row, in kick order; a bounce image's are what its tap summed."""
+    ladders: MomentumLadder
+    """The rows' (kicks, orders) order ladder stack; a bounce image's is what its tap summed."""
 
 
 def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField, n_kicks: int,
-            name: Callable[[MirrorProfile], str], image: np.ndarray | None = None) -> list[list[MomentumLadder]]:
-    """Per-kick order ladders of one bounce run per mirror, in mirror order, one batch row each.
+            name: Callable[[MirrorProfile], str], image: np.ndarray | None = None) -> list[MomentumLadder]:
+    """The (kicks, orders) order ladder stack of one bounce run per mirror, one batch row each.
 
     The mirror is periodic, so the beam of P mirror periods runs as P
     independent quasimomentum classes of S = n/P samples (`_class_field`):
@@ -397,20 +398,21 @@ def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamF
     Parseval guard takes their power as its norm. At each bounce the tap sums the chunk's
     (rows, K, S) kept class squares into orders (`_order_sums`, given the
     kept classes), one row per mirror, and the core scales the sums to unit
-    sum. All ladders share one read-only orders array. The focal-plane
-    transform is also the forward transform of the flight.
-
-    `image`, given for a batch of one mirror, is an (n_kicks, n) buffer the
-    tap fills with each bounce's fftshifted focal-plane row
+    sum. Every tap's rows go into one (mirrors, kicks, orders) buffer, whose
+    mirror slices become the stacks, checked once and sharing one read-only
+    orders array. The focal-plane transform is also the forward transform of
+    the flight. `image`, given for a batch of one mirror, is an (n_kicks, n)
+    buffer the tap fills with each bounce's fftshifted focal-plane row
     (`evolution._class_power`): the kept squares on their lines, exact zeros
     on the dropped classes' lines, scaled by its own total to unit sum.
 
     Before any transform, raises ValueError unless n_kicks >= 1, the beam's
     wavelength is the geometry's, every mirror's period is the geometry's,
-    and the window holds P periods of whole samples. A row whose tapped power
-    (by Parseval) drifts from the kept power by more than 1e-8 relative, or
-    is not finite, raises NumericalFailure with text name(mirror) + the
-    drift and the bounce.
+    and the window holds P periods of whole samples; a stack row that is
+    negative, NaN or off unit sum raises ValueError too (MomentumLadder). A
+    row whose tapped power (by Parseval) drifts from the kept power by more
+    than 1e-8 relative, or is not finite, raises NumericalFailure with text
+    name(mirror) + the drift and the bounce.
     """
     if n_kicks < 1:
         raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
@@ -437,16 +439,14 @@ def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamF
             row *= 1.0 / evolution._class_power(lines, row)
         return _order_sums(squares, sums, keep, periods)
 
-    ladders: list[list[MomentumLadder]] = [[] for _ in mirrors]
+    stacks = np.empty((len(mirrors), n_kicks, orders.size))
     # Parseval over the window's P*S lines: the core divides by the K*S it runs, so dx scales by K/P
-    for lo, _k, _spectrum, probs in evolution._split_step(
+    for lo, k, _spectrum, probs in evolution._split_step(
             _class_field(spectrum, keep), mirrors, lambda mirror: _reflection_factor(beam, mirror), kernel,
             range(1, n_kicks + 1), beam.dx * (keep.size / periods), beam.power * (1.0 - dropped),
             "beam power drifted by {:.3e} (relative) at bounce {}", name, tap, orders.size):
-        for i, row in enumerate(probs.copy(), start=lo):
-            ladders[i].append(MomentumLadder(beta=0.0, orders=orders, probabilities=row, hbar=hbar,
-                                             grid_periods=1))
-    return ladders
+        stacks[lo:lo + len(probs), k - 1] = probs
+    return [MomentumLadder(0.0, orders, stack, hbar) for stack in stacks]
 
 
 def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamField,
@@ -456,19 +456,11 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     Each cycle is: mirror reflection, focal-plane tap, then the kick-to-kick
     flight over the geometry's gap `distance_m`, which gives the kinetic
     ladder phase exp(-i*hbar_eff*q^2/2) of the matched quantum run, with
-    hbar_eff read from the geometry. The tap reduces each bounce's kept class
-    squares twice: into the full fftshifted focal-plane row
-    (`evolution._class_power`), with exact zeros on the lines of the classes
-    the bounce drops, scaled by its own total to unit sum as the core scales
-    its rows, from which the CCD images are drawn; and into order sums
-    (`_order_sums`), which the core scales into the image's ladders, bitwise
-    `bounce_ladders`' for the same mirror.
-
-    This is the batch of one of the bounce loop (`_bounce`): one FFT over the
-    period axis splits the beam into its quasimomentum classes, and each
-    bounce then takes one FFT pair along the kept classes' samples (none
-    after the last tap). Raises as `_bounce`: ValueError on inputs that
-    disagree, and NumericalFailure when the tapped power drifts.
+    hbar_eff read from the geometry. This is the batch of one of the bounce
+    loop (`_bounce`), whose tap reduces each bounce's kept class squares
+    twice: into the image's CCD row, and into the order sums of its
+    (kicks, orders) ladder stack, bitwise `bounce_ladders`' for the same
+    mirror. Raises as `_bounce`.
     """
     image = np.empty((n_kicks, beam.samples.size))
     (ladders,) = _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: "", image)
@@ -476,32 +468,29 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
 
 
 def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField,
-                   n_kicks: int) -> list[list[MomentumLadder]]:
-    """Per-kick order ladders of one bounce run per mirror, in mirror order.
+                   n_kicks: int) -> list[MomentumLadder]:
+    """The (kicks, orders) order ladder stack of one bounce run per mirror, in mirror order.
 
-    Only the quasimomentum classes that carry the beam run (`_bounce`), and
-    the tap sums each bounce's kept class squares straight into diffraction
-    orders (`_order_sums`), so no focal-plane row of n columns is built. The
-    runs propagate as the rows of one batch, in chunks of at most
-    BATCH_CELLS rows x kept samples, and each mirror's ladders are bitwise
-    the ones its run alone gives, and so bitwise the ladders of
-    `bounce_simulation(...)`'s image. All of them share one read-only orders
-    array. Raises ValueError on inputs that disagree (`_bounce`); a drifting
-    row raises NumericalFailure naming its mirror's n_levels and the bounce.
+    The runs propagate as the rows of one batch (`_bounce`), in chunks of at
+    most BATCH_CELLS rows x kept samples, and the tap sums straight into
+    orders, building no focal-plane row. Each mirror's stack is bitwise the
+    one its run alone gives, and so bitwise `bounce_simulation(...)`'s image
+    ladders. Raises as `_bounce`; a drifting row's NumericalFailure names its
+    mirror's n_levels.
     """
     return _bounce(geom, mirrors, beam, n_kicks, lambda mirror: f"bounce run n_levels={mirror.n_levels}: ")
 
 
 def row_order_ladder(image: FarFieldImage, kick: int) -> MomentumLadder:
-    """Order ladder of row `kick` (1-based, matching kick count); raises ValueError outside
-    1..kicks."""
-    if not 1 <= kick <= len(image.ladders):
-        raise ValueError(f"kick must lie in 1..{len(image.ladders)}, got {kick}")
-    return image.ladders[kick - 1]
+    """One-row ladder of the image's row `kick` (1-based), built on demand; ValueError outside 1..kicks."""
+    kicks = len(image.ladders.probabilities)
+    if not 1 <= kick <= kicks:
+        raise ValueError(f"kick must lie in 1..{kicks}, got {kick}")
+    return replace(image.ladders, probabilities=image.ladders.probabilities[kick - 1])
 
 
 def row_order_probabilities(image: FarFieldImage, kick: int) -> tuple[np.ndarray, np.ndarray]:
-    """Order distribution of row `kick` (1-based, matching kick count)."""
+    """Order distribution of row `kick` (1-based, matching kick count): `row_order_ladder`'s."""
     ladder = row_order_ladder(image, kick)
     return ladder.orders, ladder.probabilities
 

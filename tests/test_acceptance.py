@@ -200,8 +200,9 @@ def test_criterion_06_quantum_optical_correspondence():
         quantum = quantum_kick_ladders(cfg, cfg.hbar, 22)
         optical = optical_kick_ladders(cfg, cfg.hbar, 22)
         worst = 0.0
-        for q, o in zip(quantum, optical):
-            qp, op = ladder_dict(q), ladder_dict(o)
+        for q, o in zip(quantum.probabilities, optical.probabilities):
+            qp = dict(zip(quantum.orders.tolist(), q.tolist()))
+            op = dict(zip(optical.orders.tolist(), o.tolist()))
             support = set(qp) | set(op)
             worst = max(worst, max(abs(qp.get(n, 0.0) - op.get(n, 0.0)) for n in support))
         worst_by_case[hpi] = worst

@@ -322,9 +322,9 @@ def test_cli_figs_too_few_kicks_exits_2_before_output(tmp_path, monkeypatch, cap
     from ratchet_lab.experiments import run_fig3
 
     def no_run(*args, **kwargs):
-        raise AssertionError("evolve started for a rejected config")
+        raise AssertionError("a quantum run started for a rejected config")
 
-    monkeypatch.setattr(experiments, "evolve", no_run)
+    monkeypatch.setattr(experiments, "scan_probabilities", no_run)
     out = tmp_path / "figs"
     assert main(["figs", "--hbar=0.5pi", f"--n_kicks={n_kicks}", "--out", str(out)]) == 2
     assert "n_kicks: fig 3's fits need n_kicks >= 4" in capsys.readouterr().err
@@ -349,7 +349,7 @@ def test_cli_work_over_budget_exits_2_before_output(tmp_path, monkeypatch, capsy
     def no_run(*args, **kwargs):
         raise AssertionError("propagation started for a rejected config")
 
-    for name in ("evolve", "scan_probabilities", "bounce_simulation", "bounce_ladders"):
+    for name in ("scan_probabilities", "bounce_simulation", "bounce_ladders"):
         monkeypatch.setattr(experiments, name, no_run)
     out = tmp_path / command
     assert main([command, "--hbar=0.5pi", *OVER_BUDGET[key], "--out", str(out)]) == 2
@@ -411,7 +411,7 @@ def test_cli_beam_memory_over_budget_exits_2_before_output(tmp_path, monkeypatch
     def no_run(*args, **kwargs):
         raise AssertionError("propagation started for a rejected config")
 
-    for name in ("evolve", "scan_probabilities", "bounce_simulation", "bounce_ladders"):
+    for name in ("scan_probabilities", "bounce_simulation", "bounce_ladders"):
         monkeypatch.setattr(experiments, name, no_run)
     overrides = {"hbar": "0.5pi", "n_kicks": "1", "beam_periods": "2000000"}
     with pytest.raises(ConfigError, match=r"^beam_periods, beam_points_per_period: 256000000 beam samples "
@@ -422,6 +422,50 @@ def test_cli_beam_memory_over_budget_exits_2_before_output(tmp_path, monkeypatch
     assert "over the beam memory budget" in capsys.readouterr().err
     assert not (out / "run_manifest").exists()
     parse_config("", {**overrides, "beam_periods": "20000"})  # a hundredth of it parses
+
+
+# a quantum run's (kicks, grid points) stack and a CCD image's (kicks, beam samples) rows:
+# within the work budget, but 11.4 GiB and 1.95 GiB of probabilities
+OVER_STACK_MEMORY = {
+    "n_kicks, periods, points_per_period": (
+        {"n_kicks": "30000", "periods": "200"},
+        r"30000 kicks x 51200 grid points x 8 bytes is 1\.23e\+10 bytes"),
+    "n_kicks, beam_periods, beam_points_per_period": (
+        {"n_kicks": "1000", "beam_periods": "2048"},
+        r"1000 kicks x 262144 beam samples x 8 bytes is 2\.1e\+09 bytes"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("keys", sorted(OVER_STACK_MEMORY))
+def test_cli_stack_memory_over_budget_exits_2_before_output(tmp_path, monkeypatch, capsys, keys, command):
+    import ratchet_lab.experiments as experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("propagation started for a rejected config")
+
+    for name in ("scan_probabilities", "bounce_simulation", "bounce_ladders"):
+        monkeypatch.setattr(experiments, name, no_run)
+    overrides, terms = OVER_STACK_MEMORY[keys]
+    overrides = {"hbar": "0.5pi", **overrides}
+    with pytest.raises(ConfigError, match=rf"^{keys}: {terms}, over the beam memory budget of 2\.68e\+08$"):
+        parse_config("", overrides)
+    out = tmp_path / command
+    assert main([command, *(f"--{k}={v}" for k, v in overrides.items()), "--out", str(out)]) == 2
+    assert f"configuration error: {keys}: " in capsys.readouterr().err
+    assert not (out / "run_manifest").exists()
+    parse_config("", {**overrides, "n_kicks": str(int(overrides["n_kicks"]) // 50)})  # a fiftieth parses
+
+
+def test_stack_memory_bound_is_inclusive():
+    from ratchet_lab import config
+
+    kicks = config.BEAM_MEMORY_BUDGET // (8 * 1024)  # on a 1024-point grid and the smallest beam
+    fits = {"hbar": "0.5pi", "n_kicks": str(kicks), "periods": "4", "beam_periods": "8",
+            "beam_points_per_period": "64"}
+    parse_config("", fits)
+    with pytest.raises(ConfigError, match="^n_kicks, periods, points_per_period: "):
+        parse_config("", {**fits, "n_kicks": str(kicks + 1)})
 
 
 def test_scan_grid_separable_at_parse():
@@ -500,7 +544,7 @@ def test_cli_late_error_is_not_a_configuration_error(tmp_path, monkeypatch, caps
     def broken(*args, **kwargs):
         raise error("synthetic engine fault")
 
-    monkeypatch.setattr(experiments, "evolve", broken)
+    monkeypatch.setattr(experiments, "scan_probabilities", broken)
     with pytest.raises(error, match="synthetic engine fault"):
         main(["evolve", "--hbar=0.5pi", "--n_kicks=2", "--out", str(tmp_path)])
     assert "configuration error" not in capsys.readouterr().err

@@ -572,3 +572,27 @@ def test_ladder_record_schema(pot, hbar_res):
                    "orders": [int(n) for n in ladder.orders],
                    "prob": [float(p) for p in ladder.probabilities]}
     assert json.dumps(ladder_record(1, ladder)) == json.dumps(per_element)
+
+
+def test_ladder_record_reads_a_stack_row_as_evolve_records_it():
+    # row k-1 of a run's stack gives the record of the one-row ladder evolve hands `record` at kick k
+    from ratchet_lab.experiments import quantum_kick_ladders
+
+    cfg = parse_config("", {"hbar": "0.37pi", "beta": "0.25", "periods": "2", "points_per_period": "64"})
+    stack = quantum_kick_ladders(cfg, cfg.hbar, 5)
+    records = []
+    evolve(plane_wave(cfg.grid(), cfg.beta), KickedRunParams(cfg.potential(), EffectivePlanck(cfg.hbar), 5),
+           lambda k, lad: records.append(json.dumps(ladder_record(k, lad))))
+    assert [json.dumps(ladder_record(k, stack)) for k in range(1, 6)] == records
+
+
+def test_momentum_ladder_checks_every_row_of_a_stack():
+    orders = np.array([-1, 0, 1])
+    stack = MomentumLadder(0.0, orders, [[0.25, 0.5, 0.25], [0.0, 1.0, 0.0]])
+    assert stack.probabilities.shape == (2, 3) and stack.orders is orders
+    with pytest.raises(ValueError, match="matching shapes"):
+        MomentumLadder(0.0, orders, [[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="must sum to 1, got 0.5"):
+        MomentumLadder(0.0, orders, [[0.25, 0.5, 0.25], [0.0, 0.5, 0.0]])
+    with pytest.raises(ValueError, match="must be non-negative"):
+        MomentumLadder(0.0, orders, [[0.25, 0.5, 0.25], [0.5, -0.5, 1.0]])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratchet_lab.config import COMPARE_MIRRORS, parse_config
 from ratchet_lab.experiments import (
@@ -14,12 +16,13 @@ from ratchet_lab.experiments import (
     run_fig3,
     run_fig4,
     run_figs,
+    write_stats,
 )
 from ratchet_lab.cli import main
-from ratchet_lab.evolution import evolve
+from ratchet_lab.evolution import scan_probabilities
 from ratchet_lab.fileio import read_pgm
-from ratchet_lab.optics import FarFieldImage, bounce_ladders, render_ccd
-from ratchet_lab.observables import mean_momentum, mean_square_momentum
+from ratchet_lab.optics import FarFieldImage, bounce_ladders, bounce_simulation, render_ccd
+from ratchet_lab.observables import _kick_stats
 
 
 def cfg_with(**overrides):
@@ -34,9 +37,9 @@ def test_fig2_zero_strength_rows_identical(tmp_path):
     cfg = cfg_with(K=0, engine="quantum")
     result = run_fig2(cfg, tmp_path)
     for panel in result.values():
-        ladders = panel["quantum"]
-        for lad in ladders[1:]:
-            assert np.array_equal(lad.probabilities, ladders[0].probabilities)
+        probs = panel["quantum"].probabilities
+        assert probs.shape == (22, 256)
+        assert np.array_equal(probs, np.broadcast_to(probs[0], probs.shape))
     raster = read_pgm(tmp_path / "fig2_a.pgm")
     assert raster.shape == (22, 65)
     assert np.all(raster == raster[0])
@@ -48,8 +51,8 @@ def test_fig2_resonant_drift_direction_and_offres_bound(tmp_path):
     # oscillation; the off-resonant centroid oscillates about zero
     cfg = cfg_with(engine="quantum")
     result = run_fig2(cfg, tmp_path)
-    res = [mean_momentum(lad) for lad in result["a"]["quantum"]]
-    off = [mean_momentum(lad) for lad in result["b"]["quantum"]]
+    res = [s.mean_p for s in _kick_stats(result["a"]["quantum"])]
+    off = [s.mean_p for s in _kick_stats(result["b"]["quantum"])]
     assert res[-1] > 0.3
     assert np.mean(res[-10:]) > 0.3
     assert abs(np.mean(off[-10:])) < 0.15
@@ -62,22 +65,21 @@ def test_fig2_optical_panels_written(tmp_path):
     for label in ("a", "b"):
         assert (tmp_path / f"fig2_{label}.pgm").exists()
         assert (tmp_path / f"fig2_{label}_optical.pgm").exists()
-        assert len(result[label]["optical"]) == 4
+        assert len(result[label]["optical"].probabilities) == 4
     raster = read_pgm(tmp_path / "fig2_a_optical.pgm")
     assert raster.shape[0] == 4
 
 
 def old_quantum_panel_rows(ladders, max_order):
-    """Reference: the quantum CCD rows as the orders |n| <= max_order of each ladder."""
-    return np.stack([lad.probabilities[np.abs(lad.orders) <= max_order] for lad in ladders])
+    """Reference: the quantum CCD rows as the orders |n| <= max_order of each row of the stack."""
+    return np.stack([row[np.abs(ladders.orders) <= max_order] for row in ladders.probabilities])
 
 
 @pytest.mark.parametrize("periods", [1, 2, 3])
 def test_quantum_panel_crop_matches_order_cut(tmp_path, periods):
     cfg = cfg_with(engine="quantum", periods=periods, points_per_period=64, n_kicks=5, gamma=0.5)
     ladders = quantum_kick_ladders(cfg, 0.5 * math.pi, cfg.n_kicks)
-    image = FarFieldImage(rows=np.stack([lad.probabilities for lad in ladders]), window_periods=1,
-                          ladders=ladders)
+    image = FarFieldImage(rows=ladders.probabilities, window_periods=1, ladders=ladders)
     for max_order in (0, 5, 40, 200):  # 40 and 200 reach past the edge of a 64-point grid
         cropped = crop_image(image, max_order).rows
         assert cropped.tobytes() == old_quantum_panel_rows(ladders, max_order).tobytes()
@@ -234,16 +236,17 @@ def test_fig4_csv_independent_of_chunking(tmp_path, monkeypatch, fft_calls, rows
 def test_figs_shares_the_quantum_runs_of_fig2_and_fig3(tmp_path, monkeypatch):
     import ratchet_lab.experiments as experiments
 
-    runs = []
+    batches = []
 
-    def counted(state, params, record=None):
-        runs.append(params.hbar.hbar_eff)
-        return evolve(state, params, record)
+    def counted(grid, beta, runs, kicks_at):
+        batches.append([hbar.hbar_eff for _pot, hbar in runs])
+        return scan_probabilities(grid, beta, runs, kicks_at)
 
-    monkeypatch.setattr(experiments, "evolve", counted)
-    run_figs(cfg_with(), tmp_path)
-    # fig 2's and fig 3's runs at 0.5pi and 0.35pi; the fig 4 scan runs as one batch
-    assert runs == [0.5 * math.pi, 0.35 * math.pi]
+    monkeypatch.setattr(experiments, "scan_probabilities", counted)
+    cfg = cfg_with()
+    run_figs(cfg, tmp_path)
+    # fig 2's and fig 3's runs at 0.5pi and 0.35pi, each a batch of one; the fig 4 scan runs as one batch
+    assert batches == [[0.5 * math.pi], [0.35 * math.pi], list(cfg.scan_hbar_values())]
 
 
 @pytest.mark.parametrize("engine", ["both", "optical"])
@@ -275,9 +278,9 @@ def test_compare_engines_report(tmp_path, monkeypatch, fft_calls):
     # one batch: the continuous mirror, then one row per level, as the work budget counts it
     assert batches == [["continuous", *QUANTIZATION_SWEEP]]
     assert len(batches[0]) == COMPARE_MIRRORS
-    # 22 kicks of the quantum run (22 + 22), 22 bounces of the batch (22 + 21), and one
-    # forward transform that splits the beam into its quasimomentum classes
-    assert (fft_calls["fft"], fft_calls["ifft"]) == (45, 43)
+    # 22 kicks of the quantum run and 22 bounces of the batch (22 + 21 each: no flight after
+    # the last tap), and one forward transform that splits the beam into its quasimomentum classes
+    assert (fft_calls["fft"], fft_calls["ifft"]) == (45, 42)
     assert max(report["per_kick_linf"]) < 1e-2
     sweep = report["sweep_tv"]
     values = [sweep[n] for n in (2, 4, 8, 16, 32, 64)]
@@ -300,35 +303,21 @@ def test_compare_engines_report_equals_the_per_pair_distances(tmp_path):
     quantum = quantum_kick_ladders(cfg, cfg.hbar, 6)
     geom, mirrors, beam = _bounce_setup(cfg, cfg.hbar, ("continuous", *QUANTIZATION_SWEEP))
     optical, *quantized = bounce_ladders(geom, mirrors, beam, 6)
-    pairs = list(zip(quantum, optical))
+    pairs = list(zip(quantum.probabilities, optical.probabilities))
     sixteen = quantized[QUANTIZATION_SWEEP.index(16)]
     want = {
-        "per_kick_linf": [distribution_linf(q.orders, q.probabilities, o.orders, o.probabilities)
-                          for q, o in pairs],
-        "per_kick_tv": [distribution_distance(q.orders, q.probabilities, o.orders, o.probabilities)
-                        for q, o in pairs],
-        "sweep_tv": {n_levels: distribution_distance(quant[-1].orders, quant[-1].probabilities,
-                                                     optical[-1].orders, optical[-1].probabilities)
+        "per_kick_linf": [distribution_linf(quantum.orders, q, optical.orders, o) for q, o in pairs],
+        "per_kick_tv": [distribution_distance(quantum.orders, q, optical.orders, o) for q, o in pairs],
+        "sweep_tv": {n_levels: distribution_distance(quant.orders, quant.probabilities[-1],
+                                                     optical.orders, optical.probabilities[-1])
                      for n_levels, quant in zip(QUANTIZATION_SWEEP, quantized)},
     }
     assert report == want
     assert [type(v) for v in report["per_kick_linf"] + report["per_kick_tv"]] == [float] * 12
     text = (tmp_path / "compare_engines.csv").read_text()
-    for k, (q, o) in enumerate(zip(sixteen, optical), start=1):
-        tv = distribution_distance(q.orders, q.probabilities, o.orders, o.probabilities)
+    for k, (q, o) in enumerate(zip(sixteen.probabilities, optical.probabilities), start=1):
+        tv = distribution_distance(sixteen.orders, q, optical.orders, o)
         assert f"quantized_vs_continuous,{k},16,,{tv!r}\n" in text
-
-
-def test_stacked_ladders_must_share_their_orders():
-    from ratchet_lab.evolution import MomentumLadder
-    from ratchet_lab.experiments import _stacked
-
-    a = MomentumLadder(0.0, np.array([-1, 0, 1]), np.array([0.25, 0.5, 0.25]))
-    same = MomentumLadder(0.0, np.array([-1, 0, 1]), np.array([0.0, 1.0, 0.0]))
-    orders, stack = _stacked([a, same])
-    assert orders is a.orders and stack.tolist() == [[0.25, 0.5, 0.25], [0.0, 1.0, 0.0]]
-    with pytest.raises(ValueError, match="share one orders array"):
-        _stacked([a, MomentumLadder(0.0, np.array([0, 1, 2]), np.array([0.25, 0.5, 0.25]))])
 
 
 def test_engines_identical_before_evolution():
@@ -346,11 +335,130 @@ def test_engines_identical_before_evolution():
 
 def test_engines_agree_kick_by_kick(tmp_path):
     cfg = cfg_with(beam_periods=256, beam_width=32 * 600e-6, n_kicks=8)
-    quantum = quantum_kick_ladders(cfg, cfg.hbar, 8)
-    optical = optical_kick_ladders(cfg, cfg.hbar, 8)
+    quantum = _kick_stats(quantum_kick_ladders(cfg, cfg.hbar, 8))
+    optical = _kick_stats(optical_kick_ladders(cfg, cfg.hbar, 8))
+    assert len(quantum) == len(optical) == 8
     for q, o in zip(quantum, optical):
-        assert abs(mean_momentum(q) - mean_momentum(o)) < 5e-3
-        assert abs(mean_square_momentum(q) - mean_square_momentum(o)) < 5e-2
+        assert abs(q.mean_p - o.mean_p) < 5e-3
+        assert abs(q.mean_p2 - o.mean_p2) < 5e-2
+
+
+# --- probability stacks -----------------------------------------------------------
+
+def test_compare_builds_one_ladder_per_run(tmp_path, monkeypatch):
+    # every engine run hands out one (kicks, orders) stack, checked once: the quantum run and
+    # the 7 mirrors of the bounce batch, not one ladder per run and kick
+    from ratchet_lab.evolution import MomentumLadder
+
+    built = []
+    check = MomentumLadder.__post_init__
+
+    def counted(ladder):
+        check(ladder)
+        built.append(ladder.probabilities.shape)
+
+    monkeypatch.setattr(MomentumLadder, "__post_init__", counted)
+    compare_engines(cfg_with(), tmp_path)
+    assert built == [(22, 256)] + [(22, 129)] * COMPARE_MIRRORS
+
+
+def test_quantum_kick_ladders_refuses_a_kick_count_below_one():
+    cfg = cfg_with()
+    for n_kicks in (0, -1):
+        with pytest.raises(ValueError, match=f"^n_kicks must be >= 1, got {n_kicks}$"):
+            quantum_kick_ladders(cfg, cfg.hbar, n_kicks)
+
+
+def corrupt_taps(monkeypatch, value):
+    """Wrap the tap of every split-step run so that each row's first entry becomes `value`
+    once scaled, and its second entry takes the difference, leaving each row's total, and so
+    the drift guard, unchanged."""
+    import inspect
+
+    import ratchet_lab.evolution as evolution
+
+    split_step = evolution._split_step
+    signature = inspect.signature(split_step)
+
+    def corrupted(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        tap = bound.arguments["tap"]
+
+        def bad_tap(squares, rows):
+            totals = tap(squares, rows)
+            rows[:, 1] += rows[:, 0] - value * totals
+            rows[:, 0] = value * totals
+            return totals
+
+        bound.arguments["tap"] = bad_tap
+        return split_step(*bound.args, **bound.kwargs)
+
+    monkeypatch.setattr(evolution, "_split_step", corrupted)
+
+
+STACK_RUNS = {
+    "quantum_kick_ladders": lambda cfg: quantum_kick_ladders(cfg, cfg.hbar, 3),
+    "bounce_ladders": lambda cfg: bounce_ladders(*bounce_setup(cfg, ["continuous", 16]), 3),
+    "bounce_simulation": lambda cfg: bounce_simulation(*bounce_setup(cfg, ["continuous"]), 3),
+}
+
+
+def bounce_setup(cfg, levels):
+    from ratchet_lab.experiments import _bounce_setup
+
+    geom, mirrors, beam = _bounce_setup(cfg, cfg.hbar, levels)
+    return geom, mirrors if len(mirrors) > 1 else mirrors[0], beam
+
+
+@pytest.mark.parametrize("value", [-1e-3, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("run", sorted(STACK_RUNS))
+def test_a_tapped_row_that_is_negative_or_nan_raises_where_the_stack_is_built(monkeypatch, run, value):
+    cfg = cfg_with(n_kicks=3, beam_periods=16, beam_points_per_period=64)
+    STACK_RUNS[run](cfg)  # the runs pass unpatched
+    corrupt_taps(monkeypatch, value)
+    with pytest.raises(ValueError, match="^probabilities must be non-negative$"):
+        STACK_RUNS[run](cfg)
+
+
+def assert_rows_are_the_single_row_stats_bitwise(stats, stack):
+    from dataclasses import replace
+
+    from ratchet_lab.observables import stats_from_ladder
+
+    assert len(stats) == len(stack.probabilities)
+    for k, (got, row) in enumerate(zip(stats, stack.probabilities), start=1):
+        want = stats_from_ladder(k, replace(stack, probabilities=row))
+        assert got.kick == want.kick == k
+        for name in ("mean_p", "mean_p2", "participation"):
+            assert getattr(got, name).hex() == getattr(want, name).hex(), (k, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hbar_over_pi=st.floats(min_value=0.05, max_value=2.0),
+       K=st.floats(min_value=0.0, max_value=3.0),
+       alpha=st.floats(min_value=0.0, max_value=1.0),
+       beta=st.floats(min_value=0.0, max_value=0.99),
+       periods=st.integers(min_value=1, max_value=3),
+       points_per_period=st.sampled_from([32, 34, 66, 256, 2048]),  # 2048: several row chunks
+       n_kicks=st.integers(min_value=1, max_value=40))
+def test_write_stats_rows_are_the_single_row_stats_bitwise(hbar_over_pi, K, alpha, beta, periods,
+                                                           points_per_period, n_kicks):
+    import tempfile
+    from pathlib import Path
+
+    cfg = cfg_with(K=repr(K), alpha=repr(alpha), beta=repr(beta), periods=periods,
+                   points_per_period=points_per_period)
+    stack = quantum_kick_ladders(cfg, hbar_over_pi * math.pi, n_kicks)
+    with tempfile.TemporaryDirectory() as tmp:
+        stats = write_stats(Path(tmp) / "stats.csv", stack, [])
+    assert_rows_are_the_single_row_stats_bitwise(stats, stack)
+
+
+def test_long_run_stats_rows_are_the_single_row_stats_bitwise(tmp_path):
+    cfg = cfg_with(hbar="0.8123pi")
+    stack = quantum_kick_ladders(cfg, cfg.hbar, 2000)
+    assert_rows_are_the_single_row_stats_bitwise(write_stats(tmp_path / "stats.csv", stack, []), stack)
 
 
 # --- determinism ----------------------------------------------------------------

@@ -419,9 +419,8 @@ def test_cli_optical_odd_window_equals_step_composition_bytes(tmp_path):
     assert beam.samples.size == 585
     orders, sums = order_sums_reference(class_stepwise_squares(geom, mirror, beam, cfg.n_kicks))
     probs = sums * (1.0 / sums.sum(axis=1))[:, None]
-    ladders = [MomentumLadder(0.0, orders, row, hbar_from_geometry(geom)) for row in probs]
     image = FarFieldImage(rows=class_stepwise_rows(geom, mirror, beam, cfg.n_kicks), window_periods=9,
-                          ladders=ladders)
+                          ladders=MomentumLadder(0.0, orders, probs, hbar_from_geometry(geom)))
     ref = tmp_path / "ref"
     ref.mkdir()
     write_panel(ref / "orders.csv", ref / "ccd.pgm", image, cfg, [f"hbar={cfg.hbar!r} n_levels={cfg.n_levels}"])
@@ -448,17 +447,16 @@ def test_bounce_ladders_equal_single_runs_bitwise(K, alpha, phi, levels, window_
     with mock.patch("ratchet_lab.evolution.BATCH_CELLS", rows * beam.samples.size):
         batched = bounce_ladders(geom, mirrors, beam, n_kicks)
     assert len(batched) == len(mirrors)
-    assert not batched[0][0].orders.flags.writeable
-    for mirror, ladders in zip(mirrors, batched):
-        (single,) = bounce_ladders(geom, [mirror], beam, n_kicks)
-        image = bounce_simulation(geom, mirror, beam, n_kicks).ladders
-        assert len(ladders) == len(image) == n_kicks
-        for got, want, carried in zip(ladders, single, image):
-            assert got.orders is batched[0][0].orders
-            assert got.orders.tobytes() == want.orders.tobytes() == carried.orders.tobytes()
-            assert got.probabilities.tobytes() == want.probabilities.tobytes() == carried.probabilities.tobytes()
-            assert (got.beta, got.hbar, got.grid_periods) == (want.beta, want.hbar, want.grid_periods)
-            assert (got.beta, got.hbar, got.grid_periods) == (carried.beta, carried.hbar, carried.grid_periods)
+    assert not batched[0].orders.flags.writeable
+    for mirror, got in zip(mirrors, batched):
+        (want,) = bounce_ladders(geom, [mirror], beam, n_kicks)
+        carried = bounce_simulation(geom, mirror, beam, n_kicks).ladders
+        assert got.probabilities.shape == (n_kicks, got.orders.size)
+        assert got.orders is batched[0].orders
+        assert got.orders.tobytes() == want.orders.tobytes() == carried.orders.tobytes()
+        assert got.probabilities.tobytes() == want.probabilities.tobytes() == carried.probabilities.tobytes()
+        assert (got.beta, got.hbar, got.grid_periods) == (want.beta, want.hbar, want.grid_periods)
+        assert (got.beta, got.hbar, got.grid_periods) == (carried.beta, carried.hbar, carried.grid_periods)
 
 
 def order_sums_reference(squares):
@@ -538,10 +536,10 @@ def test_bounce_ladders_tap_is_the_order_sum_reference_bitwise(monkeypatch, wind
     monkeypatch.setattr(evolution, "_split_step", recorded)
     ladders = bounce_ladders(geom, mirrors, beam, 4)
     assert len(taps) == 4
-    for mirror, runs in enumerate(ladders):
-        for ladder, (orders, probs) in zip(runs, taps):
-            assert ladder.orders.tobytes() == orders.tobytes()
-            assert ladder.probabilities.tobytes() == probs[mirror].tobytes()
+    for mirror, stack in enumerate(ladders):
+        for row, (orders, probs) in zip(stack.probabilities, taps):
+            assert stack.orders.tobytes() == orders.tobytes()
+            assert row.tobytes() == probs[mirror].tobytes()
 
 
 # --- kept quasimomentum classes ---------------------------------------------------
@@ -576,10 +574,9 @@ def test_kept_classes_hold_every_ladder_within_the_certificate(width_periods, wi
     orders, sums = order_sums_reference(class_stepwise_squares(geom, mirror, beam, n_kicks))
     full = sums * (1.0 / sums.sum(axis=1))[:, None]
     bound = delta / (1.0 - delta) + 1e-15
-    assert len(ladders) == n_kicks
-    for ladder, want in zip(ladders, full):
-        assert ladder.orders.tobytes() == orders.tobytes()
-        assert np.max(np.abs(ladder.probabilities - want)) <= bound
+    assert ladders.probabilities.shape == full.shape == (n_kicks, orders.size)
+    assert ladders.orders.tobytes() == orders.tobytes()
+    assert np.max(np.abs(ladders.probabilities - full)) <= bound
 
 
 def test_bounce_image_runs_the_kept_classes_bitwise():
@@ -597,9 +594,8 @@ def test_bounce_image_runs_the_kept_classes_bitwise():
     others = [ratchet_mirror(RatchetPotential(), hbar_from_geometry(geom), LAM, PERIOD, 128, n_levels)
               for n_levels in (4, 16)]
     batched = bounce_ladders(geom, [*others, mirror], beam, 6)
-    for carried, got in zip(image.ladders, batched[-1]):
-        assert carried.orders.tobytes() == got.orders.tobytes()
-        assert carried.probabilities.tobytes() == got.probabilities.tobytes()
+    assert image.ladders.orders.tobytes() == batched[-1].orders.tobytes()
+    assert image.ladders.probabilities.tobytes() == batched[-1].probabilities.tobytes()
 
 
 @pytest.mark.parametrize("window_periods, samples_per_period, width_periods",
@@ -614,9 +610,8 @@ def test_bounce_that_drops_nothing_is_the_full_class_composition_bitwise(window_
     assert keep.tolist() == list(range(window_periods)) and dropped == 0.0
     (ladders,) = bounce_ladders(geom, [mirror], beam, 8)
     orders, sums = order_sums_reference(class_stepwise_squares(geom, mirror, beam, 8))
-    for ladder, want in zip(ladders, sums * (1.0 / sums.sum(axis=1))[:, None]):
-        assert ladder.orders.tobytes() == orders.tobytes()
-        assert ladder.probabilities.tobytes() == want.tobytes()
+    assert ladders.orders.tobytes() == orders.tobytes()
+    assert ladders.probabilities.tobytes() == (sums * (1.0 / sums.sum(axis=1))[:, None]).tobytes()
 
 
 def test_plane_wave_beam_runs_class_zero_alone(pot, hbar_res):
@@ -634,8 +629,8 @@ def test_plane_wave_beam_runs_class_zero_alone(pot, hbar_res):
         quantum = []
         evolve(plane_wave(SpatialGrid(1, 128)), KickedRunParams(pot, hbar_from_geometry(geom), 12),
                lambda k, lad: quantum.append(dict(zip(lad.orders.tolist(), lad.probabilities.tolist()))))
-        for o, q in zip(optical, quantum):
-            assert max(abs(p - q.get(n, 0.0)) for n, p in zip(o.orders.tolist(), o.probabilities.tolist())) < 1e-12
+        for o, q in zip(optical.probabilities, quantum):
+            assert max(abs(p - q.get(n, 0.0)) for n, p in zip(optical.orders.tolist(), o.tolist())) < 1e-12
 
 
 @pytest.mark.parametrize("window_periods, samples_per_period, width_periods",
@@ -800,11 +795,11 @@ def test_quantum_run_from_the_beam_state_matches_the_bounce(K, alpha, phi, hbar_
     evolve(WaveState(grid, amplitudes), KickedRunParams(pot, hbar_from_geometry(geom), n_kicks),
            lambda k, lad: quantum.append(lad))
     (optical,) = bounce_ladders(geom, [mirror], beam, n_kicks)
-    assert len(quantum) == len(optical) == n_kicks
-    for q, o in zip(quantum, optical):
+    assert len(quantum) == len(optical.probabilities) == n_kicks
+    for q, o in zip(quantum, optical.probabilities):
         orders, probs = per_row_bin_orders(q.probabilities, window_periods)
-        assert np.array_equal(o.orders, orders)
-        assert np.max(np.abs(probs - o.probabilities)) <= 1e-12
+        assert np.array_equal(optical.orders, orders)
+        assert np.max(np.abs(probs - o)) <= 1e-12
 
 
 CLASS_SHAPES = {65536: (512, 128), 585: (9, 65)}  # (P, S) of the compare beam and the odd beam
@@ -876,18 +871,20 @@ def test_image_ladders_match_per_row_binning(hbar_over_pi, window_periods, sampl
     # carried ladder to rounding, and the one-row reads are bitwise the carried ladders
     geom, mirror, beam = bounce_case(hbar_over_pi * math.pi, window_periods, samples_per_period, n_levels)
     image = bounce_simulation(geom, mirror, beam, n_kicks)
-    assert len(image.ladders) == n_kicks
-    assert not image.ladders[0].orders.flags.writeable
-    for k, ladder in enumerate(image.ladders, start=1):
+    stack = image.ladders
+    assert stack.probabilities.shape == (n_kicks, stack.orders.size)
+    assert not stack.orders.flags.writeable
+    assert (stack.beta, stack.hbar, stack.grid_periods) == (0.0, hbar_from_geometry(geom), 1)
+    for k, row in enumerate(stack.probabilities, start=1):
         orders, probs = per_row_bin_orders(image.rows[k - 1], window_periods)
-        assert ladder.orders is image.ladders[0].orders
-        assert ladder.orders.dtype == orders.dtype and ladder.orders.tobytes() == orders.tobytes()
-        assert np.max(np.abs(ladder.probabilities - probs)) <= 1e-15
-        assert (ladder.beta, ladder.hbar, ladder.grid_periods) == (0.0, hbar_from_geometry(geom), 1)
+        assert stack.orders.dtype == orders.dtype and stack.orders.tobytes() == orders.tobytes()
+        assert np.max(np.abs(row - probs)) <= 1e-15
         one_orders, one_probs = row_order_probabilities(image, k)
         assert one_orders.tobytes() == orders.tobytes()
-        assert one_probs.tobytes() == ladder.probabilities.tobytes()
-        assert row_order_ladder(image, k) is ladder
+        assert one_probs.tobytes() == row.tobytes()
+        ladder = row_order_ladder(image, k)
+        assert ladder.orders is stack.orders and ladder.probabilities.tobytes() == row.tobytes()
+        assert (ladder.beta, ladder.hbar, ladder.grid_periods) == (stack.beta, stack.hbar, stack.grid_periods)
 
 
 @pytest.mark.parametrize("read", [row_order_probabilities, row_order_ladder])

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 
 from ratchet_lab.config import parse_config
-from ratchet_lab.experiments import quantum_kick_ladders
-from ratchet_lab.observables import mean_momentum, mean_square_momentum
+from ratchet_lab.evolution import KickedRunParams, SpatialGrid, evolve, plane_wave
+from ratchet_lab.experiments import optical_kick_ladders, quantum_kick_ladders
+from ratchet_lab.model import EffectivePlanck, RatchetPotential
+from ratchet_lab.observables import distribution_linf, mean_momentum, mean_square_momentum
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -26,16 +28,24 @@ def test_beam_width_study_worst_linf():
     study = load_script("beam_width_study")
     cfg = parse_config("", {"hbar": "0.5pi", "beam_width": repr(16 * study.PERIOD),
                             "beam_periods": "128", "beam_points_per_period": "128"})
-    assert 0.0 < study.worst_linf(cfg, 2) < 1e-2
+    worst = study.worst_linf(cfg, 2)
+    assert 0.0 < worst < 1e-2
+    # the stacked difference gives the largest of the per-kick pair distances, bitwise
+    quantum = quantum_kick_ladders(cfg, cfg.hbar, 2)
+    optical = optical_kick_ladders(cfg, cfg.hbar, 2)
+    assert worst == max(distribution_linf(quantum.orders, q, optical.orders, o)
+                        for q, o in zip(quantum.probabilities, optical.probabilities))
 
 
 def test_current_growth_study_trajectory():
+    # the stacked moments are bitwise the single-run API's: evolve's per-kick ladders
     study = load_script("current_growth_study")
     rows = study.trajectory(0.5 * math.pi, 3)
-    cfg = parse_config("hbar=0.5pi\n")
-    ladders = quantum_kick_ladders(cfg, cfg.hbar, 3)
-    assert rows == [(k, mean_momentum(lad), mean_square_momentum(lad))
-                    for k, lad in enumerate(ladders, start=1)]
+    want = []
+    evolve(plane_wave(SpatialGrid(1, 256)),
+           KickedRunParams(RatchetPotential(K=1.0, alpha=0.3, phi=0.0), EffectivePlanck(0.5 * math.pi), 3),
+           lambda k, lad: want.append((k, mean_momentum(lad), mean_square_momentum(lad))))
+    assert len(rows) == 3 and rows == want
 
 
 def test_artifact_digests_lines_repeat():
