@@ -29,6 +29,8 @@ ARGVS = (
     # a beam 64 periods wide on 512: its bounces run 21 of the 512 classes, dropping 3.3e-16
     ("compare", "--hbar=0.5pi", "--beam_periods=512", "--beam_width=0.0384"),
     ("evolve", "--distance=0.169172", "--n_kicks=22"),
+    # a quantum grid of 4 periods from the plane wave: classes 1-3 are dropped, exact zeros
+    ("evolve", "--hbar=0.5pi", "--periods=4", "--n_kicks=22"),
     ("optical", "--hbar=0.35pi", "--n_levels=16"),
     ("optical", "--hbar=0.35pi", "--beam_periods=9", "--beam_points_per_period=65"),
 )

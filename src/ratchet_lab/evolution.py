@@ -5,26 +5,20 @@ momentum-space free flight. The state stores the periodic part
 u(x) = psi(x) * exp(-i*beta*x), so the quasimomentum beta enters the free
 flight as an exact diagonal parameter instead of a grid offset.
 
-`_split_step` is the one propagation core of both engines: it runs batches
-of runs in place, in chunks, through the kick/FFT/tap/flight/IFFT loop, and
-holds the drift guard that names a failing run. A run's field has a class
-axis: P quasimomentum classes of S samples, transformed along S. At every
-tap the core squares the spectrum once, and a tap function reduces the
-squares into the rows the consumer reads and returns each row's total
-power; the core guards that total and scales the rows to unit sum, the one
-place a tap becomes probabilities. `evolve` and `scan_probabilities` feed it
-one class, the kick and flight factors and the default tap `_class_power`,
-the one fftshift into full rows; `optics` feeds it the quasimomentum
-classes (one per mirror period) that carry the beam, one period of the
-mirror reflection, those classes' rows of the Fresnel kernel, and a tap that
-sums the squares straight into diffraction orders (for a CCD image it also
-lays them out as full rows through `_class_power`, scaled as the core
-scales). The resonance scan taps only the kicks it reads and works out its
-statistics per chunk, as array operations on the core's rows, and builds no
-per-run ladder. A driver's run is one `MomentumLadder`, the run's checked
-(kicks, orders) stack (a quantum run is a `scan_probabilities` batch of one),
-and `evolve` the single-run API; the figure pipeline makes the two runs that
-fig 2 and fig 3 share only once.
+`_split_step` is the one propagation core of both engines. Every run hands it
+a window's samples and the P periods they span; a periodic kick or mirror
+couples only spectral lines P apart, so the core splits the window into P
+quasimomentum classes of S samples, keeps the K classes that carry all but at
+most CLASS_DROP_TOL of the weight, and runs batches of runs in place, in
+chunks, as (rows, K, S) fields through the kick/FFT/tap/flight/IFFT loop. At
+every tap it squares the spectrum once, a tap function reduces the squares
+into the consumer's rows and returns their totals, and the core guards the
+totals (naming a failing run) and scales the rows to unit sum, the one place
+a tap becomes probabilities. `evolve` and `scan_probabilities` use the
+default tap `_class_power`, the one fftshift into full rows; `optics` sums
+the squares into diffraction orders. A driver's run is one `MomentumLadder`,
+the run's checked (kicks, orders) stack (a quantum run is a
+`scan_probabilities` batch of one), and `evolve` the single-run API.
 """
 
 from __future__ import annotations
@@ -54,6 +48,8 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-8  # norm drift beyond this signals an implementation bug
+# Largest share of a run's weight the core may leave in the classes it does not propagate.
+CLASS_DROP_TOL = 1e-15
 _NORM_DRIFT = "norm drifted by {:.3e} at kick {}"
 # Rows x samples a batched scan or bounce propagates at once (8 MiB per complex array).
 BATCH_CELLS = 1 << 19
@@ -245,17 +241,22 @@ def momentum_spectrum(state: WaveState, hbar: EffectivePlanck | None = None) -> 
     return MomentumLadder(state.beta, _orders(state.grid), probs, hbar, state.grid.periods)
 
 
-def _class_power(squares: np.ndarray, power: np.ndarray) -> np.ndarray:
+def _class_power(squares: np.ndarray, power: np.ndarray, classes: np.ndarray | None = None) -> np.ndarray:
     """Fill `power` with the fftshifted window power of class squares, zero order at column
     n//2, and return its sums along the last axis: the core's default tap, and the one fftshift.
 
-    squares is (rows, P, S) for (rows, n = P*S) rows, or (P, S) for one row. Class r's line m is
-    window line k = r + P*m, so the squares with their last two axes swapped are the window
-    lines in FFT order; two slice copies fftshift them, line k to column (k + n//2) mod n.
+    squares is (rows, K, S) for (rows, n = P*S) rows, or (K, S) for one row, of the sorted
+    `classes` of P = n/S (all, by default). Class r's line m is window line k = r + P*m, so the
+    squares with their last two axes swapped are the window lines in FFT order (exact zeros on
+    the other classes' lines); two slice copies fftshift them, line k to column (k + n//2) mod n.
     """
-    n = power.shape[-1]
+    n, s = power.shape[-1], squares.shape[-1]
     h = n // 2  # the last h lines move to the front
-    lines = squares.swapaxes(-1, -2).reshape(power.shape)
+    if classes is None or classes.size == n // s:
+        lines = squares.swapaxes(-1, -2).reshape(power.shape)
+    else:
+        lines = np.zeros(power.shape)
+        lines.reshape(*power.shape[:-1], s, n // s)[..., classes] = squares.swapaxes(-1, -2)
     power[..., :h] = lines[..., n - h:]
     power[..., h:] = lines[..., :n - h]
     return power.sum(axis=-1)
@@ -267,63 +268,100 @@ def _spectrum_power(spectrum: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", w, w)
 
 
-def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], np.ndarray],
-                flight: np.ndarray | Callable[[_Run], np.ndarray], kicks: range, dx: float, norm: float,
+def _period_spectrum(samples: np.ndarray, periods: int) -> np.ndarray:
+    """F[r, s], the FFT over the period axis of samples.reshape(periods, S): row r is class r
+    before its phase (`_class_field`), and sum_s |F[r, s]|^2 is class r's weight."""
+    return np.fft.fft(samples.reshape(periods, -1), axis=0)
+
+
+def _class_field(spectrum: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """The window's quasimomentum classes `classes`, as rows W[i, s] = exp(-2*pi*i*r*s/n) * F[r, s]
+    for r = classes[i], with F = `spectrum` the window's `_period_spectrum` and n = P*S.
+
+    The FFT of row r along s is the window spectrum's lines r + P*m, m = 0..S-1, and an
+    S-periodic factor multiplies every row alike, so the classes propagate independently. The
+    phase is unimodular, so each class's weight is already F's; only the given rows get it.
+    """
+    periods, s = spectrum.shape
+    field = spectrum[classes]
+    # in place, so the spectrum stays the left operand: complex SIMD multiply is not bitwise commutative
+    field *= np.exp((-2j * math.pi / (periods * s)) * np.outer(classes, np.arange(s)))
+    return field
+
+
+def _kept_classes(weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """The sorted classes a run propagates, from the class weights sum_s |W[r, s]|^2, and the
+    relative weight delta of the classes it drops.
+
+    The kick (or mirror) factor and the flight are unimodular, so every class keeps its weight
+    at every period. The lightest classes are dropped, the lower index first among equal
+    weights, while their summed weight stays within CLASS_DROP_TOL of the whole; at least one
+    class is kept. Each unit-sum ladder entry of the kept classes then lies within
+    delta/(1 - delta) of the one all classes give, beyond rounding, at every period.
+    """
+    by_weight = np.argsort(weights, kind="stable")
+    dropped = np.cumsum(weights[by_weight])
+    total = weights.sum()
+    count = min(int(np.count_nonzero(dropped <= CLASS_DROP_TOL * total)), weights.size - 1)
+    return np.sort(by_weight[count:]), float(dropped[count - 1] / total) if count else 0.0
+
+
+def _split_step(samples: np.ndarray, periods: int, runs: Sequence[_Run], kick: Callable[[_Run], np.ndarray],
+                flight: Callable[[np.ndarray], np.ndarray | Callable[[_Run], np.ndarray]], kicks: range,
                 drift_message: str, name: Callable[[_Run], str],
-                tap: Callable[[np.ndarray, np.ndarray], np.ndarray] = _class_power,
+                tap: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] = _class_power,
                 width: int | None = None, tapped: Container[int] | None = None
                 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Kick/flight periods of every run from the field `start`, one batch row per run.
+    """Kick/flight periods of every run from the window `samples`, one batch row per run.
 
-    `start` is one run's field: an (n,) vector, or P quasimomentum classes of
-    S samples as a (P, S) array, n = P*S. A vector is one class (P = 1). Each
-    period multiplies by the run's position-space factor `kick(run)`, S
-    samples broadcast over the classes, takes the forward FFT along the last
-    axis, taps, multiplies by the momentum-space factor and takes the inverse
-    FFT, all in place. `flight` is one factor of `start`'s shape shared by
-    every run or, like `kick`, built per run. The runs propagate in chunks of
-    at most BATCH_CELLS rows x n samples, and the buffers are built once and
-    reused by every chunk.
+    The n samples span `periods` P periods of S = n/P samples. They split once into P
+    quasimomentum classes (`_period_spectrum`, `_class_field`; class r's line m is window line
+    r + P*m), of which the K sorted classes `keep` that carry all but at most CLASS_DROP_TOL of
+    the weight run (`_kept_classes`), a (K, S) field per run. Each period multiplies by the
+    run's position-space factor `kick(run)`, S samples broadcast over the classes, takes the
+    forward FFT along S, taps, multiplies by the momentum-space factor and takes the inverse
+    FFT, all in place. `flight(lines)`, called once with the kept classes' (K, S) window lines,
+    returns their factor, shared by every run, or a function of the run that builds it. The
+    runs propagate in chunks of at most BATCH_CELLS rows x max(K*S, row width) cells, on
+    buffers built once.
 
-    At each tap, a kick in `tapped` (all by default), the core squares the
-    chunk's spectrum once, into a real (rows, P, S) buffer (class r's line m
-    is the window's line r + P*m).
-    `tap(squares, rows)` reduces them into `rows`, one row of `width`
-    columns (n by default) per run, and returns each row's total: the run's
-    whole tapped power. Each row is then scaled in place by the reciprocal
-    of its total, and the core yields (index of the chunk's first run, kick,
-    spectrum, rows), one spectrum row of `start`'s shape per run. The
-    buffers are reused, so the consumer copies what it keeps. Control
-    returns at every tap, so no chunk's results pile up. The flight after
-    the last kick is skipped: the last yielded spectrum is still the last
-    kick's once the generator ends.
+    At each tap, a kick in `tapped` (all by default), the core squares the chunk's spectrum
+    into a real (rows, K, S) buffer, `tap(squares, rows, keep)` reduces them into `rows`, one
+    row of `width` columns (n by default) per run, and returns each row's total power. Each
+    row is scaled in place by the reciprocal of its total, and the core yields (index of the
+    chunk's first run, kick, (rows, K, S) spectrum, rows). The buffers are reused, so the
+    consumer copies what it keeps. The flight after the last kick is skipped: the last
+    yielded spectrum is still the last kick's once the generator ends.
 
-    Before the scaling, a row whose power, its total * dx / n by Parseval,
-    drifts from `norm` by more than NORM_TOL relative, or is not finite,
-    raises NumericalFailure with text name(run) +
-    drift_message.format(relative drift, kick); at an untapped kick, the
-    total is `_spectrum_power`'s.
+    A row whose total drifts from the kept classes' power (S times their weight, by Parseval
+    over the n window lines) by more than NORM_TOL relative, or is not finite, raises
+    NumericalFailure with text name(run) + drift_message.format(relative drift, kick); at an
+    untapped kick, the total is `_spectrum_power`'s.
     """
-    n = start.size
-    classes, s = (1, n) if start.ndim == 1 else start.shape
-    size = min(len(runs), max(1, BATCH_CELLS // n))
-    field = np.empty((size, classes, s), dtype=complex)
+    spectrum = _period_spectrum(samples, periods)
+    weights = np.sum(np.abs(spectrum) ** 2, axis=1)
+    keep, dropped = _kept_classes(weights)
+    start = _class_field(spectrum, keep)
+    width = samples.size if width is None else width
+    del spectrum, samples  # the kept classes are all the runs read
+    s = start.shape[1]
+    kept_power = s * weights.sum() * (1.0 - dropped)
+    factor = flight(keep[:, None] + periods * np.arange(s))
+    size = min(len(runs), max(1, BATCH_CELLS // max(start.size, width)))
+    field = np.empty((size, *start.shape), dtype=complex)
     squares = np.empty(field.shape)
     position = np.empty((size, 1, s), dtype=complex)
-    momentum = (np.empty_like(field) if callable(flight)
-                else np.broadcast_to(np.reshape(flight, (classes, s)), field.shape))
-    rows = np.empty((size, n if width is None else width))
-    tol = NORM_TOL * norm
+    momentum = np.empty_like(field) if callable(factor) else np.broadcast_to(factor, field.shape)
+    rows = np.empty((size, width))
     tapped = kicks if tapped is None else tapped
     for lo in range(0, len(runs), size):
         chunk = runs[lo:lo + size]
         for i, run in enumerate(chunk):
             position[i, 0] = kick(run)
-            if callable(flight):
-                momentum[i] = np.reshape(flight(run), (classes, s))
+            if callable(factor):
+                momentum[i] = factor(run)
         u, sq, pos, mom, p = (buffer[:len(chunk)] for buffer in (field, squares, position, momentum, rows))
-        u[:] = np.reshape(start, (classes, s))
-        spectrum = u.reshape(len(chunk), *start.shape)
+        u[:] = start
         for k in kicks:
             # u stays the left operand: complex SIMD multiply is not bitwise commutative
             np.multiply(u, pos, out=u)
@@ -331,16 +369,16 @@ def _split_step(start: np.ndarray, runs: Sequence[_Run], kick: Callable[[_Run], 
             if k in tapped:
                 np.abs(u, out=sq)
                 np.square(sq, out=sq)
-                totals = tap(sq, p)
+                totals = tap(sq, p, keep)
             else:
                 totals = _spectrum_power(u)
-            drift = np.abs(totals * dx / n - norm)
-            bad = np.flatnonzero(~(drift <= tol))  # NaN fails too
+            drift = np.abs(totals * (1.0 / kept_power) - 1.0)
+            bad = np.flatnonzero(~(drift <= NORM_TOL))  # NaN fails too
             if bad.size:
-                raise NumericalFailure(name(chunk[bad[0]]) + drift_message.format(drift[bad[0]] / norm, k))
+                raise NumericalFailure(name(chunk[bad[0]]) + drift_message.format(drift[bad[0]], k))
             if k in tapped:
                 p *= (1.0 / totals)[:, None]
-                yield lo, k, spectrum, p
+                yield lo, k, u, p
             if k != kicks[-1]:
                 np.multiply(u, mom, out=u)
                 np.fft.ifft(u, out=u)
@@ -356,21 +394,33 @@ def evolve(
     After each kick the momentum spectrum is handed to `record(kick, ladder)`,
     matching a far-field tap right after each mirror encounter; the free
     flight that completes the period does not change the spectrum. The core
-    stops at the last tap, so `evolve` finishes the last period itself. Aborts
-    with NumericalFailure if the norm drifts beyond 1e-8 after a kick; the
+    runs the state's kept classes and stops at the last tap, so `evolve`
+    scatters their lines back into the window spectrum (zero on the dropped
+    classes' lines) and finishes the last period there. Aborts with
+    NumericalFailure if the norm drifts beyond 1e-8 after a kick; the
     returned state validates the final norm.
     """
     grid = state.grid
     orders = _orders(grid)
-    flight = _flight_factor(_ladder_values(grid, state.beta), params.hbar)
+    q = _ladder_values(grid, state.beta)
+    kept: list[np.ndarray] = []  # the kept window lines and their flight, built once by the core
+
+    def flight(lines: np.ndarray) -> np.ndarray:
+        kept[:] = lines, _flight_factor(q[lines], params.hbar)
+        return kept[1]
+
+    x = grid.x[:grid.points_per_period]
     kicks = range(state.kick_count + 1, state.kick_count + params.n_kicks + 1)
     for _lo, k, spectrum, probs in _split_step(
-            state.amplitudes, [params], lambda run: _kick_factor(run.potential, run.hbar, grid.x),
-            flight, kicks, grid.dx, 1.0, _NORM_DRIFT, lambda _run: ""):
+            state.amplitudes, grid.periods, [params], lambda run: _kick_factor(run.potential, run.hbar, x),
+            flight, kicks, _NORM_DRIFT, lambda _run: ""):
         if record is not None:
             record(k, MomentumLadder(state.beta, orders, probs[0].copy(), params.hbar, grid.periods))
+    lines, factor = kept
+    window = np.zeros(grid.n, dtype=complex)
     # the spectrum stays the left operand, as in the core's flights
-    return replace(state, amplitudes=np.fft.ifft(spectrum[0] * flight), kick_count=kicks[-1])
+    window[lines] = spectrum[0] * factor
+    return replace(state, amplitudes=np.fft.ifft(window), kick_count=kicks[-1])
 
 
 def scan_probabilities(grid: SpatialGrid, beta: float,
@@ -383,20 +433,25 @@ def scan_probabilities(grid: SpatialGrid, beta: float,
     ladder probabilities are yielded as one (rows, n) array, one row per run,
     with ladder order j - n//2 in column j (the ascending orders of a
     MomentumLadder). Each row is bitwise the ladder `evolve` records for that
-    run alone and passes MomentumLadder's checks; only those kicks are tapped.
-    The array is the core's reused probability buffer: the consumer copies
-    what it keeps and may overwrite it. A drifting row, at any kick, raises
-    NumericalFailure naming its hbar_eff, K and the kick.
+    run alone, unchecked: a consumer that builds no ladder checks the rows
+    itself. Only those kicks are tapped. The array is the core's reused
+    probability buffer: the consumer copies what it keeps and may overwrite
+    it. A drifting row, at any kick, raises NumericalFailure naming its
+    hbar_eff, K and the kick; an empty kicks_at raises ValueError.
     """
     wanted = set(kicks_at)
-    x = grid.x
-    q = _ladder_values(grid, beta)
+    if not wanted:
+        raise ValueError("kicks_at must name at least one kick")
+    x = grid.x[:grid.points_per_period]
+
+    def flight(lines: np.ndarray) -> Callable[[tuple[RatchetPotential, EffectivePlanck]], np.ndarray]:
+        q = _ladder_values(grid, beta)[lines]
+        return lambda run: _flight_factor(q, run[1])
+
     for lo, k, _spectrum, probs in _split_step(
-            plane_wave(grid, beta).amplitudes, runs, lambda run: _kick_factor(*run, x),
-            lambda run: _flight_factor(q, run[1]), range(1, max(wanted) + 1), grid.dx, 1.0,
-            _NORM_DRIFT, lambda run: f"scan run hbar_eff={run[1].hbar_eff!r} K={run[0].K!r}: ",
-            tapped=wanted):
-        _check_probabilities(probs)
+            plane_wave(grid, beta).amplitudes, grid.periods, runs, lambda run: _kick_factor(*run, x), flight,
+            range(1, max(wanted) + 1), _NORM_DRIFT,
+            lambda run: f"scan run hbar_eff={run[1].hbar_eff!r} K={run[0].K!r}: ", tapped=wanted):
         yield lo, k, probs
 
 

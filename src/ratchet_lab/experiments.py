@@ -15,7 +15,7 @@ import numpy as np
 
 from . import observables as obs
 from .config import QUANTIZATION_SWEEP, ConfigError, RunConfig, serialize_config
-from .evolution import KickedRunParams, MomentumLadder, SpatialGrid, _orders, scan_probabilities
+from .evolution import KickedRunParams, MomentumLadder, SpatialGrid, _check_probabilities, _orders, scan_probabilities
 from .fileio import write_csv, write_pgm
 from .model import EffectivePlanck, MirrorProfile, RatchetPotential
 from .optics import (
@@ -224,12 +224,14 @@ def _scan_abs_mean_p(grid: SpatialGrid, beta: float, runs: Sequence[tuple[Ratche
                      kicks_at: Sequence[int]) -> Iterator[tuple[int, int, float]]:
     """(run index, kick, |<p>|) of every scan run, each chunk's |<p>| taken in one reduction.
 
-    Each value is bitwise abs(mean_momentum(ladder)) of the run's ladder.
+    Each chunk's rows get MomentumLadder's checks first (ValueError), as no ladder is built,
+    and each value is bitwise abs(mean_momentum(ladder)) of the run's ladder.
     """
     # the ladder value n/periods + beta of each probability column: the orders of the run's
     # MomentumLadder, through its ladder_values formula
     ladder_values = _orders(grid) / grid.periods + beta
     for lo, kick, probs in scan_probabilities(grid, beta, runs, kicks_at):
+        _check_probabilities(probs)
         means = np.abs(obs._first_moment(ladder_values, probs, out=probs)).tolist()
         for run, value in enumerate(means, start=lo):
             yield run, kick, value

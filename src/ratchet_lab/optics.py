@@ -5,22 +5,18 @@ cylindrical lens; each mirror encounter imprints the kick phase and a small
 tap of the field is imaged at the lens focal plane. Geometry arithmetic maps
 the mirror-lens distance to the effective Planck constant and back.
 
-The mirror is periodic, so a beam P mirror periods wide splits exactly into P
-quasimomentum classes of one period each, and the mirror factor and the
-Fresnel kernel are unimodular, so each class keeps its weight at every
-bounce. Every bounce run picks once, from the class weights, the K classes
-that carry all but at most CLASS_DROP_TOL of the beam (`_kept_classes`), and
-propagates only those, side by side on the split-step core, each bounce
-transforming (K, S) fields along their S samples per period instead of the
-whole window at once. The mirror is looked up once, on the window's first
-period, so a window must hold a whole number of samples per period
-(ValueError otherwise). Every bounce tap sums the kept class squares the core
-makes at each bounce straight into diffraction orders (`_order_sums`), the
-one order binning of every optical ladder; `bounce_simulation`'s tap also
-fftshifts them into the full focal-plane row of the CCD image
-(`evolution._class_power`), with exact zeros on the dropped classes' lines,
-so an image carries the ladders of the very squares its rows show. A bounce
-run hands out one `MomentumLadder`: its (kicks, orders) stack, checked once.
+The mirror is periodic, so a beam P mirror periods wide is P quasimomentum
+classes of one period each, the layout of a quantum grid of P periods. A
+bounce run hands the split-step core (`evolution._split_step`, which splits
+the beam and runs the classes that carry it) its samples and P, one period of
+the mirror reflection, looked up once on the window's first period (so a
+window must hold a whole number of samples per period; ValueError otherwise),
+and the Fresnel kernel for the lines it runs. Every bounce tap sums the class
+squares straight into diffraction orders (`_order_sums`), the one order
+binning of every optical ladder; `bounce_simulation`'s tap also fftshifts
+them into the CCD image's focal-plane row (`evolution._class_power`), so an
+image carries the ladders of the very squares its rows show. A bounce run
+hands out one `MomentumLadder`: its (kicks, orders) stack, checked once.
 """
 
 from __future__ import annotations
@@ -67,8 +63,6 @@ __all__ = [
 ]
 
 MIN_REGION_SAMPLES = 64  # narrowest constant-gradient region deflection_check probes
-# Largest share of the beam's weight a bounce may leave in the classes it does not transform.
-CLASS_DROP_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -319,52 +313,15 @@ def _order_sums(squares: np.ndarray, sums: np.ndarray, classes: np.ndarray | Non
     return sums.sum(axis=1)
 
 
-def _period_spectrum(samples: np.ndarray, periods: int) -> np.ndarray:
-    """F[r, s], the FFT over the period axis of samples.reshape(periods, S): row r is class r
-    before its phase (`_class_field`), and sum_s |F[r, s]|^2 is class r's weight."""
-    return np.fft.fft(samples.reshape(periods, -1), axis=0)
-
-
-def _class_field(spectrum: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """The beam's quasimomentum classes `classes`, as rows W[i, s] = exp(-2*pi*i*r*s/n) * F[r, s]
-    for r = classes[i], with F = `spectrum` the window's `_period_spectrum` and n = P*S.
-
-    The FFT of row r along s is the window spectrum's lines r + P*m, m = 0..S-1, and an
-    S-periodic factor multiplies every row alike, so the classes propagate independently. The
-    phase is unimodular, so each class's weight is already F's; only the given rows get it.
-    """
-    periods, s = spectrum.shape
-    field = spectrum[classes]
-    # in place, so the spectrum stays the left operand: complex SIMD multiply is not bitwise commutative
-    field *= np.exp((-2j * math.pi / (periods * s)) * np.outer(classes, np.arange(s)))
-    return field
-
-
-def _kept_classes(weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """The sorted classes a bounce transforms, from the class weights sum_s |W[r, s]|^2, and the
-    relative weight delta of the classes it drops.
-
-    The mirror factor and the Fresnel kernel are unimodular, so every class keeps its weight
-    at every bounce. The lightest classes are dropped, the lower index first among equal
-    weights, while their summed weight stays within CLASS_DROP_TOL of the whole; at least one
-    class is kept. Each unit-sum ladder entry of the kept classes then lies within
-    delta/(1 - delta) of the one all classes give, beyond rounding, at every bounce.
-    """
-    by_weight = np.argsort(weights, kind="stable")
-    dropped = np.cumsum(weights[by_weight])
-    total = weights.sum()
-    count = min(int(np.count_nonzero(dropped <= CLASS_DROP_TOL * total)), weights.size - 1)
-    return np.sort(by_weight[count:]), float(dropped[count - 1] / total) if count else 0.0
-
-
 def order_probabilities(field: BeamField, period_m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Far-field probability per grating order: the field's class squares summed into orders
-    as the bounce tap sums them (`_order_sums`)."""
+    """Far-field probability per grating order: the squares of the field's window spectrum,
+    read in class layout (line r + P*m at [r, m]), summed into orders as the bounce tap sums
+    them (`_order_sums`)."""
     periods = window_periods_of(field, period_m)
     orders = _window_orders(field.samples.size, periods)
     sums = np.empty((1, orders.size))
-    waves = _class_field(_period_spectrum(field.samples, periods), np.arange(periods))
-    total = _order_sums(np.abs(np.fft.fft(waves))[None] ** 2, sums)
+    squares = np.abs(np.fft.fft(field.samples)) ** 2
+    total = _order_sums(squares.reshape(-1, periods).T[None], sums)
     return orders, sums[0] * (1.0 / total[0])
 
 
@@ -384,27 +341,19 @@ def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamF
             name: Callable[[MirrorProfile], str], image: np.ndarray | None = None) -> list[MomentumLadder]:
     """The (kicks, orders) order ladder stack of one bounce run per mirror, one batch row each.
 
-    The mirror is periodic, so the beam of P mirror periods runs as P
-    independent quasimomentum classes of S = n/P samples (`_class_field`):
-    each reflects off the mirror's factor on one period, and each bounce
-    transforms (K, S) fields along S. The classes to run are picked once,
-    before any bounce, from the class weights (`_kept_classes`), which the
-    FFT over the period axis of the whole window gives (`_period_spectrum`):
-    the K classes that carry all but at most CLASS_DROP_TOL of the beam.
-    Only those K rows get the class phase (`_class_field`), and the Fresnel
-    kernel is built once, for their lines r + P*m alone, in class layout:
-    both are bitwise the window-wide ones gathered at the kept classes. The
-    split-step core bounces them n_kicks times off each mirror, and its
-    Parseval guard takes their power as its norm. At each bounce the tap sums the chunk's
-    (rows, K, S) kept class squares into orders (`_order_sums`, given the
-    kept classes), one row per mirror, and the core scales the sums to unit
-    sum. Every tap's rows go into one (mirrors, kicks, orders) buffer, whose
-    mirror slices become the stacks, checked once and sharing one read-only
-    orders array. The focal-plane transform is also the forward transform of
-    the flight. `image`, given for a batch of one mirror, is an (n_kicks, n)
-    buffer the tap fills with each bounce's fftshifted focal-plane row
-    (`evolution._class_power`): the kept squares on their lines, exact zeros
-    on the dropped classes' lines, scaled by its own total to unit sum.
+    The split-step core splits the beam of P mirror periods into its
+    quasimomentum classes and bounces the K that carry it n_kicks times off
+    each mirror: each class reflects off the mirror's factor on one period,
+    and the Fresnel kernel is built once, for the kept lines alone. At each
+    bounce the tap sums the chunk's (rows, K, S) kept class squares into
+    orders (`_order_sums`), one row per mirror, which the core scales to unit
+    sum, into one (mirrors, kicks, orders) buffer whose mirror slices become
+    the stacks, checked once and sharing one read-only orders array. The
+    focal-plane transform is also the forward transform of the flight.
+    `image`, given for a batch of one mirror, is an (n_kicks, n) buffer the
+    tap fills with each bounce's fftshifted focal-plane row
+    (`evolution._class_power`: exact zeros on the dropped classes' lines),
+    scaled by its own total to unit sum.
 
     Before any transform, raises ValueError unless n_kicks >= 1, the beam's
     wavelength is the geometry's, every mirror's period is the geometry's,
@@ -425,27 +374,21 @@ def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamF
     periods = window_periods_of(beam, geom.period_m)
     orders = _window_orders(beam.samples.size, periods)
     orders.flags.writeable = False
-    hbar = hbar_from_geometry(geom)
-    spectrum = _period_spectrum(beam.samples, periods)
-    keep, dropped = _kept_classes(np.sum(np.abs(spectrum) ** 2, axis=1))
-    kernel = _fresnel_kernel(beam, geom.distance_m, keep[:, None] + periods * np.arange(spectrum.shape[1]))
-    lines = None if image is None else np.zeros((1, *spectrum.shape))  # dropped classes' lines stay 0
     rows = iter(() if image is None else image[:, None])  # bounce k fills row k-1
 
-    def tap(squares: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        if lines is not None:
+    def tap(squares: np.ndarray, sums: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        if image is not None:
             row = next(rows)
-            lines[:, keep] = squares
-            row *= 1.0 / evolution._class_power(lines, row)
+            row *= 1.0 / evolution._class_power(squares, row, keep)
         return _order_sums(squares, sums, keep, periods)
 
     stacks = np.empty((len(mirrors), n_kicks, orders.size))
-    # Parseval over the window's P*S lines: the core divides by the K*S it runs, so dx scales by K/P
     for lo, k, _spectrum, probs in evolution._split_step(
-            _class_field(spectrum, keep), mirrors, lambda mirror: _reflection_factor(beam, mirror), kernel,
-            range(1, n_kicks + 1), beam.dx * (keep.size / periods), beam.power * (1.0 - dropped),
+            beam.samples, periods, mirrors, lambda mirror: _reflection_factor(beam, mirror),
+            lambda lines: _fresnel_kernel(beam, geom.distance_m, lines), range(1, n_kicks + 1),
             "beam power drifted by {:.3e} (relative) at bounce {}", name, tap, orders.size):
         stacks[lo:lo + len(probs), k - 1] = probs
+    hbar = hbar_from_geometry(geom)
     return [MomentumLadder(0.0, orders, stack, hbar) for stack in stacks]
 
 

@@ -210,8 +210,26 @@ def test_exact_resonances_match_closed_forms_over_long_runs(k, alpha, phi, n_kic
 
 
 def test_evolve_takes_two_ffts_per_kick(pot, hbar_res, fft_calls):
+    # and one forward transform over the period axis that splits the state into its classes
     evolve(plane_wave(GRID), KickedRunParams(pot, hbar_res, 7), lambda k, lad: None)
-    assert (fft_calls["fft"], fft_calls["ifft"]) == (7, 7)
+    assert (fft_calls["fft"], fft_calls["ifft"]) == (1 + 7, 7)
+
+
+def test_evolve_from_the_plane_wave_writes_zeros_on_the_other_classes(pot, hbar_res):
+    # the plane wave is class 0 alone: every line of the classes r != 0 is an exact zero in
+    # every recorded ladder, and class 0 is the one-period run to rounding
+    grid = SpatialGrid(16, 256)
+    ladders = []
+    out = evolve(plane_wave(grid), KickedRunParams(pot, hbar_res, 22), lambda k, lad: ladders.append(lad))
+    others = ladders[0].orders % 16 != 0
+    assert others.sum() == 15 * 256
+    for ladder in ladders:
+        assert not ladder.probabilities[others].any()
+    single = []
+    evolve(plane_wave(SpatialGrid(1, 256)), KickedRunParams(pot, hbar_res, 22), lambda k, lad: single.append(lad))
+    for ladder, one in zip(ladders, single):
+        assert np.max(np.abs(ladder.probabilities[~others] - one.probabilities)) < 1e-14
+    assert abs(out.norm - 1.0) < 1e-12
 
 
 def test_evolve_norm_guard_names_the_kick(pot, hbar_res, monkeypatch):
@@ -316,6 +334,11 @@ def test_scan_norm_guard_names_the_row(pot, monkeypatch, rows):
 
 
 
+def test_scan_without_kicks_names_kicks_at(pot, hbar_res):
+    with pytest.raises(ValueError, match="^kicks_at must name at least one kick$"):
+        list(scan_probabilities(GRID, 0.0, [(pot, hbar_res)], []))
+
+
 def test_scan_norm_guard_reads_an_untapped_nan(pot, monkeypatch):
     import ratchet_lab.evolution as evolution
 
@@ -338,9 +361,9 @@ def test_scan_taps_only_its_kicks_and_guards_every_kick(tmp_path, monkeypatch):
     split_step, spectrum_power = evolution._split_step, evolution._spectrum_power
 
     def spy_split_step(*args, tap=_class_power, **kwargs):
-        def spy_tap(squares, rows):
+        def spy_tap(squares, rows, classes):
             events.append("tap")
-            return tap(squares, rows)
+            return tap(squares, rows, classes)
 
         for item in split_step(*args, tap=spy_tap, **kwargs):
             events.append(item[1])
@@ -404,10 +427,10 @@ def test_core_rows_are_the_unit_sum_formula_bitwise(monkeypatch, n):
     flight = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=n))
     taps = 0
     for lo, _k, spectrum, probs in evolution._split_step(
-            start, range(5), lambda run: np.exp(1j * phases[run]), flight, range(1, 4), 1.0,
-            float(np.sum(np.abs(start) ** 2)), evolution._NORM_DRIFT, lambda _run: ""):
-        assert probs.shape == spectrum.shape == (min(2, 5 - lo), n)
-        for field, row in zip(spectrum, probs):
+            start, 1, range(5), lambda run: np.exp(1j * phases[run]), lambda lines: flight[lines], range(1, 4),
+            evolution._NORM_DRIFT, lambda _run: ""):
+        assert probs.shape == spectrum.shape[::2] == (min(2, 5 - lo), n) and spectrum.shape[1] == 1
+        for field, row in zip(spectrum[:, 0], probs):
             power = np.abs(np.fft.fftshift(field)) ** 2
             assert row.tobytes() == (power * (1.0 / power.sum())).tobytes()
             taps += 1
@@ -416,7 +439,8 @@ def test_core_rows_are_the_unit_sum_formula_bitwise(monkeypatch, n):
 
 @pytest.mark.parametrize("bad", [np.nan, -1e-9, 0.5])
 def test_scan_rows_get_the_ladder_checks(pot, hbar_res, monkeypatch, bad):
-    # a corrupted entry in the last row fails as MomentumLadder fails it, with the same message
+    # a corrupted entry in the last row fails the scan's statistics, which build no ladder, as
+    # MomentumLadder fails it, with the same message
     import ratchet_lab.evolution as evolution
 
     split_step = evolution._split_step
@@ -430,7 +454,7 @@ def test_scan_rows_get_the_ladder_checks(pot, hbar_res, monkeypatch, bad):
 
     monkeypatch.setattr(evolution, "_split_step", corrupted)
     with pytest.raises(ValueError) as scanned:
-        list(scan_probabilities(GRID, 0.0, [(pot, hbar_res)] * 3, (2,)))
+        list(_scan_abs_mean_p(GRID, 0.0, [(pot, hbar_res)] * 3, (2,)))
     with pytest.raises(ValueError) as single:
         MomentumLadder(beta=0.0, orders=np.arange(GRID.n), probabilities=rows[-1])
     assert str(scanned.value) == str(single.value)

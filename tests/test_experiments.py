@@ -222,11 +222,12 @@ def test_fig4_csv_independent_of_chunking(tmp_path, monkeypatch, fft_calls, rows
     # 2 modes x 11 hbar values = 22 rows: one batch, then chunks of 1 or 3 (7 x 3 + 1)
     cfg = cfg_with(scan_mode="both", scan_hbar_min="0.1pi", scan_hbar_max="1.1pi",
                    scan_hbar_step="0.1pi", scan_kicks_at="5,2")
+    # each scan takes one forward transform over the period axis that splits the plane wave
     run_fig4(cfg, tmp_path / "batch")
-    assert fft_calls["fft"] == 5
+    assert fft_calls["fft"] == 1 + 5
     monkeypatch.setattr(evolution, "BATCH_CELLS", rows * cfg.grid().n)
     run_fig4(cfg, tmp_path / "chunked")
-    assert fft_calls["fft"] == 5 + 5 * math.ceil(22 / rows)
+    assert fft_calls["fft"] == 1 + 5 + 1 + 5 * math.ceil(22 / rows)
     batch = (tmp_path / "batch" / "fig4_scan.csv").read_bytes()
     assert (tmp_path / "chunked" / "fig4_scan.csv").read_bytes() == batch
 
@@ -279,8 +280,9 @@ def test_compare_engines_report(tmp_path, monkeypatch, fft_calls):
     assert batches == [["continuous", *QUANTIZATION_SWEEP]]
     assert len(batches[0]) == COMPARE_MIRRORS
     # 22 kicks of the quantum run and 22 bounces of the batch (22 + 21 each: no flight after
-    # the last tap), and one forward transform that splits the beam into its quasimomentum classes
-    assert (fft_calls["fft"], fft_calls["ifft"]) == (45, 42)
+    # the last tap), and per run one forward transform that splits the quantum state or the
+    # beam into its quasimomentum classes
+    assert (fft_calls["fft"], fft_calls["ifft"]) == (46, 42)
     assert max(report["per_kick_linf"]) < 1e-2
     sweep = report["sweep_tv"]
     values = [sweep[n] for n in (2, 4, 8, 16, 32, 64)]
@@ -385,8 +387,8 @@ def corrupt_taps(monkeypatch, value):
         bound.apply_defaults()
         tap = bound.arguments["tap"]
 
-        def bad_tap(squares, rows):
-            totals = tap(squares, rows)
+        def bad_tap(squares, rows, classes):
+            totals = tap(squares, rows, classes)
             rows[:, 1] += rows[:, 0] - value * totals
             rows[:, 0] = value * totals
             return totals
@@ -419,6 +421,17 @@ def test_a_tapped_row_that_is_negative_or_nan_raises_where_the_stack_is_built(mo
     corrupt_taps(monkeypatch, value)
     with pytest.raises(ValueError, match="^probabilities must be non-negative$"):
         STACK_RUNS[run](cfg)
+
+
+@pytest.mark.parametrize("value", [-1e-3, math.nan], ids=["negative", "nan"])
+def test_a_tapped_scan_row_that_is_negative_or_nan_raises_from_run_fig4(tmp_path, monkeypatch, value):
+    # the scan builds no ladder, so its statistics check each tapped block themselves
+    cfg = cfg_with(scan_hbar_min="0.2pi", scan_hbar_max="1.0pi", scan_hbar_step="0.2pi", scan_kicks_at="2,5")
+    run_fig4(cfg, tmp_path / "clean")  # the scan passes unpatched
+    corrupt_taps(monkeypatch, value)
+    with pytest.raises(ValueError, match="^probabilities must be non-negative$"):
+        run_fig4(cfg, tmp_path / "corrupt")
+    assert not (tmp_path / "corrupt" / "fig4_scan.csv").exists()
 
 
 def assert_rows_are_the_single_row_stats_bitwise(stats, stack):

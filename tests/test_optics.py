@@ -545,36 +545,67 @@ def test_bounce_ladders_tap_is_the_order_sum_reference_bitwise(monkeypatch, wind
 # --- kept quasimomentum classes ---------------------------------------------------
 
 
-def kept_classes_of(beam, periods):
-    """(class weights, kept classes, dropped relative weight) of a beam, as `_bounce` picks them."""
-    import ratchet_lab.optics as optics
+def kept_classes_of(samples, periods):
+    """(class weights, kept classes, dropped relative weight) of window samples over `periods`,
+    as the core picks them."""
+    import ratchet_lab.evolution as evolution
 
-    weights = np.sum(np.abs(optics._period_spectrum(beam.samples, periods)) ** 2, axis=1)
-    return (weights, *optics._kept_classes(weights))
+    weights = np.sum(np.abs(evolution._period_spectrum(samples, periods)) ** 2, axis=1)
+    return (weights, *evolution._kept_classes(weights))
 
 
-@pytest.mark.parametrize("width_periods, window_periods, kept",
-                         [(1, 16, 16), (5, 64, 33), (64, 512, 21)])
-def test_kept_classes_hold_every_ladder_within_the_certificate(width_periods, window_periods, kept):
-    # Dropping classes of relative weight delta moves each unit-sum ladder entry by at most
-    # delta/(1 - delta) beyond rounding, at every bounce: checked against the full-class
-    # composition. The kept set is the smallest whose dropped weight is within the tolerance.
-    import ratchet_lab.optics as optics
-
+def beam_certificate_run(width_periods, window_periods):
+    """(samples, P, 22-bounce ladder stack, reference orders and ladders) of a beam run; the
+    reference composes every class."""
     geom, mirror, beam = bounce_case(0.5 * math.pi, window_periods, 128, width_periods=width_periods)
-    weights, keep, dropped = kept_classes_of(beam, window_periods)
+    (ladders,) = bounce_ladders(geom, [mirror], beam, 22)
+    orders, sums = order_sums_reference(class_stepwise_squares(geom, mirror, beam, 22))
+    return beam.samples, window_periods, ladders, orders, sums * (1.0 / sums.sum(axis=1))[:, None]
+
+
+def quantum_certificate_run(periods, order_amps):
+    """(samples, P, 22-kick ladder stack, reference orders and ladders) of a quantum run from
+    the ladder rungs `order_amps` (rung o is in class o mod P); the reference is the step
+    composition over the whole window, which never splits."""
+    from ratchet_lab.evolution import KickedRunParams, evolve, free_step, state_from_orders
+
+    pot, hbar = RatchetPotential(), EffectivePlanck(0.35 * math.pi)
+    state = start = state_from_orders(SpatialGrid(periods, 64), order_amps, beta=0.15)
+    rows, full = [], []
+    evolve(state, KickedRunParams(pot, hbar, 22), lambda k, lad: rows.append(lad))
+    for _ in range(22):
+        state = kick_step(state, pot, hbar)
+        full.append(momentum_spectrum(state).probabilities)
+        state = free_step(state, hbar)
+    ladders = MomentumLadder(start.beta, rows[0].orders, np.stack([lad.probabilities for lad in rows]))
+    return start.amplitudes, periods, ladders, rows[0].orders, np.stack(full)
+
+
+@pytest.mark.parametrize("run, args, kept", [
+    pytest.param(beam_certificate_run, (1, 16), 16, id="1-16-16"),
+    pytest.param(beam_certificate_run, (5, 64), 33, id="5-64-33"),
+    pytest.param(beam_certificate_run, (64, 512), 21, id="64-512-21"),
+    # one class of each state weighs near the tolerance, and is dropped
+    pytest.param(quantum_certificate_run, (4, {0: 1.0, 1: 0.6j, -1: 2e-8}), 2, id="quantum-4-2"),
+    pytest.param(quantum_certificate_run, (16, {0: 1.0, -3: 0.5, 5: 0.3j, 9: 1.5e-8, 25: 1e-8}), 3,
+                 id="quantum-16-3"),
+])
+def test_kept_classes_hold_every_ladder_within_the_certificate(run, args, kept):
+    # Dropping classes of relative weight delta moves each unit-sum ladder entry by at most
+    # delta/(1 - delta) beyond rounding, at every bounce or kick: checked against the run of
+    # every class. The kept set is the smallest whose dropped weight is within the tolerance.
+    import ratchet_lab.evolution as evolution
+
+    samples, periods, ladders, orders, full = run(*args)
+    weights, keep, dropped = kept_classes_of(samples, periods)
     assert keep.size == kept
-    rest = np.setdiff1d(np.arange(window_periods), keep)
+    rest = np.setdiff1d(np.arange(periods), keep)
     delta = weights[rest].sum() / weights.sum()
-    assert delta <= optics.CLASS_DROP_TOL
+    assert delta <= evolution.CLASS_DROP_TOL
     assert dropped == pytest.approx(delta, rel=1e-9, abs=0.0)
-    assert weights[rest].sum() + weights[keep].min() > optics.CLASS_DROP_TOL * weights.sum()
-    n_kicks = 22
-    (ladders,) = bounce_ladders(geom, [mirror], beam, n_kicks)
-    orders, sums = order_sums_reference(class_stepwise_squares(geom, mirror, beam, n_kicks))
-    full = sums * (1.0 / sums.sum(axis=1))[:, None]
+    assert weights[rest].sum() + weights[keep].min() > evolution.CLASS_DROP_TOL * weights.sum()
     bound = delta / (1.0 - delta) + 1e-15
-    assert ladders.probabilities.shape == full.shape == (n_kicks, orders.size)
+    assert ladders.probabilities.shape == full.shape == (22, orders.size)
     assert ladders.orders.tobytes() == orders.tobytes()
     assert np.max(np.abs(ladders.probabilities - full)) <= bound
 
@@ -584,7 +615,7 @@ def test_bounce_image_runs_the_kept_classes_bitwise():
     # kept classes, with exact zeros on the dropped classes' lines, and carries the ladders
     # bounce_ladders gives for the same mirror in a batch
     geom, mirror, beam = bounce_case(0.35 * math.pi, 64, 128, width_periods=5)
-    _, keep, dropped = kept_classes_of(beam, 64)
+    _, keep, dropped = kept_classes_of(beam.samples, 64)
     assert keep.size == 33 and dropped > 0.0
     image = bounce_simulation(geom, mirror, beam, 6)
     assert np.array_equal(image.rows, class_stepwise_rows(geom, mirror, beam, 6, keep))
@@ -606,7 +637,7 @@ def test_bounce_that_drops_nothing_is_the_full_class_composition_bitwise(window_
     # ladders are bitwise the full-class reference
     geom, mirror, beam = bounce_case(0.35 * math.pi, window_periods, samples_per_period,
                                      width_periods=width_periods)
-    _, keep, dropped = kept_classes_of(beam, window_periods)
+    _, keep, dropped = kept_classes_of(beam.samples, window_periods)
     assert keep.tolist() == list(range(window_periods)) and dropped == 0.0
     (ladders,) = bounce_ladders(geom, [mirror], beam, 8)
     orders, sums = order_sums_reference(class_stepwise_squares(geom, mirror, beam, 8))
@@ -623,7 +654,7 @@ def test_plane_wave_beam_runs_class_zero_alone(pot, hbar_res):
     mirror = ratchet_mirror(pot, hbar_from_geometry(geom), LAM, PERIOD, 128)
     for periods in (8, 9, 16):
         beam = plane_wave_beam(PERIOD, periods, 128, LAM)
-        weights, keep, dropped = kept_classes_of(beam, periods)
+        weights, keep, dropped = kept_classes_of(beam.samples, periods)
         assert keep.tolist() == [0] and dropped <= 1e-30
         (optical,) = bounce_ladders(geom, [mirror], beam, 12)
         quantum = []
@@ -641,11 +672,12 @@ def test_kept_class_setup_is_the_window_wide_one_gathered_bitwise(window_periods
     # window-wide ones (the (P, S) phase over every class, `np.fft.fftfreq` over every line)
     # gathered at those classes; on the odd 9 x 65 window line 292 = 4 + 9*32 is the last one
     # counted non-negative
+    import ratchet_lab.evolution as evolution
     import ratchet_lab.optics as optics
 
     geom, _, beam = bounce_case(0.5 * math.pi, window_periods, samples_per_period, width_periods=width_periods)
     n, periods, s = beam.samples.size, window_periods, samples_per_period
-    spectrum = optics._period_spectrum(beam.samples, periods)
+    spectrum = evolution._period_spectrum(beam.samples, periods)
     # in place, the spectrum the left operand: complex SIMD multiply is not bitwise commutative,
     # and numpy may compute `spectrum * <temporary>` in the temporary's buffer, operands swapped
     phased = spectrum.copy()
@@ -653,10 +685,10 @@ def test_kept_class_setup_is_the_window_wide_one_gathered_bitwise(window_periods
     fx = np.fft.fftfreq(n, d=beam.dx)
     window_kernel = np.exp(-1j * math.pi * beam.wavelength_m * geom.distance_m * fx * fx)
     assert optics._fresnel_kernel(beam, geom.distance_m).tobytes() == window_kernel.tobytes()
-    _, keep, _ = kept_classes_of(beam, periods)
+    _, keep, _ = kept_classes_of(beam.samples, periods)
     for classes in (keep, np.arange(periods), np.arange(1, periods, 3)):
         lines = classes[:, None] + periods * np.arange(s)
-        assert optics._class_field(spectrum, classes).tobytes() == phased[classes].tobytes()
+        assert evolution._class_field(spectrum, classes).tobytes() == phased[classes].tobytes()
         got = optics._fresnel_kernel(beam, geom.distance_m, lines)
         assert got.shape == (classes.size, s)
         assert got.tobytes() == window_kernel.reshape(s, periods).T[classes].tobytes()
@@ -664,15 +696,15 @@ def test_kept_class_setup_is_the_window_wide_one_gathered_bitwise(window_periods
 
 
 def test_kept_classes_break_ties_by_index():
-    import ratchet_lab.optics as optics
+    import ratchet_lab.evolution as evolution
 
     # three equal light classes, of which the tolerance lets one go: the lowest index
     weights = np.array([1.0, 6e-16, 6e-16, 6e-16])
     for _ in range(2):
-        keep, dropped = optics._kept_classes(weights)
+        keep, dropped = evolution._kept_classes(weights)
         assert keep.tolist() == [0, 2, 3] and dropped == 6e-16 / weights.sum()
     # equal heavy classes all stay, and empty classes all go
-    keep, dropped = optics._kept_classes(np.array([0.0, 0.25, 0.0, 0.25, 0.25, 0.25]))
+    keep, dropped = evolution._kept_classes(np.array([0.0, 0.25, 0.0, 0.25, 0.25, 0.25]))
     assert keep.tolist() == [1, 3, 4, 5] and dropped == 0.0
 
 
@@ -681,18 +713,18 @@ def test_kept_classes_break_ties_by_index():
                         | st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40)
        .filter(lambda w: max(w) > 0))
 def test_kept_classes_are_the_smallest_sorted_set_within_the_tolerance(weights):
-    import ratchet_lab.optics as optics
+    import ratchet_lab.evolution as evolution
 
     weights = np.array(weights)
-    keep, dropped = optics._kept_classes(weights)
+    keep, dropped = evolution._kept_classes(weights)
     assert keep.size >= 1 and np.all(np.diff(keep) > 0) and 0 <= keep[0] and keep[-1] < weights.size
     rest = np.setdiff1d(np.arange(weights.size), keep)
     total = weights.sum()
-    assert weights[rest].sum() <= optics.CLASS_DROP_TOL * total * (1 + 1e-9)
+    assert weights[rest].sum() <= evolution.CLASS_DROP_TOL * total * (1 + 1e-9)
     assert dropped == pytest.approx(weights[rest].sum() / total, rel=1e-9, abs=0.0)
     # one more kept class, the lightest, would overflow the tolerance
-    assert weights[rest].sum() + weights[keep].min() > optics.CLASS_DROP_TOL * total * (1 - 1e-9)
-    assert keep.tobytes() == optics._kept_classes(weights)[0].tobytes()
+    assert weights[rest].sum() + weights[keep].min() > evolution.CLASS_DROP_TOL * total * (1 - 1e-9)
+    assert keep.tobytes() == evolution._kept_classes(weights)[0].tobytes()
 
 
 @settings(max_examples=200, deadline=None)
