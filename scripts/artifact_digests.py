@@ -23,6 +23,8 @@ from ratchet_lab.cli import main as cli_main
 
 ARGVS = (
     ("figs", "--hbar=0.5pi"),
+    # the beam engine alone: fig 2's two bounce runs, one batch, write the fig2_{a,b} panels
+    ("figs", "--hbar=0.5pi", "--engine=optical"),
     ("scan", "--hbar=0.5pi", "--scan_mode=fixed-kick-phase"),
     ("scan", "--hbar=0.5pi", "--scan_mode=both"),
     ("compare", "--hbar=0.5pi"),

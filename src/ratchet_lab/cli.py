@@ -37,11 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     # no abbreviations: --config and --out have one spelling each
     parser = argparse.ArgumentParser(prog="ratchet-lab", description="Delta-kicked ratchet simulator",
                                      allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, allow_abbrev=False)
-        p.add_argument("--config", default=None, help="key=value configuration file")
-        p.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("--config", default=None, help="key=value configuration file")
+    parser.add_argument("--out", required=True, help="output directory")
     return parser
 
 

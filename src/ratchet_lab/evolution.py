@@ -29,7 +29,7 @@ from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .model import EffectivePlanck, RatchetPotential, kick_phase_profile
+from .model import EffectivePlanck, RatchetPotential, _kick_phase, eval_potential, kick_phase_profile
 
 __all__ = [
     "NumericalFailure",
@@ -241,24 +241,29 @@ def momentum_spectrum(state: WaveState, hbar: EffectivePlanck | None = None) -> 
     return MomentumLadder(state.beta, _orders(state.grid), probs, hbar, state.grid.periods)
 
 
-def _class_power(squares: np.ndarray, power: np.ndarray, classes: np.ndarray | None = None) -> np.ndarray:
+def _class_power(squares: np.ndarray, power: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
     """Fill `power` with the fftshifted window power of class squares, zero order at column
     n//2, and return its sums along the last axis: the core's default tap, and the one fftshift.
 
-    squares is (rows, K, S) for (rows, n = P*S) rows, or (K, S) for one row, of the sorted
-    `classes` of P = n/S (all, by default). Class r's line m is window line k = r + P*m, so the
-    squares with their last two axes swapped are the window lines in FFT order (exact zeros on
-    the other classes' lines); two slice copies fftshift them, line k to column (k + n//2) mod n.
+    squares is (rows, K, S) for (rows, n = P*S) rows, or (K, S) for one row, of K of the P = n/S
+    classes: all, in order, by default, or those whose line m goes to column columns[i, m].
+    Class r's line m is window line k = r + P*m, which the fftshift moves to column
+    (k + n//2) mod n. With every class, the squares with their last two axes swapped are the
+    window lines in FFT order, and two slice copies shift them. With fewer, each row's squares
+    go straight into its columns, and every other column of `power` must hold zero already, as
+    a row zeroed once per run does; each sum still runs over the full row.
     """
-    n, s = power.shape[-1], squares.shape[-1]
-    h = n // 2  # the last h lines move to the front
-    if classes is None or classes.size == n // s:
+    n = power.shape[-1]
+    if columns is None or columns.size == n:
+        h = n // 2  # the last h lines move to the front
         lines = squares.swapaxes(-1, -2).reshape(power.shape)
+        power[..., :h] = lines[..., n - h:]
+        power[..., h:] = lines[..., :n - h]
     else:
-        lines = np.zeros(power.shape)
-        lines.reshape(*power.shape[:-1], s, n // s)[..., classes] = squares.swapaxes(-1, -2)
-    power[..., :h] = lines[..., n - h:]
-    power[..., h:] = lines[..., :n - h]
+        flat = columns.reshape(-1)
+        # one flat index per row: numpy scatters it 2-3 times faster than a (K, S) index
+        for row, kept in zip(power.reshape(-1, n), squares.reshape(-1, flat.size)):
+            row[flat] = kept
     return power.sum(axis=-1)
 
 
@@ -322,15 +327,18 @@ def _split_step(samples: np.ndarray, periods: int, runs: Sequence[_Run], kick: C
     forward FFT along S, taps, multiplies by the momentum-space factor and takes the inverse
     FFT, all in place. `flight(lines)`, called once with the kept classes' (K, S) window lines,
     returns their factor, shared by every run, or a function of the run that builds it. The
-    runs propagate in chunks of at most BATCH_CELLS rows x max(K*S, row width) cells, on
-    buffers built once.
+    runs propagate in chunks of at most BATCH_CELLS rows x max(K*S, row width) cells, in run
+    order, on buffers built once.
 
     At each tap, a kick in `tapped` (all by default), the core squares the chunk's spectrum
-    into a real (rows, K, S) buffer, `tap(squares, rows, keep)` reduces them into `rows`, one
-    row of `width` columns (n by default) per run, and returns each row's total power. Each
-    row is scaled in place by the reciprocal of its total, and the core yields (index of the
-    chunk's first run, kick, (rows, K, S) spectrum, rows). The buffers are reused, so the
-    consumer copies what it keeps. The flight after the last kick is skipped: the last
+    into a real (rows, K, S) buffer, `tap(squares, rows, columns)` reduces them into `rows`,
+    one row of `width` columns (n by default) per run, zeroed once, and returns each row's
+    total power; `columns` (K, S), built once, is the fftshifted column (line + n//2) mod n of
+    each kept line. Each row is scaled in place by the reciprocal of its total, and the core
+    yields (index of the chunk's first run, kick, (rows, K, S) spectrum, rows). The buffers
+    are reused, so the consumer copies what it keeps. The default tap writes only the kept
+    lines' columns, so a consumer that overwrites the rows must leave their zeros zero (a
+    product with finite values does). The flight after the last kick is skipped: the last
     yielded spectrum is still the last kick's once the generator ends.
 
     A row whose total drifts from the kept classes' power (S times their weight, by Parseval
@@ -338,21 +346,24 @@ def _split_step(samples: np.ndarray, periods: int, runs: Sequence[_Run], kick: C
     NumericalFailure with text name(run) + drift_message.format(relative drift, kick); at an
     untapped kick, the total is `_spectrum_power`'s.
     """
+    n = samples.size
     spectrum = _period_spectrum(samples, periods)
     weights = np.sum(np.abs(spectrum) ** 2, axis=1)
     keep, dropped = _kept_classes(weights)
     start = _class_field(spectrum, keep)
-    width = samples.size if width is None else width
+    width = n if width is None else width
     del spectrum, samples  # the kept classes are all the runs read
     s = start.shape[1]
     kept_power = s * weights.sum() * (1.0 - dropped)
-    factor = flight(keep[:, None] + periods * np.arange(s))
+    lines = keep[:, None] + periods * np.arange(s)
+    factor = flight(lines)
+    columns = (lines + n // 2) % n
     size = min(len(runs), max(1, BATCH_CELLS // max(start.size, width)))
     field = np.empty((size, *start.shape), dtype=complex)
     squares = np.empty(field.shape)
     position = np.empty((size, 1, s), dtype=complex)
     momentum = np.empty_like(field) if callable(factor) else np.broadcast_to(factor, field.shape)
-    rows = np.empty((size, width))
+    rows = np.zeros((size, width))
     tapped = kicks if tapped is None else tapped
     for lo in range(0, len(runs), size):
         chunk = runs[lo:lo + size]
@@ -369,7 +380,7 @@ def _split_step(samples: np.ndarray, periods: int, runs: Sequence[_Run], kick: C
             if k in tapped:
                 np.abs(u, out=sq)
                 np.square(sq, out=sq)
-                totals = tap(sq, p, keep)
+                totals = tap(sq, p, columns)
             else:
                 totals = _spectrum_power(u)
             drift = np.abs(totals * (1.0 / kept_power) - 1.0)
@@ -436,20 +447,30 @@ def scan_probabilities(grid: SpatialGrid, beta: float,
     run alone, unchecked: a consumer that builds no ladder checks the rows
     itself. Only those kicks are tapped. The array is the core's reused
     probability buffer: the consumer copies what it keeps and may overwrite
-    it. A drifting row, at any kick, raises NumericalFailure naming its
-    hbar_eff, K and the kick; an empty kicks_at raises ValueError.
+    it as `_split_step` allows. The potential v(x) is built once per (alpha,
+    phi) of the runs, and each run's kick phase scales it by -K/hbar_eff. A
+    drifting row, at any kick, raises NumericalFailure naming its hbar_eff, K
+    and the kick; an empty kicks_at raises ValueError.
     """
     wanted = set(kicks_at)
     if not wanted:
         raise ValueError("kicks_at must name at least one kick")
     x = grid.x[:grid.points_per_period]
+    profiles: dict[tuple[float, float], np.ndarray] = {}
+
+    def kick(run: tuple[RatchetPotential, EffectivePlanck]) -> np.ndarray:
+        pot, hbar = run
+        v = profiles.get((pot.alpha, pot.phi))
+        if v is None:
+            v = profiles[pot.alpha, pot.phi] = eval_potential(pot, x)
+        return np.exp(1j * _kick_phase(pot, hbar, v))
 
     def flight(lines: np.ndarray) -> Callable[[tuple[RatchetPotential, EffectivePlanck]], np.ndarray]:
         q = _ladder_values(grid, beta)[lines]
         return lambda run: _flight_factor(q, run[1])
 
     for lo, k, _spectrum, probs in _split_step(
-            plane_wave(grid, beta).amplitudes, grid.periods, runs, lambda run: _kick_factor(*run, x), flight,
+            plane_wave(grid, beta).amplitudes, grid.periods, runs, kick, flight,
             range(1, max(wanted) + 1), _NORM_DRIFT,
             lambda run: f"scan run hbar_eff={run[1].hbar_eff!r} K={run[0].K!r}: ", tapped=wanted):
         yield lo, k, probs

@@ -22,6 +22,7 @@ from .optics import (
     BeamField,
     FarFieldImage,
     OpticalGeometry,
+    _bounce_images,
     bounce_ladders,
     bounce_simulation,
     distance_for_hbar,
@@ -54,30 +55,51 @@ FIG3_TAGS = ("res", "offres")  # fig 3's runs, at fig 2's two hbar_eff values in
 FIG3_MIN_KICKS = 4
 
 
+def _quantum_stacks(cfg: RunConfig, hbar_effs: Sequence[float], n_kicks: int) -> list[MomentumLadder]:
+    """The split-step engine's (n_kicks, n) spectrum stack from the standard plane wave per
+    hbar_eff: one `scan_probabilities` batch tapped at every kick into one (runs, n_kicks, n)
+    stack, whose run slices are the ladders, each row bitwise the ladder `evolve` records."""
+    grid = cfg.grid()
+    pot = cfg.potential()
+    runs = [KickedRunParams(pot, EffectivePlanck(hbar_eff), n_kicks) for hbar_eff in hbar_effs]
+    stacks = np.empty((len(runs), n_kicks, grid.n))
+    for lo, k, probs in scan_probabilities(grid, cfg.beta, [(run.potential, run.hbar) for run in runs],
+                                           range(1, n_kicks + 1)):
+        stacks[lo:lo + len(probs), k - 1] = probs
+    orders = _orders(grid)
+    return [MomentumLadder(cfg.beta, orders, stack, run.hbar, grid.periods)
+            for run, stack in zip(runs, stacks)]
+
+
 def quantum_kick_ladders(cfg: RunConfig, hbar_eff: float, n_kicks: int) -> MomentumLadder:
     """The split-step engine's (n_kicks, n) spectrum stack from the standard plane wave: a
     `scan_probabilities` batch of one run, each row bitwise the ladder `evolve` records."""
-    grid = cfg.grid()
-    run = KickedRunParams(cfg.potential(), EffectivePlanck(hbar_eff), n_kicks)
-    probs = np.empty((n_kicks, grid.n))
-    for _lo, k, row in scan_probabilities(grid, cfg.beta, [(run.potential, run.hbar)], range(1, n_kicks + 1)):
-        probs[k - 1] = row[0]
-    return MomentumLadder(cfg.beta, _orders(grid), probs, run.hbar, grid.periods)
+    (ladders,) = _quantum_stacks(cfg, [hbar_eff], n_kicks)
+    return ladders
+
+
+def _ratchet_mirrors(cfg: RunConfig, hbar_eff: float, levels: Sequence[int | str]
+                     ) -> tuple[OpticalGeometry, list[MirrorProfile]]:
+    """Geometry at the distance realizing hbar_eff, and one ratchet mirror cut for hbar_eff per
+    entry of `levels`."""
+    hbar = EffectivePlanck(hbar_eff)
+    geom = cfg.geometry(distance=distance_for_hbar(hbar, cfg.wavelength, cfg.period))
+    pot = cfg.potential()
+    return geom, [ratchet_mirror(pot, hbar, cfg.wavelength, cfg.period,
+                                 samples_per_period=cfg.beam_points_per_period, n_levels=n_levels)
+                  for n_levels in levels]
+
+
+def _standard_beam(cfg: RunConfig) -> BeamField:
+    """The configured Gaussian beam every driver bounces."""
+    return gaussian_beam(cfg.period, cfg.beam_periods, cfg.beam_points_per_period, cfg.beam_width,
+                         cfg.wavelength)
 
 
 def _bounce_setup(cfg: RunConfig, hbar_eff: float, levels: Sequence[int | str]
                   ) -> tuple[OpticalGeometry, list[MirrorProfile], BeamField]:
-    """Geometry at the distance realizing hbar_eff, one ratchet mirror cut for hbar_eff per
-    entry of `levels`, and the standard Gaussian beam."""
-    hbar = EffectivePlanck(hbar_eff)
-    geom = cfg.geometry(distance=distance_for_hbar(hbar, cfg.wavelength, cfg.period))
-    pot = cfg.potential()
-    mirrors = [ratchet_mirror(pot, hbar, cfg.wavelength, cfg.period,
-                              samples_per_period=cfg.beam_points_per_period, n_levels=n_levels)
-               for n_levels in levels]
-    beam = gaussian_beam(cfg.period, cfg.beam_periods, cfg.beam_points_per_period,
-                         cfg.beam_width, cfg.wavelength)
-    return geom, mirrors, beam
+    """`_ratchet_mirrors`' geometry and mirrors, and the standard Gaussian beam."""
+    return (*_ratchet_mirrors(cfg, hbar_eff, levels), _standard_beam(cfg))
 
 
 def bounce_image(cfg: RunConfig, hbar_eff: float, n_kicks: int,
@@ -128,8 +150,19 @@ def write_stats(path: Path, ladders: MomentumLadder, comments: list[str]) -> lis
 
 
 def _quantum_runs(cfg: RunConfig) -> list[MomentumLadder]:
-    """Quantum ladder stacks at fig 2's two hbar_eff values, the runs fig 3 also reads."""
-    return [quantum_kick_ladders(cfg, hpi * math.pi, cfg.n_kicks) for hpi, _label in FIG2_HBARS]
+    """Quantum ladder stacks at fig 2's two hbar_eff values, the runs fig 3 also reads: one
+    `_quantum_stacks` batch of both."""
+    return _quantum_stacks(cfg, [hpi * math.pi for hpi, _label in FIG2_HBARS], cfg.n_kicks)
+
+
+def _optical_runs(cfg: RunConfig) -> list[FarFieldImage]:
+    """Bounce images at fig 2's two hbar_eff values, each at its own distance and mirror: one
+    `_bounce_images` batch of both runs on the standard Gaussian beam."""
+    runs = []
+    for hpi, _label in FIG2_HBARS:
+        geom, (mirror,) = _ratchet_mirrors(cfg, hpi * math.pi, [cfg.n_levels])
+        runs.append((geom, mirror))
+    return _bounce_images(runs, _standard_beam(cfg), cfg.n_kicks)
 
 
 def run_fig2(cfg: RunConfig, out_dir: str | Path) -> dict:
@@ -137,6 +170,8 @@ def run_fig2(cfg: RunConfig, out_dir: str | Path) -> dict:
 
     Writes fig2_{a,b}.pgm and fig2_{a,b}.csv from the quantum engine and
     fig2_{a,b}_optical.{pgm,csv} from the beam engine when it is enabled.
+    Each engine runs both panels as one batch (`_quantum_runs`,
+    `_optical_runs`), each panel bitwise its run alone.
     """
     return _fig2(cfg, out_dir, _quantum_runs(cfg) if cfg.engine in ("quantum", "both") else [])
 
@@ -147,6 +182,7 @@ def _fig2(cfg: RunConfig, out_dir: str | Path, quantum: list[MomentumLadder]) ->
     out.mkdir(parents=True, exist_ok=True)
     results: dict = {}
     comments = ["columns kick,order,probability", f"n_kicks={cfg.n_kicks}"]
+    optical = _optical_runs(cfg) if cfg.engine in ("optical", "both") else []
     for i, (hpi, label) in enumerate(FIG2_HBARS):
         hbar_eff = hpi * math.pi
         panel: dict = {"hbar_eff": hbar_eff}
@@ -158,7 +194,7 @@ def _fig2(cfg: RunConfig, out_dir: str | Path, quantum: list[MomentumLadder]) ->
             write_panel(out / f"fig2_{label}.csv", out / f"fig2_{label}.pgm", image, cfg,
                         [f"engine=quantum hbar={hbar_eff!r}"] + comments)
         if cfg.engine in ("optical", "both"):
-            image = bounce_image(cfg, hbar_eff, cfg.n_kicks)
+            image = optical[i]
             panel["optical"] = image.ladders
             stem = f"fig2_{label}_optical" if cfg.engine == "both" else f"fig2_{label}"
             write_panel(out / f"{stem}.csv", out / f"{stem}.pgm", image, cfg,
@@ -319,7 +355,8 @@ def write_manifest(cfg: RunConfig, out_dir: str | Path) -> None:
 def run_figs(cfg: RunConfig, out_dir: str | Path) -> dict:
     """End-to-end figure pipeline: fig2 + fig3 + fig4 artifacts plus manifest.
 
-    Fig 2 and fig 3 share one pair of quantum runs.
+    Fig 2 and fig 3 share one batch of two quantum runs; fig 2's two bounce
+    runs are one batch too.
     """
     _check_fig3_kicks(cfg)
     out = Path(out_dir)

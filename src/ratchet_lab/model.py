@@ -128,7 +128,13 @@ def kick_phase_profile(pot: RatchetPotential, hbar: EffectivePlanck, x_samples) 
     The kick multiplies the wave by exp(i * result), i.e. exp(-i*K*v(x)/hbar_eff).
     """
     x = np.asarray(x_samples, dtype=float)
-    return -(pot.K / hbar.hbar_eff) * np.asarray(eval_potential(pot, x))
+    return _kick_phase(pot, hbar, np.asarray(eval_potential(pot, x)))
+
+
+def _kick_phase(pot: RatchetPotential, hbar: EffectivePlanck, v: np.ndarray) -> np.ndarray:
+    """`kick_phase_profile` from the potential's samples v = v(x), which depend on alpha and phi
+    alone, so runs that share them can share v."""
+    return -(pot.K / hbar.hbar_eff) * v
 
 
 def _simplest_fraction_in(lo: Fraction, hi: Fraction) -> Fraction:

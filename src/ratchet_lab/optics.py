@@ -9,14 +9,16 @@ The mirror is periodic, so a beam P mirror periods wide is P quasimomentum
 classes of one period each, the layout of a quantum grid of P periods. A
 bounce run hands the split-step core (`evolution._split_step`, which splits
 the beam and runs the classes that carry it) its samples and P, one period of
-the mirror reflection, looked up once on the window's first period (so a
+its mirror's reflection, looked up once on the window's first period (so a
 window must hold a whole number of samples per period; ValueError otherwise),
-and the Fresnel kernel for the lines it runs. Every bounce tap sums the class
-squares straight into diffraction orders (`_order_sums`), the one order
-binning of every optical ladder; `bounce_simulation`'s tap also fftshifts
-them into the CCD image's focal-plane row (`evolution._class_power`), so an
-image carries the ladders of the very squares its rows show. A bounce run
-hands out one `MomentumLadder`: its (kicks, orders) stack, checked once.
+and the Fresnel kernel of its gap for the lines it runs. The runs of one batch
+share the beam; each carries its own geometry and mirror. Every bounce tap
+sums the class squares straight into diffraction orders (`_order_sums`), the
+one order binning of every optical ladder; an image tap also fftshifts them
+into each run's focal-plane row of one (runs, kicks, n) image
+(`evolution._class_power`), so an image carries the ladders of the very
+squares its rows show. A bounce run hands out one `MomentumLadder`: its
+(kicks, orders) stack, checked once.
 """
 
 from __future__ import annotations
@@ -337,59 +339,90 @@ class FarFieldImage:
     """The rows' (kicks, orders) order ladder stack; a bounce image's is what its tap summed."""
 
 
-def _bounce(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField, n_kicks: int,
-            name: Callable[[MirrorProfile], str], image: np.ndarray | None = None) -> list[MomentumLadder]:
-    """The (kicks, orders) order ladder stack of one bounce run per mirror, one batch row each.
+_Run = tuple[OpticalGeometry, MirrorProfile]
+
+
+def _bounce(runs: Sequence[_Run], beam: BeamField, n_kicks: int, name: Callable[[_Run], str],
+            image: np.ndarray | None = None) -> list[MomentumLadder]:
+    """The (kicks, orders) order ladder stack of one bounce run per (geometry, mirror) row.
 
     The split-step core splits the beam of P mirror periods into its
     quasimomentum classes and bounces the K that carry it n_kicks times off
-    each mirror: each class reflects off the mirror's factor on one period,
-    and the Fresnel kernel is built once, for the kept lines alone. At each
-    bounce the tap sums the chunk's (rows, K, S) kept class squares into
-    orders (`_order_sums`), one row per mirror, which the core scales to unit
-    sum, into one (mirrors, kicks, orders) buffer whose mirror slices become
+    each run's mirror, one batch row per run: each class reflects off the
+    mirror's factor on one period, and the Fresnel kernel over the run's gap
+    is built for the kept lines alone, once for the batch when every run
+    shares one gap (one kernel broadcast over the rows), else per run. At
+    each bounce the tap sums the chunk's (rows, K, S) kept class squares
+    into orders (`_order_sums`), one row per run, which the core scales to
+    unit sum, into one (runs, kicks, orders) buffer whose run slices become
     the stacks, checked once and sharing one read-only orders array. The
     focal-plane transform is also the forward transform of the flight.
-    `image`, given for a batch of one mirror, is an (n_kicks, n) buffer the
-    tap fills with each bounce's fftshifted focal-plane row
-    (`evolution._class_power`: exact zeros on the dropped classes' lines),
-    scaled by its own total to unit sum.
+    `image`, if given, is an all-zero (runs, n_kicks, n) buffer the tap fills
+    with each bounce's fftshifted focal-plane row, one per run
+    (`evolution._class_power`: the kept lines' columns alone, so exact zeros
+    on the dropped classes' lines), scaled by its own total to unit sum.
 
-    Before any transform, raises ValueError unless n_kicks >= 1, the beam's
-    wavelength is the geometry's, every mirror's period is the geometry's,
-    and the window holds P periods of whole samples; a stack row that is
-    negative, NaN or off unit sum raises ValueError too (MomentumLadder). A
-    row whose tapped power (by Parseval) drifts from the kept power by more
-    than 1e-8 relative, or is not finite, raises NumericalFailure with text
-    name(mirror) + the drift and the bounce.
+    Before any transform, raises ValueError unless n_kicks >= 1, there is a
+    run, the beam's wavelength is every geometry's, every geometry's period
+    is the first run's and its mirror's, and the window holds P periods of
+    whole samples; a stack row that is negative, NaN or off unit sum raises
+    ValueError too (MomentumLadder). A row whose tapped power (by Parseval) drifts from the
+    kept power by more than 1e-8 relative, or is not finite, raises
+    NumericalFailure with text name(run) + the drift and the bounce.
     """
     if n_kicks < 1:
         raise ValueError(f"n_kicks must be >= 1, got {n_kicks}")
-    if beam.wavelength_m != geom.wavelength_m:
-        raise ValueError(f"beam wavelength_m {beam.wavelength_m!r} is not the geometry's "
-                         f"{geom.wavelength_m!r}")
-    for mirror in mirrors:
+    if not runs:
+        raise ValueError("a bounce batch needs at least one run")
+    period_m = runs[0][0].period_m
+    for geom, mirror in runs:
+        if beam.wavelength_m != geom.wavelength_m:
+            raise ValueError(f"beam wavelength_m {beam.wavelength_m!r} is not the geometry's "
+                             f"{geom.wavelength_m!r}")
+        if geom.period_m != period_m:
+            raise ValueError(f"geometry period_m {geom.period_m!r} is not the first run's {period_m!r}")
         if mirror.period_m != geom.period_m:
             raise ValueError(f"mirror period_m {mirror.period_m!r} is not the geometry's {geom.period_m!r}")
-    periods = window_periods_of(beam, geom.period_m)
+    periods = window_periods_of(beam, period_m)
     orders = _window_orders(beam.samples.size, periods)
     orders.flags.writeable = False
-    rows = iter(() if image is None else image[:, None])  # bounce k fills row k-1
+    distances = {geom.distance_m for geom, _mirror in runs}
+    kept: list[np.ndarray] = []  # the kept classes, from the core's one flight call before any tap
 
-    def tap(squares: np.ndarray, sums: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    def flight(lines: np.ndarray) -> np.ndarray | Callable[[_Run], np.ndarray]:
+        kept.append(lines[:, 0])
+        if len(distances) == 1:
+            return _fresnel_kernel(beam, runs[0][0].distance_m, lines)
+        return lambda run: _fresnel_kernel(beam, run[0].distance_m, lines)
+
+    lo = kick = 0  # the image rows the next tap fills: the core taps a chunk's bounces in order
+
+    def tap(squares: np.ndarray, sums: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        nonlocal lo, kick
         if image is not None:
-            row = next(rows)
-            row *= 1.0 / evolution._class_power(squares, row, keep)
-        return _order_sums(squares, sums, keep, periods)
+            rows = image[lo:lo + len(squares), kick]
+            rows *= (1.0 / evolution._class_power(squares, rows, columns))[:, None]
+            lo, kick = (lo, kick + 1) if kick + 1 < n_kicks else (lo + len(squares), 0)
+        return _order_sums(squares, sums, kept[0], periods)
 
-    stacks = np.empty((len(mirrors), n_kicks, orders.size))
-    for lo, k, _spectrum, probs in evolution._split_step(
-            beam.samples, periods, mirrors, lambda mirror: _reflection_factor(beam, mirror),
-            lambda lines: _fresnel_kernel(beam, geom.distance_m, lines), range(1, n_kicks + 1),
-            "beam power drifted by {:.3e} (relative) at bounce {}", name, tap, orders.size):
-        stacks[lo:lo + len(probs), k - 1] = probs
-    hbar = hbar_from_geometry(geom)
-    return [MomentumLadder(0.0, orders, stack, hbar) for stack in stacks]
+    stacks = np.empty((len(runs), n_kicks, orders.size))
+    for first, k, _spectrum, probs in evolution._split_step(
+            beam.samples, periods, runs, lambda run: _reflection_factor(beam, run[1]), flight,
+            range(1, n_kicks + 1), "beam power drifted by {:.3e} (relative) at bounce {}", name, tap,
+            orders.size):
+        stacks[first:first + len(probs), k - 1] = probs
+    return [MomentumLadder(0.0, orders, stack, hbar_from_geometry(geom))
+            for (geom, _mirror), stack in zip(runs, stacks)]
+
+
+def _bounce_images(runs: Sequence[_Run], beam: BeamField, n_kicks: int) -> list[FarFieldImage]:
+    """One `FarFieldImage` per (geometry, mirror) run, the runs bounced as one `_bounce` batch
+    whose tap fills one (runs, kicks, n) image; each run's rows are its slice. Raises as `_bounce`."""
+    image = np.zeros((len(runs), n_kicks, beam.samples.size))
+    ladders = _bounce(runs, beam, n_kicks, lambda _run: "", image)
+    periods = window_periods_of(beam, runs[0][0].period_m)
+    return [FarFieldImage(rows=rows, window_periods=periods, ladders=stack)
+            for rows, stack in zip(image, ladders)]
 
 
 def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamField,
@@ -400,14 +433,13 @@ def bounce_simulation(geom: OpticalGeometry, mirror: MirrorProfile, beam: BeamFi
     flight over the geometry's gap `distance_m`, which gives the kinetic
     ladder phase exp(-i*hbar_eff*q^2/2) of the matched quantum run, with
     hbar_eff read from the geometry. This is the batch of one of the bounce
-    loop (`_bounce`), whose tap reduces each bounce's kept class squares
-    twice: into the image's CCD row, and into the order sums of its
+    loop (`_bounce_images`), whose tap reduces each bounce's kept class
+    squares twice: into the image's CCD row, and into the order sums of its
     (kicks, orders) ladder stack, bitwise `bounce_ladders`' for the same
-    mirror. Raises as `_bounce`.
+    mirror, and bitwise the run's rows in any batch. Raises as `_bounce`.
     """
-    image = np.empty((n_kicks, beam.samples.size))
-    (ladders,) = _bounce(geom, [mirror], beam, n_kicks, lambda _mirror: "", image)
-    return FarFieldImage(rows=image, window_periods=window_periods_of(beam, geom.period_m), ladders=ladders)
+    (image,) = _bounce_images([(geom, mirror)], beam, n_kicks)
+    return image
 
 
 def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam: BeamField,
@@ -421,7 +453,8 @@ def bounce_ladders(geom: OpticalGeometry, mirrors: Sequence[MirrorProfile], beam
     ladders. Raises as `_bounce`; a drifting row's NumericalFailure names its
     mirror's n_levels.
     """
-    return _bounce(geom, mirrors, beam, n_kicks, lambda mirror: f"bounce run n_levels={mirror.n_levels}: ")
+    return _bounce([(geom, mirror) for mirror in mirrors], beam, n_kicks,
+                   lambda run: f"bounce run n_levels={run[1].n_levels}: ")
 
 
 def row_order_ladder(image: FarFieldImage, kick: int) -> MomentumLadder:

@@ -29,7 +29,7 @@ from ratchet_lab.evolution import (
 )
 from ratchet_lab.config import parse_config
 from ratchet_lab.experiments import _scan_abs_mean_p, run_fig4
-from ratchet_lab.model import EffectivePlanck, RatchetPotential, kick_phase_profile
+from ratchet_lab.model import EffectivePlanck, RatchetPotential, _kick_phase, kick_phase_profile
 from ratchet_lab.observables import mean_momentum
 
 
@@ -321,11 +321,11 @@ def test_scan_norm_guard_names_the_row(pot, monkeypatch, rows):
 
     lossy_hbar = 0.35 * math.pi
 
-    def lossy(p, h, x):
-        phase = kick_phase_profile(p, h, x)
+    def lossy(p, h, v):
+        phase = _kick_phase(p, h, v)
         return phase + 1e-3j if h.hbar_eff == lossy_hbar else phase
 
-    monkeypatch.setattr(evolution, "kick_phase_profile", lossy)
+    monkeypatch.setattr(evolution, "_kick_phase", lossy)
     monkeypatch.setattr(evolution, "BATCH_CELLS", rows * GRID.n)
     runs = [(pot, EffectivePlanck(h * math.pi)) for h in (0.25, 0.3, 0.35, 0.4)]
     expected = rf"^scan run hbar_eff={re.escape(repr(lossy_hbar))} K=1\.0: norm drifted by .* at kick 1$"
@@ -342,11 +342,11 @@ def test_scan_without_kicks_names_kicks_at(pot, hbar_res):
 def test_scan_norm_guard_reads_an_untapped_nan(pot, monkeypatch):
     import ratchet_lab.evolution as evolution
 
-    def broken(p, h, x):
-        phase = kick_phase_profile(p, h, x)
+    def broken(p, h, v):
+        phase = _kick_phase(p, h, v)
         return phase * np.nan if h.hbar_eff == 0.3 * math.pi else phase
 
-    monkeypatch.setattr(evolution, "kick_phase_profile", broken)
+    monkeypatch.setattr(evolution, "_kick_phase", broken)
     runs = [(pot, EffectivePlanck(h * math.pi)) for h in (0.25, 0.3)]
     with pytest.raises(NumericalFailure, match=r"K=1\.0: norm drifted by nan at kick 1$"):
         list(scan_probabilities(GRID, 0.0, runs, (5,)))
@@ -415,6 +415,41 @@ def test_class_power_fills_one_row(n):
     assert total == power.sum()
 
 
+def default_beam_classes() -> tuple[int, int, np.ndarray]:
+    """(P, S, kept classes) of the default Gaussian beam: 33 of its 64 classes."""
+    import ratchet_lab.evolution as evolution
+    from ratchet_lab.optics import gaussian_beam
+
+    cfg = parse_config("", {"hbar": "0.5pi"})
+    beam = gaussian_beam(cfg.period, cfg.beam_periods, cfg.beam_points_per_period, cfg.beam_width,
+                         cfg.wavelength)
+    weights = np.sum(np.abs(evolution._period_spectrum(beam.samples, cfg.beam_periods)) ** 2, axis=1)
+    return cfg.beam_periods, cfg.beam_points_per_period, evolution._kept_classes(weights)[0]
+
+
+@pytest.mark.parametrize("periods, s, classes", [
+    (1, 256, [0]), (4, 64, [0]), (4, 64, [1, 3]), (16, 256, [0]), (16, 16, [2, 7, 8, 15]),
+    pytest.param(None, None, None, id="default-beam")])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_class_power_of_kept_classes_is_the_zero_filled_layout_bitwise(periods, s, classes, rows):
+    # the kept squares written straight into their fftshifted columns of a zeroed row are
+    # bitwise the fftshift of the full window lines with the dropped classes' lines zero
+    if classes is None:
+        periods, s, classes = default_beam_classes()
+        assert classes.size == 33
+    classes = np.asarray(classes)
+    n = periods * s
+    squares = np.random.default_rng(n + classes.size).uniform(size=(rows, classes.size, s))
+    lines = np.zeros((rows, s, periods))
+    lines[..., classes] = squares.swapaxes(-1, -2)
+    expected = np.fft.fftshift(lines.reshape(rows, n), axes=-1)
+    power = np.zeros((rows, n))
+    columns = (classes[:, None] + periods * np.arange(s) + n // 2) % n
+    totals = _class_power(squares, power, columns)
+    assert power.tobytes() == expected.tobytes()
+    assert totals.tobytes() == expected.sum(axis=-1).tobytes()
+
+
 @pytest.mark.parametrize("n", [34, 100, 256, 585])
 def test_core_rows_are_the_unit_sum_formula_bitwise(monkeypatch, n):
     # every tapped row is fftshift(|spectrum|^2) times the reciprocal of its sum, in chunks of 2, 2 and 1 runs
@@ -466,11 +501,11 @@ def test_scan_yields_each_chunk_before_the_next_runs(pot, monkeypatch):
 
     lossy_hbar = 0.35 * math.pi
 
-    def lossy(p, h, x):
-        phase = kick_phase_profile(p, h, x)
+    def lossy(p, h, v):
+        phase = _kick_phase(p, h, v)
         return phase + 1e-3j if h.hbar_eff == lossy_hbar else phase
 
-    monkeypatch.setattr(evolution, "kick_phase_profile", lossy)
+    monkeypatch.setattr(evolution, "_kick_phase", lossy)
     monkeypatch.setattr(evolution, "BATCH_CELLS", GRID.n)
     runs = [(pot, EffectivePlanck(h * math.pi)) for h in (0.25, 0.3, 0.35, 0.4)]
     ladders = scan_ladders(GRID, 0.0, runs, (5,))

@@ -232,6 +232,50 @@ def test_fig4_csv_independent_of_chunking(tmp_path, monkeypatch, fft_calls, rows
     assert (tmp_path / "chunked" / "fig4_scan.csv").read_bytes() == batch
 
 
+@settings(max_examples=12, deadline=None)
+@given(K=st.floats(min_value=0.0, max_value=1.5), alpha=st.floats(min_value=0.0, max_value=0.6),
+       phi=st.floats(min_value=-math.pi, max_value=math.pi),
+       hbars=st.lists(st.floats(min_value=0.3, max_value=2.0), min_size=2, max_size=2),
+       beam_periods=st.sampled_from([16, 64]), apart=st.booleans())
+def test_fig2_batches_equal_their_solo_runs_bitwise(K, alpha, phi, hbars, beam_periods, apart):
+    # fig 2 bounces its two panels, each at its own distance and mirror, as one batch, and runs
+    # its two quantum panels as another; `apart` puts each run in a chunk of its own
+    from unittest import mock
+
+    from ratchet_lab.experiments import _bounce_images, _quantum_stacks, _ratchet_mirrors, _standard_beam
+
+    cfg = cfg_with(K=K, alpha=alpha, phi=phi, n_kicks=5, beam_periods=beam_periods, beam_points_per_period=64)
+    runs = [(geom, mirror) for geom, (mirror,) in (_ratchet_mirrors(cfg, h, [cfg.n_levels]) for h in hbars)]
+    with mock.patch("ratchet_lab.evolution.BATCH_CELLS", 1 if apart else 1 << 19):
+        images = _bounce_images(runs, _standard_beam(cfg), cfg.n_kicks)
+        quantum = _quantum_stacks(cfg, hbars, cfg.n_kicks)
+    for (geom, mirror), image, stack, h in zip(runs, images, quantum, hbars):
+        solo = bounce_simulation(geom, mirror, _standard_beam(cfg), cfg.n_kicks)
+        assert image.rows.tobytes() == solo.rows.tobytes()
+        assert image.ladders.probabilities.tobytes() == solo.ladders.probabilities.tobytes()
+        assert image.ladders.orders.tobytes() == solo.ladders.orders.tobytes()
+        assert (image.window_periods, image.ladders.hbar) == (solo.window_periods, solo.ladders.hbar)
+        alone = quantum_kick_ladders(cfg, h, cfg.n_kicks)
+        assert stack.probabilities.tobytes() == alone.probabilities.tobytes()
+        assert stack.orders.tobytes() == alone.orders.tobytes()
+        assert (stack.hbar, stack.beta) == (alone.hbar, alone.beta)
+
+
+def test_fig2_runs_each_engine_as_one_batch(tmp_path, monkeypatch):
+    import ratchet_lab.evolution as evolution
+
+    split_step = evolution._split_step
+    batches = []
+
+    def recorded(samples, periods, runs, *args, **kwargs):
+        batches.append(len(runs))
+        return split_step(samples, periods, runs, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_split_step", recorded)
+    run_fig2(cfg_with(engine="both", n_kicks=3), tmp_path)
+    assert batches == [2, 2]  # the quantum pair, then the bounce pair
+
+
 # --- figs pipeline ---------------------------------------------------------------
 
 def test_figs_shares_the_quantum_runs_of_fig2_and_fig3(tmp_path, monkeypatch):
@@ -246,8 +290,8 @@ def test_figs_shares_the_quantum_runs_of_fig2_and_fig3(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "scan_probabilities", counted)
     cfg = cfg_with()
     run_figs(cfg, tmp_path)
-    # fig 2's and fig 3's runs at 0.5pi and 0.35pi, each a batch of one; the fig 4 scan runs as one batch
-    assert batches == [[0.5 * math.pi], [0.35 * math.pi], list(cfg.scan_hbar_values())]
+    # fig 2's and fig 3's runs at 0.5pi and 0.35pi are one batch; the fig 4 scan runs as another
+    assert batches == [[0.5 * math.pi, 0.35 * math.pi], list(cfg.scan_hbar_values())]
 
 
 @pytest.mark.parametrize("engine", ["both", "optical"])

@@ -542,6 +542,45 @@ def test_bounce_ladders_tap_is_the_order_sum_reference_bitwise(monkeypatch, wind
             assert row.tobytes() == probs[mirror].tobytes()
 
 
+def test_bounce_batch_refuses_no_runs_and_runs_of_two_periods():
+    # the runs of one batch split one beam into the classes of one mirror period
+    import ratchet_lab.optics as optics
+
+    geom, mirror, beam = bounce_case(0.5 * math.pi, 16, 64)
+    with pytest.raises(ValueError, match="^a bounce batch needs at least one run$"):
+        bounce_ladders(geom, [], beam, 2)
+    wide = OpticalGeometry(LAM, 2 * PERIOD, geom.distance_m)
+    wide_mirror = depth_from_phase(np.zeros(64), LAM, 2 * PERIOD)
+    with pytest.raises(ValueError, match="^geometry period_m .* is not the first run's "):
+        optics._bounce_images([(geom, mirror), (wide, wide_mirror)], beam, 2)
+
+
+def test_bounce_batch_builds_one_kernel_per_gap(monkeypatch):
+    # runs that share a gap share one Fresnel kernel, broadcast over the rows; runs at two gaps
+    # (fig 2's panels) get one each, and each row is bitwise its run alone
+    import ratchet_lab.optics as optics
+
+    kernels = []
+
+    def counted(*args):
+        kernels.append(args[1])
+        return fresnel_kernel(*args)
+
+    fresnel_kernel = optics._fresnel_kernel
+    monkeypatch.setattr(optics, "_fresnel_kernel", counted)
+    geom, mirror, beam = bounce_case(0.5 * math.pi, 16, 64)
+    other, mirror_b, _ = bounce_case(0.35 * math.pi, 16, 64)
+    bounce_ladders(geom, [mirror, mirror, mirror], beam, 3)
+    assert kernels == [geom.distance_m]
+    kernels.clear()
+    images = optics._bounce_images([(geom, mirror), (other, mirror_b)], beam, 3)
+    assert kernels == [geom.distance_m, other.distance_m]
+    for image, (g, m) in zip(images, [(geom, mirror), (other, mirror_b)]):
+        alone = bounce_simulation(g, m, beam, 3)
+        assert image.rows.tobytes() == alone.rows.tobytes()
+        assert image.ladders.probabilities.tobytes() == alone.ladders.probabilities.tobytes()
+
+
 # --- kept quasimomentum classes ---------------------------------------------------
 
 
